@@ -1,14 +1,23 @@
 """Exact certificates and the rounding layer that produces them.
 
-A weighted certificate stores, per generator block, the monomial basis and an
-exact Hermitian PSD Gram matrix.  Its two defining invariants are recomputed
-from scratch by verify_certificate: exact PSD-ness (LDL) and the bit-exact
-re-expansion identity against the target.  round_and_verify is the only path
-that emits certificates, so nothing unverified ever escapes.
+Two certificate kinds share one pipeline.  A weighted certificate stores, per
+generator block, the monomial basis and an exact Hermitian PSD Gram matrix; a
+commutative one stores one real symmetric Gram over the monomials of a form.
+round_and_verify is the only path that emits either kind, so nothing
+unverified ever escapes.
 
-Rounding follows the usual recipe: snap the numeric Gram entries to rationals
+Rounding follows Peyrl & Parrilo: snap the numeric Gram entries to rationals
 with denominator 2^k, project exactly onto the affine constraint subspace,
-and test PSD exactly; k escalates until success or exhaustion.
+take the exact blocks from the problem and gate on the verifier; k escalates
+until success or exhaustion.
+
+The two verifiers differ only in how they re-expand a certificate.  They share
+one block check (square shapes, Hermitian entries, then an exact LDL of every
+block before any re-expansion), which always factors the certificate's
+current Gram blocks and never reads factors stored on it.  On success the
+verifier stores those fresh factors as the certificate's LDL witness, so each
+block is factored once per stage: once on emission, none on loading, once on
+re-verification.
 """
 
 from __future__ import annotations
@@ -19,17 +28,17 @@ from . import lie
 from .errors import CertificateFormatError
 from .exactla import ldl_hermitian
 from .exprs import parse, render
-from .gram import CommGramProblem, SdpProblem
+from .gram import CommGramProblem
 from .pbw import AlgebraElement
 from .poly import CommutativePoly
-from .scalar import format_fraction, format_scalar, parse_scalar
+from .scalar import Scalar, format_fraction, format_scalar, parse_scalar
 
 SCHEMA_VERSION = 1
 ROUNDING_EXPONENTS = (10, 20, 30, 40, 50, 60)
 
 
 class WeightedSosCertificate:
-    def __init__(self, algebra, degree, target, generators, bases, grams, ldl_results):
+    def __init__(self, algebra, degree, target, generators, bases, grams, ldl_results=None):
         self.algebra = algebra
         self.degree = degree
         self.target = target
@@ -63,7 +72,7 @@ class WeightedSosCertificate:
 
 
 class CommutativeSosCertificate:
-    def __init__(self, target: CommutativePoly, level: int, basis, gram, ldl):
+    def __init__(self, target: CommutativePoly, level: int, basis, gram, ldl=None):
         self.target = target          # the polynomial actually decomposed
         self.level = level
         self.basis = list(basis)
@@ -129,119 +138,112 @@ def _round_vector(g, k: int):
     return [Fraction(round(float(x) * scale), scale) for x in g]
 
 
-def round_and_verify(problem: SdpProblem, g_numeric,
-                     exponents=ROUNDING_EXPONENTS) -> WeightedSosCertificate:
+def round_and_verify(problem, g_numeric, exponents=ROUNDING_EXPONENTS):
     """Turn a numeric Gram candidate into an exact verified certificate.
 
+    An SdpProblem yields a WeightedSosCertificate and a CommGramProblem a
+    CommutativeSosCertificate; the verifier's factors become its LDL witness.
     Raises RoundingFailed when no denominator 2^k in the schedule produces an
     exactly feasible PSD point.
     """
     for k in exponents:
-        g = _round_vector(g_numeric, k)
-        g = problem.system.project_exact(g)
+        g = problem.system.project_exact(_round_vector(g_numeric, k))
         if any(r != 0 for r in problem.system.residual_exact(g)):
             continue  # inconsistent system cannot round (caught earlier anyway)
         blocks = problem.gram_blocks_exact(g)
-        ldls = []
-        ok = True
-        for G in blocks:
-            res = ldl_hermitian(G)
-            if not res.psd:
-                ok = False
-                break
-            ldls.append(res)
-        if not ok:
-            continue
-        cert = WeightedSosCertificate(
-            problem.algebra, problem.degree, problem.target,
-            problem.generators, problem.skeleton.bases, blocks, ldls,
-        )
-        if verify_certificate(cert, problem.target, problem.generators):
-            return cert
-    raise RoundingFailed("no dyadic rounding produced an exact PSD solution")
-
-
-def round_and_verify_commutative(problem: CommGramProblem, g_numeric, level: int,
-                                 exponents=ROUNDING_EXPONENTS) -> CommutativeSosCertificate:
-    for k in exponents:
-        g = _round_vector(g_numeric, k)
-        g = problem.system.project_exact(g)
-        if any(r != 0 for r in problem.system.residual_exact(g)):
-            continue
-        G = problem.gram_exact(g)
-        if not G:
-            if problem.target.is_zero():
-                return CommutativeSosCertificate(problem.target, level, [], [], ldl_hermitian([]))
-            continue
-        res = ldl_hermitian(G)
-        if not res.psd:
-            continue
-        cert = CommutativeSosCertificate(problem.target, level, problem.basis, G, res)
-        if verify_commutative_certificate(cert, problem.target):
-            return cert
+        if isinstance(problem, CommGramProblem):
+            cert = CommutativeSosCertificate(problem.target, problem.level, problem.basis,
+                                             blocks[0])
+            if verify_commutative_certificate(cert, problem.target):
+                return cert
+        else:
+            cert = WeightedSosCertificate(problem.algebra, problem.degree, problem.target,
+                                          problem.generators, problem.skeleton.bases, blocks)
+            if verify_certificate(cert, problem.target, problem.generators):
+                return cert
     raise RoundingFailed("no dyadic rounding produced an exact PSD solution")
 
 
 # -- verification ------------------------------------------------------------------
 
 
+def _block_factors(grams, sizes):
+    """Exact LDL factors of every block, or None when a block is malformed or not PSD.
+
+    Checks square shapes and Hermitian entries first, then factors each
+    block from scratch.
+    """
+    if len(grams) != len(sizes):
+        return None
+    for gram, n in zip(grams, sizes):
+        if len(gram) != n or any(len(row) != n for row in gram):
+            return None
+        if any(gram[p][q] != gram[q][p].conj() for p in range(n) for q in range(p, n)):
+            return None
+    factors = []
+    for gram in grams:
+        res = ldl_hermitian(gram)
+        if not res.psd:
+            return None
+        factors.append(res)
+    return factors
+
+
 def verify_certificate(cert: WeightedSosCertificate, target: AlgebraElement,
                        generators) -> bool:
-    """Recompute both certificate invariants from scratch, exactly.
+    """Recompute the certificate's claim from scratch, exactly.
 
-    Independent of how the certificate was produced: PSD is re-decided by a
-    fresh LDL and the re-expansion identity is recomputed term by term.
+    Independent of how the certificate was produced: every basis monomial must
+    fit the degree window, PSD is re-decided by a fresh LDL and the
+    re-expansion identity is recomputed term by term.  On success the fresh
+    factors are stored as the certificate's ldl_results.
     """
     generators = list(generators)
-    if len(cert.bases) != len(generators):
+    if len(cert.bases) != len(generators) or cert.target != target:
         return False
-    if cert.target != target:
+    for basis, gen in zip(cert.bases, generators):
+        if any(2 * sum(w) + (gen.degree() or 0) > cert.degree for w in basis):
+            return False
+    factors = _block_factors(cert.grams, [len(basis) for basis in cert.bases])
+    if factors is None:
         return False
-    total = AlgebraElement.zero(target.algebra)
+    algebra = target.algebra
+    total = AlgebraElement.zero(algebra)
     for basis, gram, gen in zip(cert.bases, cert.grams, generators):
-        n = len(basis)
-        if len(gram) != n or any(len(row) != n for row in gram):
-            return False
-        if n == 0:
-            continue
-        for p in range(n):
-            if not gram[p][p].is_real():
-                return False
-            for q in range(n):
-                if gram[p][q] != gram[q][p].conj():
-                    return False
-        if not ldl_hermitian(gram).psd:
-            return False
-        for p in range(n):
-            wp_star = AlgebraElement.monomial(target.algebra, basis[p]).star()
-            left = wp_star * gen
-            for q in range(n):
+        for p, wp in enumerate(basis):
+            left = AlgebraElement.monomial(algebra, wp).star() * gen
+            for q, wq in enumerate(basis):
                 if gram[p][q]:
-                    wq = AlgebraElement.monomial(target.algebra, basis[q])
-                    total = total + (left * wq).scale(gram[p][q])
-    return total == target
+                    total = total + (left * AlgebraElement.monomial(algebra, wq)).scale(gram[p][q])
+    if total != target:
+        return False
+    cert.ldl_results = factors
+    return True
 
 
 def verify_commutative_certificate(cert: CommutativeSosCertificate,
                                    target: CommutativePoly) -> bool:
+    """The commutative analogue: a real symmetric PSD Gram that re-expands to target.
+
+    On success the fresh factor is stored as the certificate's ldl.
+    """
     if cert.target != target:
         return False
-    n = len(cert.basis)
-    if len(cert.gram) != n or any(len(row) != n for row in cert.gram):
+    if not all(s.is_real() for row in cert.gram for s in row):
+        return False
+    factors = _block_factors([cert.gram], [len(cert.basis)])
+    if factors is None:
         return False
     out: dict = {}
-    for p in range(n):
-        for q in range(n):
+    for p, wp in enumerate(cert.basis):
+        for q, wq in enumerate(cert.basis):
             s = cert.gram[p][q]
             if s:
-                if not s.is_real() or cert.gram[q][p] != s:
-                    return False
-                mono = tuple(a + b for a, b in zip(cert.basis[p], cert.basis[q]))
+                mono = tuple(a + b for a, b in zip(wp, wq))
                 out[mono] = out.get(mono, Fraction(0)) + s.re
     if CommutativePoly(target.nvars, out) != target:
         return False
-    if n and not ldl_hermitian(cert.gram).psd:
-        return False
+    cert.ldl = factors[0]
     return True
 
 
@@ -252,39 +254,43 @@ def _parse_gram(rows):
     return [[parse_scalar(v) for v in row] for row in rows]
 
 
+def _parse_monomial(text: str, algebra):
+    """Exponents of a basis entry, which must be a canonical monomial string."""
+    terms = parse(text, algebra).terms
+    if len(terms) == 1:
+        (mono, coeff), = terms.items()
+        if coeff == Scalar(1) and _render_monomial_text(algebra, mono) == text:
+            return tuple(mono)
+    raise CertificateFormatError(f"basis entry {text!r} is not a canonical monomial")
+
+
 def certificate_from_json(data: dict):
-    """Parse a certificate JSON document (either kind)."""
+    """Parse a certificate JSON document (either kind) without deciding anything.
+
+    Only schema version 1 and canonical monomial basis strings are accepted.
+    Gram blocks are read as written; positivity is left to the verifier.
+    """
     try:
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise CertificateFormatError(
+                f"unsupported schema_version {data['schema_version']!r}")
         kind = data["kind"]
         if kind == "weighted_sos":
             algebra = lie.from_json_dict(data["algebra"])
             target = parse(data["target"], algebra)
             generators = [parse(g, algebra) for g in data["generators"]]
-            bases = []
-            grams = []
-            ldls = []
             blocks = sorted(data["blocks"], key=lambda blk: blk["l"])
-            for blk in blocks:
-                basis = [
-                    tuple(parse(t, algebra).sorted_terms()[0][0]) if t != "1" else (0,) * algebra.dim
-                    for t in blk["basis"]
-                ]
-                bases.append(basis)
-                gram = _parse_gram(blk["gram"])
-                grams.append(gram)
-                ldls.append(ldl_hermitian(gram) if gram else None)
+            bases = [[_parse_monomial(t, algebra) for t in blk["basis"]] for blk in blocks]
+            grams = [_parse_gram(blk["gram"]) for blk in blocks]
             return WeightedSosCertificate(
-                algebra, int(data["degree"]), target, generators, bases, grams, ldls
+                algebra, int(data["degree"]), target, generators, bases, grams
             ), target, generators
         if kind == "commutative_sos":
             nvars = int(data["nvars"])
             target = _poly_from_json(nvars, data["target_coeffs"])
             basis = [tuple(m) for m in data["basis"]]
-            gram = _parse_gram(data["gram"])
-            cert = CommutativeSosCertificate(
-                target, int(data["level"]), basis, gram,
-                ldl_hermitian(gram) if gram else None,
-            )
+            cert = CommutativeSosCertificate(target, int(data["level"]), basis,
+                                             _parse_gram(data["gram"]))
             return cert, target, None
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")
     except CertificateFormatError:

@@ -189,55 +189,43 @@ def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
     if not (algebra.is_abelian() or is_su2_standard(algebra)):
         # no concrete dual window exists for this algebra; only a proof can help
         out = {"members": [], "evidence": "unavailable", "failures": {}}
-        if attempt_proof:
-            deg = shifted.degree() or 0
-            degree = deg + (deg % 2)
-            proof = find_certificate(shifted, f, degree, opts=opts)
-            if proof.status == "certificate":
-                out["label"] = "proof"
-                out["proof_degree"] = degree
-                return out
-            out["proof_attempt"] = proof.status
-        out["label"] = "unavailable"
-        return out
-    labels = window if not isinstance(window, (int, Fraction)) else spin_window(window)
-    scan = scan_dual_window(algebra, f, labels)
-    member_labels = scan.members()
-    failures = {}
-    if algebra.is_abelian():
-        reps = {
-            "(" + ", ".join(format_fraction(Fraction(v)) for v in point) + ")":
-                make_point_rep(algebra, point)
-            for point in labels
-        }
+        fallback = "unavailable"
     else:
-        reps = {format_fraction(Fraction(l)): make_spin_rep(Fraction(l), algebra) for l in labels}
-    for label in member_labels:
-        verdict = reps[label].is_positive(shifted)
-        if not verdict:
-            failures[label] = {
-                "value": format_fraction(verdict.witness_value),
+        labels = window if not isinstance(window, (int, Fraction)) else spin_window(window)
+        scan = scan_dual_window(algebra, f, labels)
+        member_labels = scan.members()
+        failures = {}
+        if algebra.is_abelian():
+            reps = {
+                "(" + ", ".join(format_fraction(Fraction(v)) for v in point) + ")":
+                    make_point_rep(algebra, point)
+                for point in labels
             }
-    evidence_ok = not failures
-    out = {
-        "members": member_labels,
-        "evidence": "pass" if evidence_ok else "fail",
-        "failures": failures,
-    }
-    if evidence_ok and attempt_proof:
+        else:
+            reps = {format_fraction(Fraction(l)): make_spin_rep(Fraction(l), algebra)
+                    for l in labels}
+        for label in member_labels:
+            verdict = reps[label].is_positive(shifted)
+            if not verdict:
+                failures[label] = {
+                    "value": format_fraction(verdict.witness_value),
+                }
+        out = {
+            "members": member_labels,
+            "evidence": "fail" if failures else "pass",
+            "failures": failures,
+        }
+        fallback = "failed" if failures else "evidence"
+    if fallback != "failed" and attempt_proof:
         deg = shifted.degree() or 0
         degree = deg + (deg % 2)
         proof = find_certificate(shifted, f, degree, opts=opts)
         if proof.status == "certificate":
             out["label"] = "proof"
             out["proof_degree"] = degree
-        else:
-            out["label"] = "evidence"
-            out["proof_attempt"] = proof.status
-    elif evidence_ok:
-        out["label"] = "evidence"
-    else:
-        out["label"] = "failed"
+            return out
+        out["proof_attempt"] = proof.status
+    out["label"] = fallback
     return out
 
 

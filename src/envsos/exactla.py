@@ -15,34 +15,6 @@ from .scalar import Scalar
 # -- rational matrices ---------------------------------------------------------
 
 
-def frac_matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    if Bt[j]:
-                        Oi[j] += a * Bt[j]
-    return out
-
-
-def frac_matvec(A, v):
-    return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
-
-
-def frac_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def frac_identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def rref(matrix):
     """Reduced row echelon form; returns (R, pivot_columns)."""
     R = [row[:] for row in matrix]
@@ -70,6 +42,24 @@ def rref(matrix):
         if r == rows:
             break
     return R, pivots
+
+
+def nullspace(rows, ncols: int):
+    """Exact rational basis of {v : rows v = 0}, one vector per free column.
+
+    With no rows every column is free and the basis is the identity.
+    """
+    R, pivots = rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][f]
+        basis.append(v)
+    return basis
 
 
 def solve_exact(A, b):

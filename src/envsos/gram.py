@@ -23,10 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotHermitean, OddDegreeTarget
-from .exactla import EchelonAccumulator, invert_exact
+from .exactla import EchelonAccumulator, invert_exact, nullspace, rref
 from .lie import LieAlgebra
 from .pbw import AlgebraElement, term_sort_key
-from .poly import CommutativePoly
+from .poly import CommutativePoly, squared_norm_poly
 from .scalar import Scalar
 
 
@@ -217,8 +217,6 @@ class AffineSystem:
             self.rows[i] + [self.rhs[i]] + [Fraction(1 if k == i else 0) for k in range(m)]
             for i in range(m)
         ]
-        from .exactla import rref
-
         R, pivots = rref(aug)
         for r, c in enumerate(pivots):
             if c == self.nvars:  # pivot in the rhs column: inconsistent
@@ -394,28 +392,30 @@ def build_gram_problem(c: AlgebraElement, f, degree: int,
 class CommGramProblem:
     """Plain sum-of-squares feasibility for a homogeneous real polynomial.
 
-    Verified zeros of the target force every feasible Gram to annihilate the
-    corresponding monomial evaluation vectors.  Those exact rational kernel
-    vectors are quotiented out up front (the working Gram lives on a basis of
-    their orthogonal complement), which restores a relative interior and makes
-    dyadic rounding land on boundary instances.
+    At level k the polynomial decomposed is (t_1^2+...+t_d^2)^k * form; it is
+    stored as `target`.  Verified zeros of the form force every feasible Gram
+    to annihilate the corresponding monomial evaluation vectors.  Those exact
+    rational kernel vectors are quotiented out up front (the working Gram
+    lives on a basis of their orthogonal complement), which restores a
+    relative interior and makes dyadic rounding land on boundary instances.
     """
 
-    def __init__(self, target: CommutativePoly, kernel_points=None):
-        if not target.is_homogeneous():
+    def __init__(self, form: CommutativePoly, kernel_points=None, level: int = 0):
+        if not form.is_homogeneous():
             raise ValueError("commutative mode expects a homogeneous target")
+        target = squared_norm_poly(form.nvars) ** level * form if level else form
         deg = target.degree()
         if deg is None:
             deg = 0
         if deg % 2 != 0:
             raise OddDegreeTarget("a sum of squares has even degree")
         self.target = target
-        self.nvars_poly = target.nvars
+        self.level = level
         self.monomials = monomials_of_degree(target.nvars, deg // 2)
         n = len(self.monomials)
         # reduction matrix Q: rows span the complement of the forced kernel
         kernel_vectors = _forced_kernel_vectors(target, self.monomials, kernel_points or [])
-        self.Q = _kernel_complement(n, kernel_vectors)
+        self.Q = nullspace(kernel_vectors, n)
         # working basis: polynomials b_p(t) = sum_j Q[p][j] t^{alpha_j}
         self.basis_polys = [
             CommutativePoly(target.nvars, {self.monomials[j]: self.Q[p][j]
@@ -445,8 +445,8 @@ class CommGramProblem:
         self.rows = rows
         self.system = AffineSystem(rows, rhs, self.layout.weights)
 
-    def gram_exact(self, g):
-        """Exact Gram over the *monomial* basis: Q^T G' Q from the reduced vars."""
+    def gram_blocks_exact(self, g):
+        """The one exact block over the *monomial* basis: Q^T G' Q from the reduced vars."""
         Gp = self.layout.gram_blocks_exact(g)[0]
         n = len(self.monomials)
         m = len(self.basis_polys)
@@ -465,22 +465,11 @@ class CommGramProblem:
                         qk = self.Q[q][k]
                         if qk:
                             out[j][k] = out[j][k] + left * Scalar(qk)
-        return out
+        return [out]
 
     @property
     def basis(self):
         return self.monomials
-
-    def expansion(self, G) -> CommutativePoly:
-        out: dict = {}
-        n = len(self.monomials)
-        for p in range(n):
-            for q in range(n):
-                s = G[p][q]
-                if s:
-                    mono = tuple(a + b for a, b in zip(self.monomials[p], self.monomials[q]))
-                    out[mono] = out.get(mono, Fraction(0)) + s.re
-        return CommutativePoly(self.nvars_poly, out)
 
 
 def _line_expansion(mono, t0, u, max_order: int):
@@ -522,7 +511,7 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     for t0 in kernel_points:
         vectors.append([_eval_monomial(mono, t0) for mono in monomials])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
-        for u in _nullspace_rows(H):
+        for u in nullspace(H, nvars):
             # exact univariate expansion of the target along t0 + s u
             deg = target.degree() or 0
             line = [Fraction(0)] * (deg + 1)
@@ -539,43 +528,6 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
                 if any(vec):
                     vectors.append(vec)
     return vectors
-
-
-def _kernel_complement(n: int, kernel_vectors):
-    """Exact rational basis of the subspace annihilating the kernel vectors."""
-    if not kernel_vectors:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    from .exactla import rref
-
-    R, pivots = rref([list(v) for v in kernel_vectors])
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        rows.append(v)
-    return rows
-
-
-def _nullspace_rows(M):
-    """Exact rational nullspace basis of a square matrix (list of vectors)."""
-    from .exactla import rref
-
-    n = len(M)
-    if n == 0:
-        return []
-    R, pivots = rref([list(r) for r in M])
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        out.append(v)
-    return out
 
 
 def _eval_monomial(mono, point) -> Fraction:

@@ -17,6 +17,13 @@ import numpy as np
 
 
 class SolveOptions:
+    """Knobs of the numeric search.
+
+    The search itself is deterministic; `seed` drives only the random
+    directions of the exact sign sampler (sos.sample_sign_information) that
+    the commutative mode and the symbol check run before any solver work.
+    """
+
     def __init__(self, tol: float = 1e-9, max_iters: int = 20000,
                  infeas_tol: float = 1e-3, seed: int = 0,
                  psd_floor: float = 1e-4, stall_window: int = 200,
@@ -104,9 +111,7 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
         # no variables: feasible iff every rhs row is zero (checked above)
         return NumericOutcome("candidate", g=np.zeros(0), residual=0.0, min_eig=0.0)
 
-    rng = np.random.default_rng(opts.seed)
     g = system.min_norm_point_float()
-    g = g + 0.0 * rng.standard_normal(g.shape)  # seed reserved for restarts
 
     floor = opts.psd_floor
     gap_history = []

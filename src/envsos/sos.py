@@ -1,11 +1,12 @@
 """End-to-end membership pipeline: build, solve, round, verify.
 
-find_certificate drives one (target, generators, degree) instance through the
-numeric solver and the exact rounding gate.  commutative_sos runs the sphere
-multiplier hierarchy for homogeneous polynomials, with grid sampling first: a
-negative sample point settles the question before any solver work, and exact
-zeros found by sampling become kernel constraints that make boundary Gram
-matrices roundable.
+find_certificate builds the Gram problem of one (target, generators, degree)
+instance; commutative_sos builds the one of a level of the sphere multiplier
+hierarchy for homogeneous polynomials, with grid sampling first: a negative
+sample point settles the question before any solver work, and exact zeros
+found by sampling become kernel constraints that make boundary Gram matrices
+roundable.  Both hand their problem to one tail: the numeric solver, then the
+exact rounding gate of certs.round_and_verify, then a FeasibilityReport.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ from .certs import (
     CommutativeSosCertificate,
     RoundingFailed,
     round_and_verify,
-    round_and_verify_commutative,
+    verify_commutative_certificate,
 )
 from .gram import CommGramProblem, GramSkeleton, build_gram_problem
 from .numeric import NumericOutcome, SolveOptions, solve_feasibility
 from .pbw import AlgebraElement
-from .poly import CommutativePoly, squared_norm_poly
+from .poly import CommutativePoly
+
+# perfbench/spans.py still wraps this name when tracing the commutative path
+round_and_verify_commutative = round_and_verify
 
 
 class FeasibilityReport:
@@ -59,7 +63,11 @@ def find_certificate(c: AlgebraElement, f, degree: int,
                      opts: SolveOptions | None = None,
                      skeleton: GramSkeleton | None = None) -> FeasibilityReport:
     """Attempt an exactly verified weighted SOS certificate for c at degree D."""
-    problem = build_gram_problem(c, f, degree, skeleton=skeleton)
+    return _solve_and_round(build_gram_problem(c, f, degree, skeleton=skeleton), opts)
+
+
+def _solve_and_round(problem, opts: SolveOptions | None) -> FeasibilityReport:
+    """The shared tail: numeric search, exact rounding gate, report."""
     outcome = solve_feasibility(problem, opts)
     if outcome.status == "candidate":
         try:
@@ -128,7 +136,9 @@ def commutative_sos(p: CommutativePoly, level: int = 0,
     if not p.is_homogeneous():
         raise ValueError("the multiplier hierarchy expects a homogeneous polynomial")
     if p.is_zero():
-        cert = CommutativeSosCertificate(p, level, [], [], _empty_ldl())
+        # the empty Gram certifies 0; verifying it stores its (empty) LDL factor
+        cert = CommutativeSosCertificate(p, level, [], [])
+        verify_commutative_certificate(cert, p)
         return FeasibilityReport("certificate", certificate=cert)
     if p.degree() % 2:
         return FeasibilityReport("not-positive", detail="odd degree cannot be a sum of squares")
@@ -140,23 +150,4 @@ def commutative_sos(p: CommutativePoly, level: int = 0,
     if negative is not None:
         return FeasibilityReport("not-positive", witness_point=negative,
                                  detail="sampled point with negative value")
-    target = p
-    if level:
-        target = squared_norm_poly(p.nvars) ** level * p
-    problem = CommGramProblem(target, kernel_points=zeros)
-    outcome = solve_feasibility(problem, opts)
-    if outcome.status == "candidate":
-        try:
-            cert = round_and_verify_commutative(problem, outcome.g, level)
-            return FeasibilityReport("certificate", certificate=cert, numeric=outcome)
-        except RoundingFailed as exc:
-            return FeasibilityReport("inconclusive", numeric=outcome, detail=str(exc))
-    if outcome.status == "infeasible-evidence":
-        return FeasibilityReport("numeric-infeasible-evidence", numeric=outcome)
-    return FeasibilityReport("inconclusive", numeric=outcome)
-
-
-def _empty_ldl():
-    from .exactla import ldl_hermitian
-
-    return ldl_hermitian([])
+    return _solve_and_round(CommGramProblem(p, kernel_points=zeros, level=level), opts)

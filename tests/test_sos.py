@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from envsos import certs, lie
 from envsos.certs import (
+    CommutativeSosCertificate,
+    WeightedSosCertificate,
     certificate_from_json,
     verify_certificate,
     verify_certificate_json,
     verify_commutative_certificate,
 )
-from envsos.errors import NotHermitean, OddDegreeTarget
+from envsos.errors import CertificateFormatError, NotHermitean, OddDegreeTarget
+from envsos.exactla import ldl_hermitian
 from envsos.gram import GramSkeleton, build_gram_problem
 from envsos.lie import builtin
 from envsos.numeric import SolveOptions
@@ -135,6 +139,119 @@ def test_certificate_json_roundtrip(su2):
     assert target == a
     data["blocks"][0]["gram"][1][1] = "2"
     assert not verify_certificate_json(data)
+
+
+def test_loader_rejects_non_canonical_basis_entry(su2):
+    # "x2*x1" normalizes to -x3 + x1*x2; it must not be read as x3
+    unit = AlgebraElement.unit(su2)
+    data = find_certificate(canonical_a(su2), [unit], 2).certificate.to_json_dict()
+    basis = data["blocks"][0]["basis"]
+    assert basis == ["1", "x1", "x2", "x3"]
+    for entry in ("x2*x1", "x1*x1", "x3^1", "2*x3", "x3 + 5"):
+        basis[3] = entry
+        with pytest.raises(CertificateFormatError):
+            verify_certificate_json(data)
+
+
+def test_loader_rejects_unknown_schema_version(su2):
+    unit = AlgebraElement.unit(su2)
+    weighted = find_certificate(canonical_a(su2), [unit], 2).certificate.to_json_dict()
+    commutative = commutative_sos(squared_norm_poly(2) ** 2, 0).certificate.to_json_dict()
+    for data in (weighted, commutative):
+        data["schema_version"] = 99
+        with pytest.raises(CertificateFormatError):
+            verify_certificate_json(data)
+
+
+def test_verifier_rejects_basis_outside_degree_window(su2):
+    unit = AlgebraElement.unit(su2)
+    a = canonical_a(su2)
+    cert = find_certificate(a, [unit], 2).certificate
+    data = cert.to_json_dict()
+    data["degree"] = 0
+    assert not verify_certificate_json(data)
+    cert.degree = 0
+    assert not verify_certificate(cert, a, [unit])
+
+
+def test_each_block_factored_once_per_stage(su2, monkeypatch):
+    calls = []
+
+    def counting_ldl(M):
+        calls.append(len(M))
+        return ldl_hermitian(M)
+
+    monkeypatch.setattr(certs, "ldl_hermitian", counting_ldl)
+    unit = AlgebraElement.unit(su2)
+    cert = find_certificate(canonical_a(su2), [unit], 2).certificate
+    assert calls == [4]  # emission: the verifier's factor is kept as the witness
+    assert cert.ldl_results[0].is_positive_definite()
+    data = cert.to_json_dict()
+    certificate_from_json(data)
+    assert calls == [4]  # loading decides nothing
+    assert verify_certificate_json(data)
+    assert calls == [4, 4]  # re-verification factors from scratch
+
+
+# t1^4 + t2^4 on (t1^2, t1 t2, t2^2): for every lam the Gram re-expands exactly,
+# since the 2*lam from the corners cancels the -2*lam in the middle
+def _quartic_gram(lam):
+    return [[Scalar(1), Scalar(0), Scalar(lam)],
+            [Scalar(0), Scalar(-2 * lam), Scalar(0)],
+            [Scalar(lam), Scalar(0), Scalar(1)]]
+
+
+def _gram_json(gram):
+    return [[str(v.re) for v in row] for row in gram]
+
+
+@pytest.mark.parametrize("lam, valid", [(0, True), (1, False)])
+def test_commutative_verifier_decides_psd_after_exact_expansion(lam, valid):
+    target = CommutativePoly(2, {(4, 0): 1, (0, 4): 1})
+    basis = [(2, 0), (1, 1), (0, 2)]
+    gram = _quartic_gram(lam)
+    expansion = CommutativePoly(2, {})
+    for p in range(3):
+        for q in range(3):
+            mono = tuple(x + y for x, y in zip(basis[p], basis[q]))
+            expansion = expansion + CommutativePoly(2, {mono: gram[p][q].re})
+    assert expansion == target
+    assert ldl_hermitian(gram).psd == valid
+    cert = CommutativeSosCertificate(target, 0, basis, gram)
+    assert verify_commutative_certificate(cert, target) == valid
+    data = {
+        "schema_version": 1, "kind": "commutative_sos", "level": 0, "nvars": 2,
+        "target": target.render(),
+        "target_coeffs": [{"exponents": [4, 0], "coeff": "1"},
+                          {"exponents": [0, 4], "coeff": "1"}],
+        "basis": [list(m) for m in basis],
+        "gram": _gram_json(gram),
+    }
+    assert verify_certificate_json(data) == valid
+
+
+@pytest.mark.parametrize("lam, valid", [(0, True), (1, False)])
+def test_weighted_verifier_decides_psd_after_exact_expansion(lam, valid):
+    ab = builtin("abelian(2)")
+    unit = AlgebraElement.unit(ab)
+    target = parse("x1^4 + x2^4", ab)
+    basis = [(2, 0), (1, 1), (0, 2)]
+    gram = _quartic_gram(lam)
+    expansion = AlgebraElement.zero(ab)
+    for p in range(3):
+        for q in range(3):
+            w_p, w_q = (AlgebraElement.monomial(ab, m) for m in (basis[p], basis[q]))
+            expansion = expansion + (w_p.star() * w_q).scale(gram[p][q])
+    assert expansion == target
+    assert ldl_hermitian(gram).psd == valid
+    cert = WeightedSosCertificate(ab, 4, target, [unit], [basis], [gram])
+    assert verify_certificate(cert, target, [unit]) == valid
+    data = {
+        "schema_version": 1, "kind": "weighted_sos", "degree": 4,
+        "algebra": lie.to_json_dict(ab), "target": "x1^4 + x2^4", "generators": ["1"],
+        "blocks": [{"l": 1, "basis": ["x1^2", "x1*x2", "x2^2"], "gram": _gram_json(gram)}],
+    }
+    assert verify_certificate_json(data) == valid
 
 
 def planted_instance(su2, rng, skeleton):
