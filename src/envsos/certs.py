@@ -30,7 +30,7 @@ from .exactla import ldl_hermitian
 from .exprs import parse, render
 from .gram import CommGramProblem
 from .pbw import AlgebraElement
-from .poly import CommutativePoly
+from .poly import CommutativePoly, squared_norm_poly
 from .scalar import Scalar, format_fraction, format_scalar, parse_scalar
 
 SCHEMA_VERSION = 1
@@ -225,9 +225,21 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
                                    target: CommutativePoly) -> bool:
     """The commutative analogue: a real symmetric PSD Gram that re-expands to target.
 
-    On success the fresh factor is stored as the certificate's ldl.
+    The stated level must be a nonnegative integer k with (t_1^2+...+t_d^2)^k
+    dividing the target exactly, so the certificate proves what it claims
+    about the form target / (t_1^2+...+t_d^2)^k.  On success the fresh factor
+    is stored as the certificate's ldl.
     """
     if cert.target != target:
+        return False
+    level = cert.level
+    if type(level) is not int or level < 0:
+        return False
+    # the degree test first: a huge stated level is rejected before any power is formed
+    if not target.is_zero() and (
+        2 * level > target.degree()
+        or target.exact_quotient(squared_norm_poly(target.nvars) ** level) is None
+    ):
         return False
     if not all(s.is_real() for row in cert.gram for s in row):
         return False
@@ -288,8 +300,12 @@ def certificate_from_json(data: dict):
         if kind == "commutative_sos":
             nvars = int(data["nvars"])
             target = _poly_from_json(nvars, data["target_coeffs"])
+            if data["target"] != target.render():
+                raise CertificateFormatError(
+                    f"target {data['target']!r} is not the rendering of target_coeffs")
             basis = [tuple(m) for m in data["basis"]]
-            cert = CommutativeSosCertificate(target, int(data["level"]), basis,
+            # the level is passed on as written; the verifier decides it
+            cert = CommutativeSosCertificate(target, data["level"], basis,
                                              _parse_gram(data["gram"]))
             return cert, target, None
         raise CertificateFormatError(f"unknown certificate kind {kind!r}")

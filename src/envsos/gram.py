@@ -506,14 +506,15 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     nvars = target.nvars
     grads = [target.differentiate(k) for k in range(nvars)]
     hessians = [[grads[j].differentiate(k) for k in range(nvars)] for j in range(nvars)]
-    half_deg = (target.degree() or 0) // 2
+    deg = target.degree() or 0
+    half_deg = deg // 2
+    monomial_polys = [CommutativePoly.monomial(nvars, mono) for mono in monomials]
     vectors = []
     for t0 in kernel_points:
-        vectors.append([_eval_monomial(mono, t0) for mono in monomials])
+        vectors.append([w.evaluate(t0) for w in monomial_polys])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
         for u in nullspace(H, nvars):
             # exact univariate expansion of the target along t0 + s u
-            deg = target.degree() or 0
             line = [Fraction(0)] * (deg + 1)
             for mono, q in target.coeffs.items():
                 for m, cm in enumerate(_line_expansion(mono, t0, u, deg)):
@@ -521,18 +522,13 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
                         line[m] += q * cm
             nu = next((m for m, cm in enumerate(line) if cm), None)
             kappa = half_deg + 1 if nu is None else (nu + 1) // 2
+            if kappa < 2:
+                continue
+            # truncation keeps the low orders exact: one expansion per monomial
+            # at order kappa - 1 serves every m below kappa
+            expansions = [_line_expansion(mono, t0, u, kappa - 1) for mono in monomials]
             for m in range(1, kappa):
-                vec = [
-                    _line_expansion(mono, t0, u, m)[m] for mono in monomials
-                ]
+                vec = [coeffs[m] for coeffs in expansions]
                 if any(vec):
                     vectors.append(vec)
     return vectors
-
-
-def _eval_monomial(mono, point) -> Fraction:
-    v = Fraction(1)
-    for i, e in enumerate(mono):
-        if e:
-            v *= Fraction(point[i]) ** e
-    return v

@@ -3,15 +3,27 @@
 These carry principal symbols and the commutative sum-of-squares mode.  The
 representation mirrors AlgebraElement: sparse map from exponent tuples to
 Fractions, but multiplication is plain exponent addition.
+
+Evaluation is exact and runs in integer arithmetic.  The coefficient
+denominators are cleared once per polynomial (integer c_m, common
+denominator L, cached on the instance, so instances are never mutated after
+construction); a rational point is written n/d with d the lcm of its
+coordinate denominators.  Then
+
+    p(n/d) = S / (L * d^deg),   S = sum_m c_m * n^m * d^(deg - |m|),
+
+with S built from per-variable power tables.  The denominator is positive,
+so the sign of p at the point is the sign of the integer S.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class CommutativePoly:
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ("nvars", "coeffs", "_integer_form")
 
     def __init__(self, nvars: int, coeffs: dict | None = None):
         self.nvars = nvars
@@ -22,6 +34,7 @@ class CommutativePoly:
                 if q:
                     clean[tuple(m)] = q
         self.coeffs = clean
+        self._integer_form = None
 
     @staticmethod
     def zero(nvars: int) -> "CommutativePoly":
@@ -91,6 +104,35 @@ class CommutativePoly:
             result = result * self
         return result
 
+    def exact_quotient(self, divisor: "CommutativePoly") -> "CommutativePoly | None":
+        """self / divisor when the divisor divides exactly, else None.
+
+        Long division on lexicographic leading terms; one divisor is a
+        Groebner basis of the ideal it generates, so a zero remainder
+        decides divisibility.
+        """
+        if divisor.is_zero():
+            return CommutativePoly(self.nvars) if self.is_zero() else None
+        lead = max(divisor.coeffs)
+        lead_coeff = divisor.coeffs[lead]
+        rest = dict(self.coeffs)
+        quotient = {}
+        while rest:
+            m = max(rest)
+            if any(a < b for a, b in zip(m, lead)):
+                return None
+            qm = tuple(a - b for a, b in zip(m, lead))
+            qc = rest[m] / lead_coeff
+            quotient[qm] = qc
+            for dm, dc in divisor.coeffs.items():
+                mm = tuple(a + b for a, b in zip(qm, dm))
+                v = rest.get(mm, 0) - qc * dc
+                if v:
+                    rest[mm] = v
+                else:
+                    rest.pop(mm, None)
+        return CommutativePoly(self.nvars, quotient)
+
     def differentiate(self, idx: int) -> "CommutativePoly":
         out = {}
         for m, q in self.coeffs.items():
@@ -102,25 +144,46 @@ class CommutativePoly:
         return CommutativePoly(self.nvars, out)
 
     def evaluate(self, point) -> Fraction:
-        """Exact evaluation at a rational point."""
-        total = Fraction(0)
-        for m, q in self.coeffs.items():
-            term = q
-            for i, e in enumerate(m):
-                if e:
-                    term *= Fraction(point[i]) ** e
-            total += term
-        return total
+        """Exact value at a rational point."""
+        s, den = self._integer_value(point)
+        return Fraction(s, den)
 
-    def evaluate_float(self, point) -> float:
-        total = 0.0
-        for m, q in self.coeffs.items():
-            term = float(q)
-            for i, e in enumerate(m):
-                if e:
-                    term *= float(point[i]) ** e
-            total += term
-        return total
+    def sign_at(self, point) -> int:
+        """Exact sign (-1, 0 or 1) of the value at a rational point."""
+        s, _ = self._integer_value(point)
+        return (s > 0) - (s < 0)
+
+    def _integer_value(self, point):
+        """(S, L * d^deg): the value at point is S / (L * d^deg), the denominator positive."""
+        if self._integer_form is None:
+            common = lcm(*(q.denominator for q in self.coeffs.values()))
+            deg = self.degree() or 0
+            terms = [
+                (q.numerator * (common // q.denominator),
+                 [(i, e) for i, e in enumerate(m) if e], deg - sum(m))
+                for m, q in self.coeffs.items()
+            ]
+            top = [max((m[i] for m in self.coeffs), default=0) for i in range(self.nvars)]
+            self._integer_form = (common, deg, terms, top)
+        common, deg, terms, top = self._integer_form
+        point = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+        d = lcm(*(x.denominator for x in point))
+        powers = []
+        for x, e_max in zip(point, top):
+            n = x.numerator * (d // x.denominator)
+            row = [1]
+            for _ in range(e_max):
+                row.append(row[-1] * n)
+            powers.append(row)
+        d_powers = [1]
+        for _ in range(deg):
+            d_powers.append(d_powers[-1] * d)
+        s = 0
+        for c, factors, gap in terms:
+            for i, e in factors:
+                c *= powers[i][e]
+            s += c * d_powers[gap]
+        return s, common * d_powers[deg]
 
     def __repr__(self):
         return f"CommutativePoly({self.nvars}, {self.coeffs!r})"

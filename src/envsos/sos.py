@@ -5,8 +5,10 @@ instance; commutative_sos builds the one of a level of the sphere multiplier
 hierarchy for homogeneous polynomials, with grid sampling first: a negative
 sample point settles the question before any solver work, and exact zeros
 found by sampling become kernel constraints that make boundary Gram matrices
-roundable.  Both hand their problem to one tail: the numeric solver, then the
-exact rounding gate of certs.round_and_verify, then a FeasibilityReport.
+roundable.  Sampling stays exact: the sign at each rational point is the sign
+of an integer computed by CommutativePoly's integer evaluation kernel.  Both
+hand their problem to one tail: the numeric solver, then the exact rounding
+gate of certs.round_and_verify, then a FeasibilityReport.
 """
 
 from __future__ import annotations
@@ -107,8 +109,10 @@ def _sample_points(nvars: int, seed: int = 0, random_count: int = 200):
 def sample_sign_information(p: CommutativePoly, seed: int = 0):
     """Exact sign scan: returns (negative_point | None, verified_zero_points).
 
-    All candidate points are rational, so each verdict is exact; only the
-    candidate generation is heuristic.
+    All candidate points are rational and each sign is read exactly from the
+    integer kernel of CommutativePoly (no Fraction value is formed), so each
+    verdict is exact; only the candidate generation is heuristic.  Points are
+    scanned one at a time in generation order, repeats skipped.
     """
     zeros = []
     seen = set()
@@ -116,10 +120,10 @@ def sample_sign_information(p: CommutativePoly, seed: int = 0):
         if t in seen:
             continue
         seen.add(t)
-        v = p.evaluate(t)
-        if v < 0:
+        sign = p.sign_at(t)
+        if sign < 0:
             return t, zeros
-        if v == 0 and any(t):
+        if sign == 0 and any(t):
             zeros.append(t)
     return None, zeros
 

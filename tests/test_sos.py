@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envsos import certs, lie
 from envsos.certs import (
@@ -14,14 +15,14 @@ from envsos.certs import (
 )
 from envsos.errors import CertificateFormatError, NotHermitean, OddDegreeTarget
 from envsos.exactla import ldl_hermitian
-from envsos.gram import GramSkeleton, build_gram_problem
+from envsos.gram import GramSkeleton, build_gram_problem, monomials_of_degree, monomials_up_to
 from envsos.lie import builtin
 from envsos.numeric import SolveOptions
 from envsos.pbw import AlgebraElement, canonical_a, conjugate_by
 from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.exprs import parse
 from envsos.scalar import Scalar
-from envsos.sos import commutative_sos, find_certificate
+from envsos.sos import _sample_points, commutative_sos, find_certificate, sample_sign_information
 
 
 MOTZKIN = CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
@@ -335,6 +336,31 @@ def test_motzkin_level0_infeasible_level1_certified():
     assert verify_commutative_certificate(r1.certificate, target)
 
 
+def test_commutative_certificate_target_text_and_level_are_checked():
+    report = commutative_sos(squared_norm_poly(2) ** 2, 0)
+    data = report.certificate.to_json_dict()
+    assert verify_certificate_json(data)
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(dict(data, target="t1^4 - 7*t2^4"))
+    # (t1^2+t2^2)^5 does not divide a quartic
+    assert not verify_certificate_json(dict(data, level=5))
+    # a true claim: (t1^2+t2^2)^2 = (t1^2+t2^2)^1 * (t1^2+t2^2)
+    assert verify_certificate_json(dict(data, level=1))
+    assert verify_certificate_json(dict(data, level=2))
+    for level in (-1, 1.0, "1", True, None):
+        assert not verify_certificate_json(dict(data, level=level))
+
+
+def test_commutative_verifier_rejects_level_that_does_not_divide():
+    target = CommutativePoly(2, {(4, 0): 1, (0, 4): 1})
+    basis = [(2, 0), (1, 1), (0, 2)]
+    assert verify_commutative_certificate(
+        CommutativeSosCertificate(target, 0, basis, _quartic_gram(0)), target)
+    # t1^4 + t2^4 is not a multiple of t1^2 + t2^2
+    assert not verify_commutative_certificate(
+        CommutativeSosCertificate(target, 1, basis, _quartic_gram(0)), target)
+
+
 def test_negative_form_short_circuits():
     p = CommutativePoly(2, {(2, 0): -1, (0, 2): -1})
     report = commutative_sos(p, 3)
@@ -390,3 +416,103 @@ def test_abelian_coincidence_with_commutative_mode():
         assert comm_negative == noncomm_negative
         agreements += 1
     assert agreements == 10
+
+
+# -- exact integer evaluation and the sign scan ---------------------------------
+
+
+def _reference_value(p, point):
+    """Term-by-term Fraction evaluation."""
+    total = Fraction(0)
+    for m, q in p.coeffs.items():
+        term = q
+        for x, e in zip(point, m):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def _reference_scan(p, seed):
+    """The sign scan with Fraction values, over the sampler's own points."""
+    zeros = []
+    seen = set()
+    for t in _sample_points(p.nvars, seed=seed):
+        if t in seen:
+            continue
+        seen.add(t)
+        v = _reference_value(p, t)
+        if v < 0:
+            return t, zeros
+        if v == 0 and any(t):
+            zeros.append(t)
+    return None, zeros
+
+
+@st.composite
+def _polys(draw, nvars, max_degree):
+    homogeneous = draw(st.booleans())
+    deg = draw(st.integers(0, max_degree))
+    monos = monomials_of_degree(nvars, deg) if homogeneous else monomials_up_to(nvars, deg)
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=6, unique=True))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    return CommutativePoly(nvars, {m: draw(coeffs) for m in chosen})
+
+
+_coordinates = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-9, max_value=9, max_denominator=40))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_evaluate_matches_fraction_reference(data):
+    nvars = data.draw(st.integers(1, 5))
+    p = data.draw(_polys(nvars, 6))
+    point = data.draw(st.lists(_coordinates, min_size=nvars, max_size=nvars))
+    value = p.evaluate(point)
+    assert isinstance(value, Fraction)
+    assert value == _reference_value(p, point)
+    assert p.sign_at(point) == (value > 0) - (value < 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_sign_scan_matches_fraction_reference(data):
+    nvars = data.draw(st.integers(1, 5))
+    p = data.draw(_polys(nvars, 4))
+    seed = data.draw(st.integers(0, 3))
+    assert sample_sign_information(p, seed=seed) == _reference_scan(p, seed)
+
+
+@pytest.mark.parametrize("p", [
+    # fractional coefficients
+    CommutativePoly(3, {(2, 0, 0): Fraction(1, 3), (0, 2, 0): Fraction(5, 7),
+                        (0, 0, 2): Fraction(1, 2), (1, 1, 0): Fraction(-2, 9)}),
+    CommutativePoly(2, {(4, 0): Fraction(1, 6), (2, 2): Fraction(-1, 3), (0, 4): Fraction(1, 6)}),
+    # not homogeneous
+    CommutativePoly(2, {(2, 0): 1, (0, 1): 1, (0, 0): Fraction(-1, 4)}),
+    # constants and zero
+    CommutativePoly.constant(3, 3),
+    CommutativePoly.constant(2, Fraction(-2, 5)),
+    CommutativePoly.zero(2),
+    CommutativePoly.zero(5),
+    # five variables: unit vectors and random points only
+    squared_norm_poly(5) ** 2,
+    squared_norm_poly(5) - CommutativePoly(5, {(1, 1, 0, 0, 0): 3}),
+    CommutativePoly(5, {(2, 0, 0, 0, 0): 1, (0, 0, 0, 0, 2): -1}),
+    MOTZKIN,
+], ids=["fractional-quadric", "fractional-quartic", "non-homogeneous", "constant",
+        "negative-constant", "zero", "zero-5-vars", "5-vars-square", "5-vars-indefinite",
+        "5-vars-saddle", "motzkin"])
+def test_sign_scan_matches_reference_on_fixed_forms(p):
+    for seed in (0, 1):
+        assert sample_sign_information(p, seed=seed) == _reference_scan(p, seed)
+
+
+def test_sign_scan_reports_zeros_seen_before_the_first_negative_point():
+    p = CommutativePoly(2, {(2, 2): -1})
+    negative, zeros = sample_sign_information(p)
+    F = Fraction
+    assert negative == (F(1), F(1))
+    assert zeros == [(F(0), F(1)), (F(0), F(-1)), (F(0), F(1, 2)), (F(0), F(-1, 2)),
+                     (F(0), F(2)), (F(0), F(-2)), (F(1), F(0))]
+    assert (negative, zeros) == _reference_scan(p, 0)
