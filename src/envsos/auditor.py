@@ -23,12 +23,14 @@ from __future__ import annotations
 from .errors import ContextInvalid
 from .exactla import (
     EchelonAccumulator,
+    cmat_add,
     cmat_identity,
-    cmat_inverse,
+    cmat_is_zero,
     cmat_mul,
     cmat_scale,
     cmat_sub,
-    cmat_is_zero,
+    cmat_zero,
+    invert_exact,
 )
 from .exprs import render
 from .lie import LieAlgebra, b_constants
@@ -36,6 +38,8 @@ from .pbw import AlgebraElement, canonical_a
 from .reps import FiniteDimRep
 from .scalar import Scalar
 
+# perfbench/spans.py still wraps this name when tracing the operator contexts
+cmat_inverse = invert_exact
 
 # -- cleared identities in the enveloping algebra -----------------------------------
 
@@ -153,7 +157,7 @@ class OperatorAlgebraContext:
         n = rep.dim_rep
         self.A = rep.evaluate(canonical_a(algebra))
         try:
-            self.Y = cmat_inverse(self.A)
+            self.Y = invert_exact(self.A)
         except ValueError as exc:
             raise ContextInvalid("canonical element is not invertible in this context") from exc
         if not cmat_is_zero(cmat_sub(cmat_mul(self.A, self.Y), cmat_identity(n))):
@@ -211,12 +215,7 @@ class IdealSpan:
         for k in range(d + 1):
             self.gens.append(ctx.left[k][0])    # X_k X_0 Y
             self.gens.append(ctx.right[0][k])   # Y X_0 X_k
-        family = [cmat_identity(n)]
-        for k in range(d + 1):
-            for l in range(d + 1):
-                family.append(ctx.left[k][l])
-                family.append(ctx.right[l][k])
-        self.family = family
+        self.family = ctx.family_elements()
         self.acc = EchelonAccumulator(2 * n * n)
         self.basis_matrices = []
         self.level = -1
@@ -273,17 +272,11 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     adj = ctx.adjoint
     report: dict = {}
 
-    def zero():
-        return [[Scalar(0) for _ in range(n)] for _ in range(n)]
-
-    def is_zero_entry(M):
-        return cmat_is_zero(M)
-
     # r1: sum_k Y*_{k0} Y_{k0} = Y
-    acc = zero()
+    acc = cmat_zero(n)
     for k in range(d + 1):
         yk0 = ctx.left[k][0]
-        acc = _madd(acc, cmat_mul(adj(yk0), yk0))
+        acc = cmat_add(acc, cmat_mul(adj(yk0), yk0))
     report["r1"] = _relation_entry(cmat_sub(acc, ctx.Y))
 
     # r2: Y*_{k0} Y_{l0} - Y*_{l0} Y_{k0} = -i sum_j c^j_{lk} Y Y_{j0}
@@ -295,13 +288,14 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
                 cmat_mul(adj(ctx.left[k][0]), ctx.left[l][0]),
                 cmat_mul(adj(ctx.left[l][0]), ctx.left[k][0]),
             )
-            rhs = zero()
+            rhs = cmat_zero(n)
             for j in range(1, d + 1):
                 coeff = algebra.c[l - 1][k - 1][j - 1]
                 if coeff:
-                    rhs = _madd(rhs, cmat_scale(Scalar(0, -coeff), cmat_mul(ctx.Y, ctx.left[j][0])))
+                    rhs = cmat_add(rhs, cmat_scale(Scalar(0, -coeff),
+                                                   cmat_mul(ctx.Y, ctx.left[j][0])))
             res = cmat_sub(lhs, rhs)
-            if not is_zero_entry(res):
+            if not cmat_is_zero(res):
                 ok = False
                 worst = (k, l)
     report["r2"] = {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else f"indices {worst}"}
@@ -311,25 +305,25 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     worst = None
     for k in range(1, d + 1):
         lhs = cmat_sub(adj(ctx.left[k][0]), ctx.left[k][0])
-        rhs = zero()
+        rhs = cmat_zero(n)
         for j in range(1, d + 1):
             for l in range(1, d + 1):
                 coeff = b[k - 1][l - 1][j - 1]
                 if coeff:
-                    rhs = _madd(rhs, cmat_scale(Scalar(0, coeff),
-                                                cmat_mul(adj(ctx.left[j][0]), ctx.left[l][0])))
+                    rhs = cmat_add(rhs, cmat_scale(Scalar(0, coeff),
+                                                   cmat_mul(adj(ctx.left[j][0]), ctx.left[l][0])))
         res = cmat_sub(lhs, rhs)
-        if not is_zero_entry(res):
+        if not cmat_is_zero(res):
             ok = False
             worst = k
     report["r3"] = {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else f"index {worst}"}
 
     # r4: sum_{k,l=0}^d Y*_{kl} Y_{kl} = I + i sum b^l_{jk} Y*_{j0} Y_{kl}
     #                                  = I - i sum b^l_{jk} Y*_{kl} Y_{j0}
-    e1 = zero()
+    e1 = cmat_zero(n)
     for k in range(d + 1):
         for l in range(d + 1):
-            e1 = _madd(e1, cmat_mul(adj(ctx.left[k][l]), ctx.left[k][l]))
+            e1 = cmat_add(e1, cmat_mul(adj(ctx.left[k][l]), ctx.left[k][l]))
     e2 = cmat_identity(n)
     e3 = cmat_identity(n)
     for j in range(1, d + 1):
@@ -337,12 +331,12 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
             for l in range(1, d + 1):
                 coeff = b[j - 1][k - 1][l - 1]
                 if coeff:
-                    e2 = _madd(e2, cmat_scale(Scalar(0, coeff),
-                                              cmat_mul(adj(ctx.left[j][0]), ctx.left[k][l])))
-                    e3 = _madd(e3, cmat_scale(Scalar(0, -coeff),
-                                              cmat_mul(adj(ctx.left[k][l]), ctx.left[j][0])))
-    r4_first = is_zero_entry(cmat_sub(e1, e2))
-    r4_second = is_zero_entry(cmat_sub(e1, e3))
+                    e2 = cmat_add(e2, cmat_scale(Scalar(0, coeff),
+                                                 cmat_mul(adj(ctx.left[j][0]), ctx.left[k][l])))
+                    e3 = cmat_add(e3, cmat_scale(Scalar(0, -coeff),
+                                                 cmat_mul(adj(ctx.left[k][l]), ctx.left[j][0])))
+    r4_first = cmat_is_zero(cmat_sub(e1, e2))
+    r4_second = cmat_is_zero(cmat_sub(e1, e3))
     report["r4"] = {
         "status": "pass" if (r4_first and r4_second) else "fail",
         "residual_norm": "0" if (r4_first and r4_second) else "nonzero",
@@ -355,7 +349,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     span.ensure_level(0)
 
     def member(M):
-        if is_zero_entry(M):
+        if cmat_is_zero(M):
             return True
         return span.contains(M, max_level=max_level)
 
@@ -410,10 +404,6 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
 def _relation_entry(residual):
     ok = cmat_is_zero(residual)
     return {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else "nonzero"}
-
-
-def _madd(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def full_audit(algebra: LieAlgebra, contexts=None, label: str = "") -> dict:

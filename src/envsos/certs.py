@@ -14,10 +14,16 @@ until success or exhaustion.
 The two verifiers differ only in how they re-expand a certificate.  They share
 one block check (square shapes, Hermitian entries, then an exact LDL of every
 block before any re-expansion), which always factors the certificate's
-current Gram blocks and never reads factors stored on it.  On success the
-verifier stores those fresh factors as the certificate's LDL witness, so each
-block is factored once per stage: once on emission, none on loading, once on
-re-verification.
+current Gram blocks.  On success the verifier keeps those fresh factors on
+the in-memory certificate (a strict symbol proof reads them), so each block
+is factored once per stage: once on emission, none on loading, once on
+re-verification.  The JSON form carries no factors: schema version 2 dropped
+the ldl_witness field, which no reader used; version-1 files are still read
+and the field is ignored.
+
+Loading is strict: counts, degrees and exponents must be JSON integers
+(nonnegative, not booleans or floats), every exponent list has one entry per
+variable, and basis entries of weighted certificates are canonical monomials.
 """
 
 from __future__ import annotations
@@ -26,14 +32,16 @@ from fractions import Fraction
 
 from . import lie
 from .errors import CertificateFormatError
-from .exactla import ldl_hermitian
+from .exactla import cmat_is_hermitian, ldl_hermitian
 from .exprs import parse, render
 from .gram import CommGramProblem
 from .pbw import AlgebraElement
 from .poly import CommutativePoly, squared_norm_poly
 from .scalar import Scalar, format_fraction, format_scalar, parse_scalar
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# version 1 also stored an LDL factor per block, which was never read back
+READABLE_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
 ROUNDING_EXPONENTS = (10, 20, 30, 40, 50, 60)
 
 
@@ -49,15 +57,12 @@ class WeightedSosCertificate:
 
     def to_json_dict(self) -> dict:
         blocks = []
-        for bidx, (basis, gram, ldl) in enumerate(
-            zip(self.bases, self.grams, self.ldl_results)
-        ):
+        for bidx, (basis, gram) in enumerate(zip(self.bases, self.grams)):
             blocks.append(
                 {
                     "l": bidx + 1,
                     "basis": [_render_monomial_text(self.algebra, m) for m in basis],
                     "gram": [[format_scalar(v) for v in row] for row in gram],
-                    "ldl_witness": _ldl_to_json(ldl),
                 }
             )
         return {
@@ -89,16 +94,7 @@ class CommutativeSosCertificate:
             "target_coeffs": _poly_to_json(self.target),
             "basis": [list(m) for m in self.basis],
             "gram": [[format_scalar(v) for v in row] for row in self.gram],
-            "ldl_witness": _ldl_to_json(self.ldl),
         }
-
-
-def _ldl_to_json(ldl) -> dict:
-    return {
-        "perm": list(ldl.perm),
-        "diag": [format_fraction(d) for d in ldl.diag],
-        "lower": [[format_scalar(v) for v in row] for row in ldl.lower],
-    }
 
 
 def _poly_to_json(p: CommutativePoly):
@@ -110,7 +106,7 @@ def _poly_to_json(p: CommutativePoly):
 
 def _poly_from_json(nvars, entries) -> CommutativePoly:
     return CommutativePoly(
-        nvars, {tuple(e["exponents"]): Fraction(e["coeff"]) for e in entries}
+        nvars, {_exponents(e["exponents"], nvars): Fraction(e["coeff"]) for e in entries}
     )
 
 
@@ -142,7 +138,7 @@ def round_and_verify(problem, g_numeric, exponents=ROUNDING_EXPONENTS):
     """Turn a numeric Gram candidate into an exact verified certificate.
 
     An SdpProblem yields a WeightedSosCertificate and a CommGramProblem a
-    CommutativeSosCertificate; the verifier's factors become its LDL witness.
+    CommutativeSosCertificate; the verifier's factors stay on it in memory.
     Raises RoundingFailed when no denominator 2^k in the schedule produces an
     exactly feasible PSD point.
     """
@@ -178,7 +174,7 @@ def _block_factors(grams, sizes):
     for gram, n in zip(grams, sizes):
         if len(gram) != n or any(len(row) != n for row in gram):
             return None
-        if any(gram[p][q] != gram[q][p].conj() for p in range(n) for q in range(p, n)):
+        if not cmat_is_hermitian(gram):
             return None
     factors = []
     for gram in grams:
@@ -262,6 +258,21 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
 # -- JSON loading -------------------------------------------------------------------
 
 
+def _nonnegative_int(value, what: str) -> int:
+    """value itself when it is a nonnegative int; a bool, float or string is rejected."""
+    if type(value) is not int or value < 0:
+        raise CertificateFormatError(f"{what} must be a nonnegative integer, not {value!r}")
+    return value
+
+
+def _exponents(entry, nvars: int) -> tuple:
+    """An exponent list as a tuple: one nonnegative int per variable."""
+    exponents = tuple(entry)
+    if len(exponents) != nvars:
+        raise CertificateFormatError(f"exponent list {entry!r} does not have {nvars} entries")
+    return tuple(_nonnegative_int(e, "an exponent") for e in exponents)
+
+
 def _parse_gram(rows):
     return [[parse_scalar(v) for v in row] for row in rows]
 
@@ -279,13 +290,14 @@ def _parse_monomial(text: str, algebra):
 def certificate_from_json(data: dict):
     """Parse a certificate JSON document (either kind) without deciding anything.
 
-    Only schema version 1 and canonical monomial basis strings are accepted.
-    Gram blocks are read as written; positivity is left to the verifier.
+    Only schema versions 1 and 2, integer counts and exponents, and canonical
+    monomial basis strings are accepted.  Gram blocks are read as written;
+    positivity is left to the verifier.
     """
     try:
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise CertificateFormatError(
-                f"unsupported schema_version {data['schema_version']!r}")
+        version = data["schema_version"]
+        if type(version) is not int or version not in READABLE_SCHEMA_VERSIONS:
+            raise CertificateFormatError(f"unsupported schema_version {version!r}")
         kind = data["kind"]
         if kind == "weighted_sos":
             algebra = lie.from_json_dict(data["algebra"])
@@ -294,16 +306,17 @@ def certificate_from_json(data: dict):
             blocks = sorted(data["blocks"], key=lambda blk: blk["l"])
             bases = [[_parse_monomial(t, algebra) for t in blk["basis"]] for blk in blocks]
             grams = [_parse_gram(blk["gram"]) for blk in blocks]
+            degree = _nonnegative_int(data["degree"], "degree")
             return WeightedSosCertificate(
-                algebra, int(data["degree"]), target, generators, bases, grams
+                algebra, degree, target, generators, bases, grams
             ), target, generators
         if kind == "commutative_sos":
-            nvars = int(data["nvars"])
+            nvars = _nonnegative_int(data["nvars"], "nvars")
             target = _poly_from_json(nvars, data["target_coeffs"])
             if data["target"] != target.render():
                 raise CertificateFormatError(
                     f"target {data['target']!r} is not the rendering of target_coeffs")
-            basis = [tuple(m) for m in data["basis"]]
+            basis = [_exponents(m, nvars) for m in data["basis"]]
             # the level is passed on as written; the verifier decides it
             cert = CommutativeSosCertificate(target, data["level"], basis,
                                              _parse_gram(data["gram"]))

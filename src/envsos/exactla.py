@@ -3,7 +3,15 @@
 Matrices are plain lists of lists (Fraction entries for real matrices,
 Scalar entries for complex Hermitian work).  Everything here is
 arbitrary-precision; these routines back the certificate verifier, the
-representation positivity decision and the affine projector of the SDP layer.
+representation positivity decision, the affine projector of the SDP layer and
+the operator audits.
+
+EchelonAccumulator is the one elimination loop: rref, nullspace and
+invert_exact are built on it, and callers that only need span membership use
+it directly.  It takes Fraction or Scalar entries (ints are read as
+Fractions), and results keep the entry type of the input.  The exact LDL^*
+decision for Hermitian matrices is separate: it is a symmetric factorization,
+not row reduction.
 """
 
 from __future__ import annotations
@@ -12,101 +20,29 @@ from fractions import Fraction
 
 from .scalar import Scalar
 
-# -- rational matrices ---------------------------------------------------------
-
-
-def rref(matrix):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = [row[:] for row in matrix]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if R[rr][c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [v * inv for v in R[r]]
-        for rr in range(rows):
-            if rr != r and R[rr][c]:
-                f = R[rr][c]
-                R[rr] = [v - f * w for v, w in zip(R[rr], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def nullspace(rows, ncols: int):
-    """Exact rational basis of {v : rows v = 0}, one vector per free column.
-
-    With no rows every column is free and the basis is the identity.
-    """
-    R, pivots = rref(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve_exact(A, b):
-    """One solution of A x = b over the rationals, or None if inconsistent."""
-    rows = len(A)
-    if rows == 0:
-        return []
-    cols = len(A[0])
-    aug = [A[i][:] + [Fraction(b[i])] for i in range(rows)]
-    R, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = R[r][cols]
-    return x
-
-
-def invert_exact(A):
-    """Inverse of a nonsingular rational matrix via Gauss-Jordan."""
-    n = len(A)
-    aug = [A[i][:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R]
-
 
 class EchelonAccumulator:
-    """Incremental row-space tracker for selecting independent rows.
+    """Incremental row echelon form over Q or Q(i).
 
-    Rows are inserted one at a time; insert() reports whether the row enlarged
-    the span.  Used both to pick independent constraint rows and to decide
-    exact membership of a vector in a growing span.
+    Rows are inserted one at a time: insert() reduces the row against the
+    stored rows and, when something is left, scales its leftmost nonzero entry
+    to 1 and stores it, reporting whether the row enlarged the span.  A stored
+    row is zero left of its pivot and in the pivot columns of earlier rows,
+    which is all insert and contains need; reduced() back-substitutes only
+    when a reduced form is asked for.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []  # reduced rows
+        self.rows: list[list] = []  # stored rows, in insertion order
         self.pivot_cols: list[int] = []
 
     def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
+        v = [x if isinstance(x, (Fraction, Scalar)) else Fraction(x) for x in vec]
         for row, pc in zip(self.rows, self.pivot_cols):
             if v[pc]:
                 f = v[pc]
-                for j in range(self.ncols):
+                for j in range(pc, self.ncols):
                     if row[j]:
                         v[j] -= f * row[j]
         return v
@@ -128,6 +64,68 @@ class EchelonAccumulator:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def reduced(self):
+        """(R, pivots): the reduced row echelon form of the span, pivots ascending.
+
+        Rows are taken by descending pivot and each is reduced against the
+        finished rows of larger pivot; a row is already zero left of its own
+        pivot, so every other pivot column ends up clear.
+        """
+        done = EchelonAccumulator(self.ncols)
+        for i in sorted(range(self.rank), key=self.pivot_cols.__getitem__, reverse=True):
+            done.rows.append(done.reduce(self.rows[i]))
+            done.pivot_cols.append(self.pivot_cols[i])
+        return done.rows[::-1], done.pivot_cols[::-1]
+
+
+def _entry_type(matrix):
+    """Scalar when any entry is a Scalar, else Fraction: the type of every result entry."""
+    return Scalar if any(isinstance(x, Scalar) for row in matrix for x in row) else Fraction
+
+
+def rref(matrix):
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    R has as many rows as the matrix: the reduced rows, then zero rows.
+    """
+    field = _entry_type(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    acc = EchelonAccumulator(ncols)
+    for row in matrix:
+        acc.insert(row)
+    R, pivots = acc.reduced()
+    return R + [[field(0)] * ncols for _ in range(len(matrix) - len(R))], pivots
+
+
+def nullspace(rows, ncols: int):
+    """Exact basis of {v : rows v = 0}, one vector per free column.
+
+    With no rows every column is free and the basis is the identity.
+    """
+    field = _entry_type(rows)
+    R, pivots = rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [field(0)] * ncols
+        v[f] = field(1)
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][f]
+        basis.append(v)
+    return basis
+
+
+def invert_exact(A):
+    """Inverse of a nonsingular matrix, from the reduced form of [A | I]."""
+    n = len(A)
+    field = _entry_type(A)
+    aug = [list(A[i]) + [field(1) if i == j else field(0) for j in range(n)] for i in range(n)]
+    R, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
 
 
 # -- Gaussian-rational (complex) matrices ----------------------------------------
@@ -171,15 +169,6 @@ def cmat_mul(A, B):
     return out
 
 
-def cmat_conj_transpose(A):
-    n, m = len(A), len(A[0])
-    return [[A[i][j].conj() for i in range(n)] for j in range(m)]
-
-
-def cmat_eq(A, B) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def cmat_is_zero(A) -> bool:
     return all(not a for row in A for a in row)
 
@@ -187,29 +176,6 @@ def cmat_is_zero(A) -> bool:
 def cmat_is_hermitian(A) -> bool:
     n = len(A)
     return all(A[i][j] == A[j][i].conj() for i in range(n) for j in range(n))
-
-
-def cmat_inverse(A):
-    """Inverse of a nonsingular Scalar matrix via Gauss-Jordan."""
-    n = len(A)
-    aug = [[A[i][j] for j in range(n)] + [Scalar(1) if i == j else Scalar(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Scalar(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # -- Hermitian PSD decision -------------------------------------------------------

@@ -279,10 +279,6 @@ class SdpProblem:
     def gram_blocks_exact(self, g):
         return self.layout.gram_blocks_exact(g)
 
-    def expansion(self, blocks) -> AlgebraElement:
-        """Exact re-expansion of Gram blocks against the stored bases."""
-        return self.skeleton.expansion(blocks)
-
 
 class GramSkeleton:
     """Target-independent part: bases, normal forms and the constraint matrix."""
@@ -310,7 +306,7 @@ class GramSkeleton:
             self.bases.append(basis)
         self.layout = VariableLayout([len(b) for b in self.bases], complex_blocks=True)
         # normal forms NF(w_p^* f_l w_q) for p <= q; the q<p entries follow by involution
-        self.nf: list[dict] = []
+        nf: list[dict] = []
         for basis, gen in zip(self.bases, self.generators):
             table = {}
             for p, wp in enumerate(basis):
@@ -318,13 +314,13 @@ class GramSkeleton:
                 left = wp_star * gen
                 for q in range(p, len(basis)):
                     table[(p, q)] = left * AlgebraElement.monomial(algebra, basis[q])
-            self.nf.append(table)
+            nf.append(table)
         # assemble rows: coefficient matching per monomial, real and imaginary part
         combos = {}  # column -> {monomial: Scalar coefficient}
         for b, basis in enumerate(self.bases):
             for p in range(len(basis)):
                 for q in range(p, len(basis)):
-                    e_pq = self.nf[b][(p, q)]
+                    e_pq = nf[b][(p, q)]
                     if p == q:
                         col = self.layout.index[(b, p, p, "re")]
                         combos[col] = dict(e_pq.terms)
@@ -363,19 +359,6 @@ class GramSkeleton:
         if not target.is_hermitean():
             raise NotHermitean("target must be hermitean")
         return SdpProblem(self.algebra, target, self.generators, self.degree, self)
-
-    def expansion(self, blocks) -> AlgebraElement:
-        total = AlgebraElement.zero(self.algebra)
-        for b, basis in enumerate(self.bases):
-            G = blocks[b]
-            for p in range(len(basis)):
-                for q in range(p, len(basis)):
-                    e_pq = self.nf[b][(p, q)]
-                    if p == q:
-                        total = total + e_pq.scale(G[p][p])
-                    else:
-                        total = total + e_pq.scale(G[p][q]) + e_pq.star().scale(G[q][p])
-        return total
 
 
 def build_gram_problem(c: AlgebraElement, f, degree: int,

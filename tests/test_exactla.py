@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from envsos.exactla import (
     EchelonAccumulator,
     cmat_identity,
@@ -8,10 +11,13 @@ from envsos.exactla import (
     hermitian_form,
     invert_exact,
     ldl_hermitian,
+    nullspace,
     rref,
-    solve_exact,
 )
+from envsos.gram import AffineSystem
+from envsos.poly import CommutativePoly
 from envsos.scalar import Scalar
+from envsos.sos import commutative_sos
 
 from oracles import psd_by_char_poly
 
@@ -42,12 +48,22 @@ def random_psd(rng, n, rank=None):
     return M
 
 
-def test_rref_and_solve():
+def test_exact_linear_infeasibility():
     A = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    x = solve_exact(A, [Fraction(3), Fraction(6)])
-    assert x is not None
-    assert A[0][0] * x[0] + A[0][1] * x[1] == 3
-    assert solve_exact(A, [Fraction(3), Fraction(7)]) is None
+    conflict = AffineSystem(A, [3, 7], [1, 1])
+    assert conflict.degenerate
+    assert conflict.exact_infeasibility_combination() == [-2, 1]
+    consistent = AffineSystem(A, [3, 6], [1, 1])
+    assert not consistent.degenerate
+    assert consistent.independent == [0]
+    assert consistent.exact_infeasibility_combination() is None
+    # a "verified zero" of t1^2 + t2^2 at (1, 0) forces the whole Gram to vanish
+    report = commutative_sos(CommutativePoly(2, {(2, 0): 1, (0, 2): 1}), 0,
+                             presampled=(None, [(1, 0)]))
+    assert report.status == "numeric-infeasible-evidence"
+    dual = report.to_json_dict()["numeric"]["dual"]
+    assert dual["kind"] == "exact-linear"
+    assert dual["combination"] == ["1", "0"]
 
 
 def test_invert_exact_roundtrip():
@@ -64,6 +80,128 @@ def test_invert_exact_roundtrip():
             for i in range(n)
         ]
         assert prod == [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+# -- the elimination kernel against a plain Gauss-Jordan reference -----------------
+
+
+def reference_rref(matrix):
+    """Textbook Gauss-Jordan: first nonzero row of each column as pivot."""
+    R = [row[:] for row in matrix]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for rr in range(r, rows):
+            if R[rr][c]:
+                pivot = rr
+                break
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        inv = 1 / R[r][c]
+        R[r] = [v * inv for v in R[r]]
+        for rr in range(rows):
+            if rr != r and R[rr][c]:
+                f = R[rr][c]
+                R[rr] = [v - f * w for v, w in zip(R[rr], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+def reference_nullspace(rows, ncols):
+    R, pivots = reference_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -R[r][f]
+            basis.append(v)
+    return basis
+
+
+fractions = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+gaussian = st.builds(Scalar, fractions, fractions)
+
+
+@st.composite
+def matrices(draw, entries, max_rows=4, max_cols=5, square=False):
+    """Small matrices; some rows are combinations of earlier ones, so ranks vary."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    M = []
+    for _ in range(nrows):
+        if M and draw(st.booleans()):
+            c = [draw(entries) for _ in M]
+            M.append([sum((ci * row[j] for ci, row in zip(c, M)), 0 * M[0][j])
+                      for j in range(ncols)])
+        else:
+            M.append([draw(entries) for _ in range(ncols)])
+    return M
+
+
+def all_of_type(rows, kind):
+    return all(isinstance(x, kind) for row in rows for x in row)
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(fractions), matrices(gaussian)))
+def test_rref_and_nullspace_match_reference(M):
+    kind = Scalar if isinstance(M[0][0], Scalar) else Fraction
+    R, pivots = rref(M)
+    assert (R, pivots) == reference_rref(M)
+    assert len(R) == len(M) and all_of_type(R, kind)
+    basis = nullspace(M, len(M[0]))
+    assert basis == reference_nullspace(M, len(M[0]))
+    assert all_of_type(basis, kind)
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(fractions, square=True), matrices(gaussian, square=True)))
+def test_invert_exact_against_reference(A):
+    n = len(A)
+    R, pivots = reference_rref(A)
+    if len(pivots) < n:
+        with pytest.raises(ValueError):
+            invert_exact(A)
+        return
+    Ainv = invert_exact(A)
+    if isinstance(A[0][0], Scalar):
+        assert all_of_type(Ainv, Scalar)
+        assert cmat_mul(Ainv, A) == cmat_identity(n)
+    else:
+        assert all_of_type(Ainv, Fraction)
+    I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    R, _ = reference_rref([row + e for row, e in zip(A, I)])
+    assert Ainv == [row[n:] for row in R]
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(fractions, max_rows=6), matrices(gaussian, max_rows=6)))
+def test_echelon_insert_tracks_reference_rank(M):
+    acc = EchelonAccumulator(len(M[0]))
+    for k, row in enumerate(M):
+        before = len(reference_rref(M[:k])[1]) if k else 0
+        grows = len(reference_rref(M[:k + 1])[1]) > before
+        assert acc.contains(row) == (not grows)
+        assert acc.insert(row) == grows
+        assert acc.rank == before + grows
+
+
+def test_kernel_accepts_ints():
+    R, pivots = rref([[2, 4], [1, 3]])
+    assert pivots == [0, 1] and all_of_type(R, Fraction)
+    assert invert_exact([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+    assert nullspace([[1, 1]], 2) == [[-1, 1]]
+    assert rref([]) == ([], []) and nullspace([], 2) == [[1, 0], [0, 1]]
 
 
 def test_echelon_accumulator_rank():

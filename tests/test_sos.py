@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -33,6 +34,19 @@ def su2_unit():
     return su2, AlgebraElement.unit(su2)
 
 
+def brute_force_expansion(skeleton, blocks):
+    """sum_l sum_{p,q} (G_l)_{pq} w_p^* f_l w_q, straightened afresh term by term."""
+    algebra = skeleton.algebra
+    total = AlgebraElement.zero(algebra)
+    for basis, gram, gen in zip(skeleton.bases, blocks, skeleton.generators):
+        for p, wp in enumerate(basis):
+            left = AlgebraElement.monomial(algebra, wp).star() * gen
+            for q, wq in enumerate(basis):
+                if gram[p][q]:
+                    total = total + (left * AlgebraElement.monomial(algebra, wq)).scale(gram[p][q])
+    return total
+
+
 # -- problem construction -------------------------------------------------------
 
 
@@ -53,7 +67,7 @@ def test_diag_gram_solves_canonical_instance(su2):
         g[problem.layout.index[(0, p, p, "re")]] = Fraction(1)
     assert all(r == 0 for r in problem.system.residual_exact(g))
     blocks = problem.gram_blocks_exact(g)
-    assert problem.expansion(blocks) == a
+    assert brute_force_expansion(problem.skeleton, blocks) == a
 
 
 def test_constraints_match_brute_force_expansion(builtins):
@@ -65,7 +79,7 @@ def test_constraints_match_brute_force_expansion(builtins):
         for _ in range(5):
             g = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(layout.nvars)]
             blocks = layout.gram_blocks_exact(g)
-            expansion = skeleton.expansion(blocks)
+            expansion = brute_force_expansion(skeleton, blocks)
             residual = [
                 sum(row[j] * g[j] for j in range(layout.nvars))
                 for row in skeleton.rows
@@ -134,7 +148,7 @@ def test_certificate_json_roundtrip(su2):
     a = canonical_a(su2)
     cert = find_certificate(a, [unit], 2).certificate
     data = cert.to_json_dict()
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert verify_certificate_json(data)
     loaded, target, gens = certificate_from_json(data)
     assert target == a
@@ -162,6 +176,68 @@ def test_loader_rejects_unknown_schema_version(su2):
         data["schema_version"] = 99
         with pytest.raises(CertificateFormatError):
             verify_certificate_json(data)
+
+
+def test_schema_2_drops_ldl_witness_and_version_1_still_reads(su2):
+    unit = AlgebraElement.unit(su2)
+    weighted = find_certificate(canonical_a(su2), [unit], 2).certificate.to_json_dict()
+    commutative = commutative_sos(squared_norm_poly(2) ** 2, 0).certificate.to_json_dict()
+    assert "ldl_witness" not in weighted["blocks"][0] and "ldl_witness" not in commutative
+    old_witness = {"perm": [0], "diag": ["1"], "lower": [["1"]]}  # never read back
+    for data in (weighted, commutative):
+        assert data["schema_version"] == 2 and verify_certificate_json(data)
+        version_1 = json.loads(json.dumps(data))
+        version_1["schema_version"] = 1
+        for holder in version_1.get("blocks", [version_1]):
+            holder["ldl_witness"] = old_witness
+        assert verify_certificate_json(version_1)
+        for version in (3, True, 2.0, "2"):
+            with pytest.raises(CertificateFormatError):
+                verify_certificate_json(dict(data, schema_version=version))
+
+
+def _quartic_certificate_json():
+    data = commutative_sos(squared_norm_poly(2) ** 2, 0).certificate.to_json_dict()
+    assert verify_certificate_json(data)
+    return data
+
+
+def test_loader_rejects_non_integer_exponents():
+    # (3.0, 1.0) == (3, 1): read loosely, [1.5, 0.5] squares to t1^3*t2, which is -1 at (1, -1)
+    data = dict(_quartic_certificate_json(), target="t1^3*t2",
+                target_coeffs=[{"exponents": [3, 1], "coeff": "1"}],
+                basis=[[1.5, 0.5]], gram=[["1"]])
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(data)
+    for exponents in ([3.0, 1.0], [True, 3], ["3", "1"], [-1, 5]):
+        bad = dict(data, basis=[[2, 1]], target_coeffs=[{"exponents": exponents, "coeff": "1"}])
+        with pytest.raises(CertificateFormatError):
+            verify_certificate_json(bad)
+
+
+def test_loader_rejects_exponent_lists_of_wrong_length():
+    data = _quartic_certificate_json()
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(dict(data, basis=[list(m) + [0] for m in data["basis"]]))
+    short = [dict(e, exponents=e["exponents"][:1]) for e in data["target_coeffs"]]
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(dict(data, target_coeffs=short))
+
+
+def test_loader_rejects_non_integer_nvars():
+    data = _quartic_certificate_json()
+    for nvars in (2.9, 2.0, True, "2", -2):
+        with pytest.raises(CertificateFormatError):
+            verify_certificate_json(dict(data, nvars=nvars))
+
+
+def test_loader_rejects_non_integer_degree(su2):
+    unit = AlgebraElement.unit(su2)
+    data = find_certificate(canonical_a(su2), [unit], 2).certificate.to_json_dict()
+    assert verify_certificate_json(data)
+    for degree in (2.0, 2.5, True, "2"):
+        with pytest.raises(CertificateFormatError):
+            verify_certificate_json(dict(data, degree=degree))
 
 
 def test_verifier_rejects_basis_outside_degree_window(su2):
