@@ -24,6 +24,9 @@ and the field is ignored.
 Loading is strict: counts, degrees and exponents must be JSON integers
 (nonnegative, not booleans or floats), every exponent list has one entry per
 variable, and basis entries of weighted certificates are canonical monomials.
+A commutative target_coeffs lists each exponent list once with a nonzero
+coefficient; a weighted certificate has one block per generator, with block
+indices l exactly 1..r.
 """
 
 from __future__ import annotations
@@ -105,9 +108,17 @@ def _poly_to_json(p: CommutativePoly):
 
 
 def _poly_from_json(nvars, entries) -> CommutativePoly:
-    return CommutativePoly(
-        nvars, {_exponents(e["exponents"], nvars): Fraction(e["coeff"]) for e in entries}
-    )
+    """The polynomial of target_coeffs: each exponent list once, no zero coefficient."""
+    coeffs = {}
+    for e in entries:
+        mono = _exponents(e["exponents"], nvars)
+        if mono in coeffs:
+            raise CertificateFormatError(f"exponent list {list(mono)} appears twice")
+        coeff = Fraction(e["coeff"])
+        if not coeff:
+            raise CertificateFormatError(f"exponent list {list(mono)} has a zero coefficient")
+        coeffs[mono] = coeff
+    return CommutativePoly(nvars, coeffs)
 
 
 def _render_monomial_text(algebra, mono) -> str:
@@ -290,9 +301,10 @@ def _parse_monomial(text: str, algebra):
 def certificate_from_json(data: dict):
     """Parse a certificate JSON document (either kind) without deciding anything.
 
-    Only schema versions 1 and 2, integer counts and exponents, and canonical
-    monomial basis strings are accepted.  Gram blocks are read as written;
-    positivity is left to the verifier.
+    Only schema versions 1 and 2, integer counts and exponents, canonical
+    monomial basis strings, canonical target_coeffs and block indices 1..r
+    are accepted.  Gram blocks are read as written; positivity is left to
+    the verifier.
     """
     try:
         version = data["schema_version"]
@@ -303,7 +315,13 @@ def certificate_from_json(data: dict):
             algebra = lie.from_json_dict(data["algebra"])
             target = parse(data["target"], algebra)
             generators = [parse(g, algebra) for g in data["generators"]]
-            blocks = sorted(data["blocks"], key=lambda blk: blk["l"])
+            blocks = data["blocks"]
+            labels = [blk["l"] for blk in blocks]
+            if (any(type(l) is not int for l in labels)
+                    or sorted(labels) != list(range(1, len(generators) + 1))):
+                raise CertificateFormatError(
+                    f"block indices {labels!r} are not 1..{len(generators)}, once each")
+            blocks = sorted(blocks, key=lambda blk: blk["l"])
             bases = [[_parse_monomial(t, algebra) for t in blk["basis"]] for blk in blocks]
             grams = [_parse_gram(blk["gram"]) for blk in blocks]
             degree = _nonnegative_int(data["degree"], "degree")

@@ -7,6 +7,11 @@ power family a^n (or a user-supplied list) and degree windows D, attempting a
 certificate for s* c s (m even) or for s* c' s with c' the square-sum
 reduction (m odd).  The first exactly verified certificate wins; exhaustion of
 the caps is an ordinary outcome, not an error.
+
+The window members' representations are built once per search and handed to
+the margin proof and to every search attempt, where those that map the
+target to a singular matrix restrict the Gram blocks to a face (see
+sos.find_certificate).
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from .exprs import render
 from .gram import GramSkeleton
 from .numeric import SolveOptions
 from .pbw import AlgebraElement, canonical_a, conjugate_by, reduce_odd
-from .reps import is_su2_standard, make_point_rep, make_spin_rep, scan_dual_window, spin_window
+from .reps import is_su2_standard, scan_dual_window, spin_window
+# kept only so that perfbench/spans.py can wrap this name under --trace 1
+from .reps import make_spin_rep  # noqa: F401
 from .scalar import format_fraction
 from .sos import commutative_sos, find_certificate, sample_sign_information
 
@@ -173,45 +180,55 @@ def default_window(algebra, window):
     return Fraction(3)
 
 
+def window_members(algebra, f, window=None):
+    """{label: rep} for the members of the window's semialgebraic dual set.
+
+    Members are the window labels whose representation maps every generator
+    to a PSD matrix (decided exactly by scan_dual_window).  None when the
+    algebra has no concrete dual window.
+    """
+    if not (algebra.is_abelian() or is_su2_standard(algebra)):
+        return None
+    window = default_window(algebra, window)
+    labels = window if not isinstance(window, (int, Fraction)) else spin_window(window)
+    scan = scan_dual_window(algebra, f, labels)
+    return {label: scan.reps[label] for label in scan.members()}
+
+
 def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
-                       opts: SolveOptions | None = None, attempt_proof: bool = True) -> dict:
+                       opts: SolveOptions | None = None, attempt_proof: bool = True,
+                       members=None) -> dict:
     """Necessary evidence plus an optional direct proof for c - eps membership.
 
     Evidence: on every window member of the semialgebraic dual set, the image
     of c - eps*1 must be positive semidefinite (exact check).  Proof: a direct
     certificate attempt for c - eps*1 at the smallest even window covering its
-    degree.  The report labels which of the two was achieved.
+    degree.  Members whose image of c - eps*1 has a kernel restrict the Gram
+    blocks of that attempt to the face every certificate lies on, which is
+    what lets a target such as su(2)'s a^2 - 1 (zero on spin 0) converge.
+    The report labels which of the two was achieved.  `members` is
+    window_members(algebra, f, window) when the caller already has it.
     """
     opts = opts or SolveOptions()
     algebra = c.algebra
-    window = default_window(algebra, window)
     shifted = c - AlgebraElement.unit(algebra, epsilon)
-    if not (algebra.is_abelian() or is_su2_standard(algebra)):
+    if members is None:
+        members = window_members(algebra, f, window)
+    if members is None:
         # no concrete dual window exists for this algebra; only a proof can help
         out = {"members": [], "evidence": "unavailable", "failures": {}}
         fallback = "unavailable"
+        members = {}
     else:
-        labels = window if not isinstance(window, (int, Fraction)) else spin_window(window)
-        scan = scan_dual_window(algebra, f, labels)
-        member_labels = scan.members()
         failures = {}
-        if algebra.is_abelian():
-            reps = {
-                "(" + ", ".join(format_fraction(Fraction(v)) for v in point) + ")":
-                    make_point_rep(algebra, point)
-                for point in labels
-            }
-        else:
-            reps = {format_fraction(Fraction(l)): make_spin_rep(Fraction(l), algebra)
-                    for l in labels}
-        for label in member_labels:
-            verdict = reps[label].is_positive(shifted)
+        for label, rep in members.items():
+            verdict = rep.is_positive(shifted)
             if not verdict:
                 failures[label] = {
                     "value": format_fraction(verdict.witness_value),
                 }
         out = {
-            "members": member_labels,
+            "members": list(members),
             "evidence": "fail" if failures else "pass",
             "failures": failures,
         }
@@ -219,7 +236,7 @@ def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
     if fallback != "failed" and attempt_proof:
         deg = shifted.degree() or 0
         degree = deg + (deg % 2)
-        proof = find_certificate(shifted, f, degree, opts=opts)
+        proof = find_certificate(shifted, f, degree, opts=opts, reps=list(members.values()))
         if proof.status == "certificate":
             out["label"] = "proof"
             out["proof_degree"] = degree
@@ -266,8 +283,10 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
     # both hypotheses are always checked and reported, even if the first fails
     verdict_ii = check_assumption_ii(inst.c, level_cap=inst.level_cap, opts=inst.solver)
     ii_failed = verdict_ii["status"] in ("counterexample", "not-strictly-positive")
+    members = window_members(algebra, inst.f, inst.window)
     verdict_i = check_assumption_i(inst.c, inst.f, inst.epsilon, window=inst.window,
-                                   opts=inst.solver, attempt_proof=not ii_failed)
+                                   opts=inst.solver, attempt_proof=not ii_failed,
+                                   members=members)
     if ii_failed:
         return SearchTranscript("assumption-failed", config, assumption_ii=verdict_ii,
                                 assumption_i=verdict_i,
@@ -283,6 +302,7 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
                                        "evidence alone was not accepted")
 
     base = inst.c if m % 2 == 0 else reduce_odd(inst.c)
+    window_reps = list((members or {}).values())
     attempts = []
     certificate = None
     skeletons: dict[int, GramSkeleton] = {}
@@ -295,7 +315,8 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
             if skeleton is None:
                 skeleton = GramSkeleton(algebra, inst.f, D)
                 skeletons[D] = skeleton
-            report = find_certificate(target, inst.f, D, opts=inst.solver, skeleton=skeleton)
+            report = find_certificate(target, inst.f, D, opts=inst.solver, skeleton=skeleton,
+                                      reps=window_reps)
             attempts.append((n, D, report.status))
             if report.status == "certificate":
                 certificate = report.certificate

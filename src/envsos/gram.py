@@ -9,11 +9,22 @@ where W_l collects the normal-form monomials w with 2 deg(w) + deg(f_l) <= D.
 Coefficient matching yields an exact rational linear system over the real
 variable vector (diagonal entries, then re/im parts of off-diagonal entries).
 
-The module also carries the commutative analogue used for symbol positivity.
-All constraint data is exact; float copies are derived once for the numeric
-solver.  Projections onto the affine subspace use the Frobenius metric of the
-underlying matrices, which in variable coordinates is the diagonal weight W
-stored alongside the system.
+Facial reduction.  When exact vectors are known that every feasible G_l
+must annihilate (sos.forced_face_vectors derives them from representations
+that map c to a singular matrix), a problem can be restricted to the face
+G_l = Q_l^H G'_l Q_l, where the rows of Q_l span the vectors q with q z = 0
+for every forced z.  No feasible point is lost, and a target with no
+interior Gram (su(2)'s a^2 - 1, zero on spin 0) gets one on the face.  The
+reduced rows are the shared skeleton's rows composed with that linear map,
+so the skeleton stays target-independent; congruence() maps a reduced block
+back to the full monomial basis, for certificates of both kinds.
+
+The module also carries the commutative analogue used for symbol positivity,
+which quotients out the kernel vectors forced by exact zeros of the form in
+the same way.  All constraint data is exact; float copies are derived once
+for the numeric solver.  Projections onto the affine subspace use the
+Frobenius metric of the underlying (reduced) matrices, which in variable
+coordinates is the diagonal weight W stored alongside the system.
 """
 
 from __future__ import annotations
@@ -259,25 +270,104 @@ class AffineSystem:
 
 
 class SdpProblem:
-    """Exact Gram feasibility problem for one target and generator list."""
+    """Exact Gram feasibility problem for one target and generator list.
+
+    `faces` optionally restricts block l to G_l = Q_l^H G'_l Q_l (None keeps
+    a block whole).  The system is then written in the coordinates of the
+    G'_l: the skeleton's rows composed with that linear map, with no new
+    normal forms.  gram_blocks_exact always returns blocks over the full
+    monomial bases.
+    """
 
     def __init__(self, algebra: LieAlgebra, target: AlgebraElement,
-                 generators, degree: int, skeleton: "GramSkeleton"):
+                 generators, degree: int, skeleton: "GramSkeleton", faces=None):
         self.algebra = algebra
         self.target = target
         self.generators = list(generators)
         self.degree = degree
         self.skeleton = skeleton
-        self.layout = skeleton.layout
         rhs = []
         for mono in skeleton.row_monomials:
             cm = target.coefficient(mono)
             rhs.append(cm.re)
             rhs.append(cm.im)
-        self.system = AffineSystem(skeleton.rows, rhs, self.layout.weights)
+        if faces is None:
+            self.faces = [None] * len(skeleton.bases)
+            self.layout = skeleton.layout
+            rows = skeleton.rows
+        else:
+            self.faces = list(faces)
+            self.layout = VariableLayout(
+                [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)],
+                complex_blocks=True)
+            rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
+        self.system = AffineSystem(rows, rhs, self.layout.weights)
 
     def gram_blocks_exact(self, g):
-        return self.layout.gram_blocks_exact(g)
+        return [
+            G if Q is None else congruence(Q, G, len(basis))
+            for G, Q, basis in zip(self.layout.gram_blocks_exact(g), self.faces,
+                                   self.skeleton.bases)
+        ]
+
+
+def congruence(Q, Gp, n: int):
+    """Q^H G' Q: the n x n block over the full basis of a Gram G' on the rows of Q."""
+    zero = Scalar(0)  # Scalars are never changed in place, so one zero serves every entry
+    out = [[zero] * n for _ in range(n)]
+    support = [[(j, Scalar.coerce(x)) for j, x in enumerate(row) if x] for row in Q]
+    for p, Sp in enumerate(support):
+        for q, Sq in enumerate(support):
+            s = Gp[p][q]
+            if not s:
+                continue
+            for j, x in Sp:
+                left = x.conj() * s
+                row = out[j]
+                for k, y in Sq:
+                    row[k] = row[k] + left * y
+    return out
+
+
+def _compose_rows(rows, full: VariableLayout, reduced: VariableLayout, faces):
+    """Rows over the full coordinates composed with G'_l -> Q_l^H G'_l Q_l.
+
+    Each reduced coordinate is pushed through the map once, giving the full
+    coordinates it moves; a composed row then reads only its own nonzeros.
+    """
+    moved_by = {}  # full column -> [(reduced column, coefficient)]
+    for (b, p, q, part), col in reduced.index.items():
+        Q = faces[b]
+        if Q is None:
+            moved_by.setdefault(full.index[(b, p, q, part)], []).append((col, Fraction(1)))
+            continue
+        # the Hermitian G' whose only coordinate is this one, set to 1
+        Gp = [[Scalar(0)] * len(Q) for _ in Q]
+        Gp[p][q] = Scalar(1) if part == "re" else Scalar(0, 1)
+        Gp[q][p] = Gp[p][q].conj()
+        for c, v in _coordinates(congruence(Q, Gp, full.block_sizes[b]), b, full).items():
+            moved_by.setdefault(c, []).append((col, v))
+    out = []
+    for row in rows:
+        composed = [Fraction(0)] * reduced.nvars
+        for c, x in enumerate(row):
+            if x:
+                for col, v in moved_by.get(c, ()):
+                    composed[col] += x * v
+        out.append(composed)
+    return out
+
+
+def _coordinates(G, b: int, layout: VariableLayout):
+    """The nonzero real coordinates of Hermitian block b, as {column: value}."""
+    out = {}
+    for p in range(len(G)):
+        for q in range(p, len(G)):
+            if G[p][q].re:
+                out[layout.index[(b, p, q, "re")]] = G[p][q].re
+            if p != q and G[p][q].im:
+                out[layout.index[(b, p, q, "im")]] = G[p][q].im
+    return out
 
 
 class GramSkeleton:
@@ -350,7 +440,7 @@ class GramSkeleton:
             self.rows.append(row_re)
             self.rows.append(row_im)
 
-    def problem_for(self, target: AlgebraElement) -> SdpProblem:
+    def problem_for(self, target: AlgebraElement, faces=None) -> SdpProblem:
         if target.algebra != self.algebra:
             raise ValueError("target belongs to a different algebra")
         deg = target.degree()
@@ -358,7 +448,7 @@ class GramSkeleton:
             raise ValueError("target degree exceeds the window")
         if not target.is_hermitean():
             raise NotHermitean("target must be hermitean")
-        return SdpProblem(self.algebra, target, self.generators, self.degree, self)
+        return SdpProblem(self.algebra, target, self.generators, self.degree, self, faces)
 
 
 def build_gram_problem(c: AlgebraElement, f, degree: int,
@@ -430,25 +520,7 @@ class CommGramProblem:
 
     def gram_blocks_exact(self, g):
         """The one exact block over the *monomial* basis: Q^T G' Q from the reduced vars."""
-        Gp = self.layout.gram_blocks_exact(g)[0]
-        n = len(self.monomials)
-        m = len(self.basis_polys)
-        out = [[Scalar(0) for _ in range(n)] for _ in range(n)]
-        for p in range(m):
-            for q in range(m):
-                s = Gp[p][q]
-                if not s:
-                    continue
-                for j in range(n):
-                    qj = self.Q[p][j]
-                    if not qj:
-                        continue
-                    left = s * Scalar(qj)
-                    for k in range(n):
-                        qk = self.Q[q][k]
-                        if qk:
-                            out[j][k] = out[j][k] + left * Scalar(qk)
-        return [out]
+        return [congruence(self.Q, self.layout.gram_blocks_exact(g)[0], len(self.monomials))]
 
     @property
     def basis(self):
@@ -457,19 +529,25 @@ class CommGramProblem:
 
 def _line_expansion(mono, t0, u, max_order: int):
     """Coefficients of s^0..s^max_order in prod_k (t0_k + s u_k)^{e_k}."""
+    zero = Fraction(0)
     coeffs = [Fraction(1)]
     for k, e in enumerate(mono):
+        if not e:
+            continue
+        a, b = Fraction(t0[k]), Fraction(u[k])
+        if not a and not b:
+            return [zero] * (max_order + 1)
         for _ in range(e):
-            nxt = [Fraction(0)] * min(len(coeffs) + 1, max_order + 1)
+            nxt = [zero] * min(len(coeffs) + 1, max_order + 1)
             for m, cm in enumerate(coeffs):
                 if not cm:
                     continue
-                if m < len(nxt) and t0[k]:
-                    nxt[m] += cm * Fraction(t0[k])
-                if m + 1 < len(nxt) and u[k]:
-                    nxt[m + 1] += cm * Fraction(u[k])
+                if a and m < len(nxt):
+                    nxt[m] += cm * a
+                if b and m + 1 < len(nxt):
+                    nxt[m + 1] += cm * b
             coeffs = nxt
-    coeffs += [Fraction(0)] * (max_order + 1 - len(coeffs))
+    coeffs += [zero] * (max_order + 1 - len(coeffs))
     return coeffs
 
 

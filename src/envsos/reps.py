@@ -245,10 +245,11 @@ def direct_sum(*reps: FiniteDimRep) -> FiniteDimRep:
 class DualWindowResult:
     """Membership verdicts for a finite window of the unitary dual."""
 
-    def __init__(self, window_labels, membership, witnesses):
+    def __init__(self, window_labels, membership, witnesses, reps):
         self.window = window_labels          # list of label strings
         self.membership = membership         # label -> bool
         self.witnesses = witnesses           # label -> witness dict (for non-members)
+        self.reps = reps                     # label -> the FiniteDimRep scanned
 
     def members(self):
         return [lab for lab in self.window if self.membership[lab]]
@@ -330,7 +331,7 @@ def scan_dual_window(
                 }
                 break
         membership[label] = verdict_ok
-    return DualWindowResult(labels, membership, witnesses)
+    return DualWindowResult(labels, membership, witnesses, dict(zip(labels, reps)))
 
 
 def rep_to_json_dict(rep: FiniteDimRep) -> dict:

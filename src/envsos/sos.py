@@ -1,7 +1,11 @@
 """End-to-end membership pipeline: build, solve, round, verify.
 
 find_certificate builds the Gram problem of one (target, generators, degree)
-instance; commutative_sos builds the one of a level of the sphere multiplier
+instance.  Given exact representations (the driver passes the members of
+the dual window), it first derives the vectors every Gram certificate must
+annihilate from those that map the target to a singular matrix, and restricts
+the problem to that face; without such a vector the problem is unreduced.
+commutative_sos builds the one of a level of the sphere multiplier
 hierarchy for homogeneous polynomials, with grid sampling first: a negative
 sample point settles the question before any solver work, and exact zeros
 found by sampling become kernel constraints that make boundary Gram matrices
@@ -24,7 +28,8 @@ from .certs import (
     round_and_verify,
     verify_commutative_certificate,
 )
-from .gram import CommGramProblem, GramSkeleton, build_gram_problem
+from .exactla import cmat_mul, nullspace
+from .gram import CommGramProblem, GramSkeleton
 from .numeric import NumericOutcome, SolveOptions, solve_feasibility
 from .pbw import AlgebraElement
 from .poly import CommutativePoly
@@ -63,9 +68,52 @@ class FeasibilityReport:
 
 def find_certificate(c: AlgebraElement, f, degree: int,
                      opts: SolveOptions | None = None,
-                     skeleton: GramSkeleton | None = None) -> FeasibilityReport:
-    """Attempt an exactly verified weighted SOS certificate for c at degree D."""
-    return _solve_and_round(build_gram_problem(c, f, degree, skeleton=skeleton), opts)
+                     skeleton: GramSkeleton | None = None,
+                     reps=()) -> FeasibilityReport:
+    """Attempt an exactly verified weighted SOS certificate for c at degree D.
+
+    `reps` are exact representations, typically the members of a dual
+    window.  Where one maps c to a matrix with a kernel, the vectors of
+    forced_face_vectors restrict each Gram block to the face that every
+    certificate must lie on, and the search and the rounding run there.  With
+    no such vector the problem is the unreduced one.
+    """
+    if skeleton is None:
+        skeleton = GramSkeleton(c.algebra, f, degree)
+    faces = None
+    forced = forced_face_vectors(c, f, skeleton.bases, reps)
+    if any(forced):
+        faces = [nullspace(z, len(basis)) if z else None
+                 for z, basis in zip(forced, skeleton.bases)]
+    return _solve_and_round(skeleton.problem_for(c, faces), opts)
+
+
+def forced_face_vectors(c: AlgebraElement, f, bases, reps):
+    """Per block l, exact vectors z with G_l z = 0 for every Gram certificate of c.
+
+    A representation pi is used only when it maps c to a matrix with a kernel
+    and every pi(f_l) is PSD (decided exactly).  For v in that kernel, with
+    S the metric, H_l = S pi(f_l) and U_l the matrix whose column q is
+    pi(w_q) v over the basis of block l,
+
+        0 = <pi(c) v, v>_S = sum_l sum_pq (G_l)_pq (pi(w_p) v)^H H_l (pi(w_q) v),
+
+    a sum of traces of products of PSD matrices, so every term vanishes and
+    G_l annihilates each row of H_l U_l.  Zero rows are left out.
+    """
+    forced = [[] for _ in bases]
+    for rep in reps:
+        kernel = nullspace(rep.evaluate(c), rep.dim_rep)
+        if not kernel or not all(rep.is_positive(g) for g in f):
+            continue
+        for gen, basis, vectors in zip(f, bases, forced):
+            H = rep.weighted_matrix(gen)
+            images = [rep.evaluate(AlgebraElement.monomial(c.algebra, w)) for w in basis]
+            for v in kernel:
+                columns = [cmat_mul(image, [[x] for x in v]) for image in images]
+                U = [[col[j][0] for col in columns] for j in range(rep.dim_rep)]
+                vectors.extend(z for z in cmat_mul(H, U) if any(z))
+    return forced
 
 
 def _solve_and_round(problem, opts: SolveOptions | None) -> FeasibilityReport:

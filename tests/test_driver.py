@@ -69,6 +69,16 @@ def test_assumption_i_proof_for_canonical_shift(su2):
     assert out["label"] == "proof"
 
 
+def test_assumption_i_proof_for_a_squared_margin(su2):
+    # a^2 - 1 is zero on spin 0, so only the face without the constant monomial is feasible
+    a = canonical_a(su2)
+    unit = AlgebraElement.unit(su2)
+    out = check_assumption_i(a * a, [unit], 1, window=3)
+    assert out["label"] == "proof"
+    assert out["proof_degree"] == 4
+    assert "proof_attempt" not in out
+
+
 def test_theorem_instance_validation(su2):
     unit = AlgebraElement.unit(su2)
     x1 = AlgebraElement.generator(su2, 0)

@@ -240,6 +240,28 @@ def test_loader_rejects_non_integer_degree(su2):
             verify_certificate_json(dict(data, degree=degree))
 
 
+def test_loader_rejects_repeated_or_zero_target_coeffs():
+    data = _quartic_certificate_json()
+    # read loosely, the repeated [4, 0] is overwritten by the real entry and dropped
+    repeated = [{"exponents": [4, 0], "coeff": "-9"}] + data["target_coeffs"]
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(dict(data, target_coeffs=repeated))
+    zero = [{"exponents": [3, 1], "coeff": "0"}] + data["target_coeffs"]
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(dict(data, target_coeffs=zero))
+
+
+def test_loader_checks_weighted_block_indices(su2):
+    unit = AlgebraElement.unit(su2)
+    data = find_certificate(canonical_a(su2), [unit], 2).certificate.to_json_dict()
+    assert [blk["l"] for blk in data["blocks"]] == [1] and verify_certificate_json(data)
+    block = data["blocks"][0]
+    for blocks in ([dict(block, l=7)], [block, dict(block)], [dict(block, l=True)],
+                   [dict(block, l=1.0)], []):
+        with pytest.raises(CertificateFormatError):
+            verify_certificate_json(dict(data, blocks=blocks))
+
+
 def test_verifier_rejects_basis_outside_degree_window(su2):
     unit = AlgebraElement.unit(su2)
     a = canonical_a(su2)
