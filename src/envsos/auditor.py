@@ -15,7 +15,15 @@ Second, operator identities in a finite-dimensional context where the image A
 of the canonical element is invertible, so Y = A^{-1} is an exact matrix.
 Relations r1-r4 are exact matrix equalities; r5-r8 assert membership in the
 two-sided star-ideal generated by the Y_{k0}, decided by exact linear algebra
-over a growing spanning set of ideal elements.
+over a span of ideal elements that grows level by level: the generators g,
+then u g, g v and u g v with u, v from the context's operator family.  Each
+level is spanned from bases, never from every product: the family is reduced
+to a basis once, and the two-sided level uses the exact identity
+
+    span{u g v} = span{u w : w in a basis of span{g v}},
+
+so the span at each level, and with it every membership verdict, is the one
+the full enumeration of products gives.
 """
 
 from __future__ import annotations
@@ -202,9 +210,18 @@ def _vec(M):
 class IdealSpan:
     """Growing exact span of the evaluated two-sided star-ideal.
 
-    Batches: the generators themselves, then one-sided products u*g and g*v,
-    then two-sided u*g*v, with u, v drawn from the context's spanning family.
-    Membership of a residual is a reduction against the accumulated echelon.
+    Levels: 0 the generators g themselves, 1 adds the left products u*g, 2 the
+    right products g*v, 3 the two-sided products u*g*v, with u, v drawn from
+    the context's spanning family.  Each level is spanned from bases rather
+    than from every product.  The family is reduced to a basis once, which
+    spans the same products by linearity.  Level 2 keeps the g*v that are
+    independent among themselves as a right-factor basis W, and level 3 uses
+
+        span{u g v} = span{u w : w in W},
+
+    so the span at every level is the one of the full enumeration, and only
+    the spanning matrices kept in basis_matrices differ.  Membership of a
+    residual is a reduction against the accumulated echelon.
     """
 
     def __init__(self, ctx: OperatorAlgebraContext):
@@ -215,9 +232,11 @@ class IdealSpan:
         for k in range(d + 1):
             self.gens.append(ctx.left[k][0])    # X_k X_0 Y
             self.gens.append(ctx.right[0][k])   # Y X_0 X_k
-        self.family = ctx.family_elements()
+        family = EchelonAccumulator(2 * n * n)
+        self.family = [u for u in ctx.family_elements() if family.insert(_vec(u))]
         self.acc = EchelonAccumulator(2 * n * n)
         self.basis_matrices = []
+        self.right_basis = []   # a basis of span{g v}, filled at level 2
         self.level = -1
 
     def _insert(self, M):
@@ -235,17 +254,17 @@ class IdealSpan:
                     for g in self.gens:
                         self._insert(cmat_mul(u, g))
             elif self.level == 2:
+                right = EchelonAccumulator(self.acc.ncols)
                 for g in self.gens:
                     for v in self.family:
-                        self._insert(cmat_mul(g, v))
+                        gv = cmat_mul(g, v)
+                        self._insert(gv)
+                        if right.insert(_vec(gv)):
+                            self.right_basis.append(gv)
             elif self.level == 3:
                 for u in self.family:
-                    for g in self.gens:
-                        ug = cmat_mul(u, g)
-                        for v in self.family:
-                            self._insert(cmat_mul(ug, v))
-            else:
-                break
+                    for w in self.right_basis:
+                        self._insert(cmat_mul(u, w))
 
     def contains(self, M, max_level: int = 3) -> bool:
         vec = _vec(M)
@@ -371,7 +390,8 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
         y_ideal.insert(_vec(cmat_mul(ctx.Y, M)))
         ideal_y.insert(_vec(cmat_mul(M, ctx.Y)))
     ok6 = True
-    for x in ctx.family_elements():
+    # the residual is linear in x, so the family basis decides as the family would
+    for x in span.family:
         res = cmat_sub(cmat_mul(ctx.Y, x), cmat_mul(x, ctx.Y))
         vec = _vec(res)
         if not (y_ideal.contains(vec) and ideal_y.contains(vec)):
@@ -382,18 +402,17 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
                     "residual_norm": "0" if ok6 else "not reduced to the ideal",
                     "spans_equal": spans_equal}
 
+    # every Y_{kl} Y_{ij} with indices 1..d, formed once for both relations
+    prod = {(k, l, i, j): cmat_mul(ctx.left[k][l], ctx.left[i][j])
+            for k in range(1, d + 1) for l in range(1, d + 1)
+            for i in range(1, d + 1) for j in range(1, d + 1)}
     ok7 = True
     ok8 = True
-    for k in range(1, d + 1):
-        for l in range(1, d + 1):
-            for i in range(1, d + 1):
-                for j in range(1, d + 1):
-                    ykl, yij = ctx.left[k][l], ctx.left[i][j]
-                    if not member(cmat_sub(cmat_mul(ykl, yij), cmat_mul(yij, ykl))):
-                        ok7 = False
-                    yki, ylj = ctx.left[k][i], ctx.left[l][j]
-                    if not member(cmat_sub(cmat_mul(ykl, yij), cmat_mul(yki, ylj))):
-                        ok8 = False
+    for (k, l, i, j), P in prod.items():
+        if not member(cmat_sub(P, prod[i, j, k, l])):
+            ok7 = False
+        if not member(cmat_sub(P, prod[k, i, l, j])):
+            ok8 = False
     report["r7"] = {"status": "pass" if ok7 else "unresolved",
                     "residual_norm": "0" if ok7 else "not reduced to the ideal"}
     report["r8"] = {"status": "pass" if ok8 else "unresolved",

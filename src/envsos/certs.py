@@ -24,13 +24,18 @@ and the field is ignored.
 Loading is strict: counts, degrees and exponents must be JSON integers
 (nonnegative, not booleans or floats), every exponent list has one entry per
 variable, and basis entries of weighted certificates are canonical monomials.
-A commutative target_coeffs lists each exponent list once with a nonzero
-coefficient; a weighted certificate has one block per generator, with block
-indices l exactly 1..r.
+Every other field must have the JSON type the writer gives it (strings for
+expressions, coefficients and Gram entries, arrays for lists), and the
+algebra of a weighted certificate must be the canonical JSON of the algebra
+it describes, so no field is read loosely or left unread.  A commutative
+target_coeffs lists each exponent list once with a nonzero coefficient; a
+weighted certificate has one block per generator, with block indices l
+exactly 1..r.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from . import lie
@@ -110,11 +115,11 @@ def _poly_to_json(p: CommutativePoly):
 def _poly_from_json(nvars, entries) -> CommutativePoly:
     """The polynomial of target_coeffs: each exponent list once, no zero coefficient."""
     coeffs = {}
-    for e in entries:
+    for e in _typed(entries, list, "target_coeffs"):
         mono = _exponents(e["exponents"], nvars)
         if mono in coeffs:
             raise CertificateFormatError(f"exponent list {list(mono)} appears twice")
-        coeff = Fraction(e["coeff"])
+        coeff = Fraction(_typed(e["coeff"], str, "a coefficient"))
         if not coeff:
             raise CertificateFormatError(f"exponent list {list(mono)} has a zero coefficient")
         coeffs[mono] = coeff
@@ -276,16 +281,32 @@ def _nonnegative_int(value, what: str) -> int:
     return value
 
 
+def _typed(value, expected: type, what: str):
+    """value itself when its JSON type is expected; a bool is no int."""
+    if type(value) is not expected:
+        raise CertificateFormatError(f"{what} must be a {expected.__name__}, not {value!r}")
+    return value
+
+
+def _canonical_algebra(data):
+    """The algebra of a weighted certificate, whose JSON must be its canonical form."""
+    algebra = lie.from_json_dict(_typed(data, dict, "algebra"))
+    if json.dumps(lie.to_json_dict(algebra), sort_keys=True) != json.dumps(data, sort_keys=True):
+        raise CertificateFormatError("algebra is not in the canonical form of its JSON")
+    return algebra
+
+
 def _exponents(entry, nvars: int) -> tuple:
     """An exponent list as a tuple: one nonnegative int per variable."""
-    exponents = tuple(entry)
+    exponents = tuple(_typed(entry, list, "an exponent list"))
     if len(exponents) != nvars:
         raise CertificateFormatError(f"exponent list {entry!r} does not have {nvars} entries")
     return tuple(_nonnegative_int(e, "an exponent") for e in exponents)
 
 
 def _parse_gram(rows):
-    return [[parse_scalar(v) for v in row] for row in rows]
+    return [[parse_scalar(_typed(v, str, "a Gram entry")) for v in _typed(row, list, "a Gram row")]
+            for row in _typed(rows, list, "a Gram block")]
 
 
 def _parse_monomial(text: str, algebra):
@@ -302,9 +323,9 @@ def certificate_from_json(data: dict):
     """Parse a certificate JSON document (either kind) without deciding anything.
 
     Only schema versions 1 and 2, integer counts and exponents, canonical
-    monomial basis strings, canonical target_coeffs and block indices 1..r
-    are accepted.  Gram blocks are read as written; positivity is left to
-    the verifier.
+    monomial basis strings, canonical target_coeffs, a canonical algebra,
+    block indices 1..r and fields of the writer's JSON types are accepted.
+    Gram blocks are read as written; positivity is left to the verifier.
     """
     try:
         version = data["schema_version"]
@@ -312,17 +333,20 @@ def certificate_from_json(data: dict):
             raise CertificateFormatError(f"unsupported schema_version {version!r}")
         kind = data["kind"]
         if kind == "weighted_sos":
-            algebra = lie.from_json_dict(data["algebra"])
-            target = parse(data["target"], algebra)
-            generators = [parse(g, algebra) for g in data["generators"]]
-            blocks = data["blocks"]
+            algebra = _canonical_algebra(data["algebra"])
+            target = parse(_typed(data["target"], str, "target"), algebra)
+            generators = [parse(_typed(g, str, "a generator"), algebra)
+                          for g in _typed(data["generators"], list, "generators")]
+            blocks = [_typed(blk, dict, "a block")
+                      for blk in _typed(data["blocks"], list, "blocks")]
             labels = [blk["l"] for blk in blocks]
             if (any(type(l) is not int for l in labels)
                     or sorted(labels) != list(range(1, len(generators) + 1))):
                 raise CertificateFormatError(
                     f"block indices {labels!r} are not 1..{len(generators)}, once each")
             blocks = sorted(blocks, key=lambda blk: blk["l"])
-            bases = [[_parse_monomial(t, algebra) for t in blk["basis"]] for blk in blocks]
+            bases = [[_parse_monomial(_typed(t, str, "a basis entry"), algebra)
+                      for t in _typed(blk["basis"], list, "a basis")] for blk in blocks]
             grams = [_parse_gram(blk["gram"]) for blk in blocks]
             degree = _nonnegative_int(data["degree"], "degree")
             return WeightedSosCertificate(
@@ -334,7 +358,7 @@ def certificate_from_json(data: dict):
             if data["target"] != target.render():
                 raise CertificateFormatError(
                     f"target {data['target']!r} is not the rendering of target_coeffs")
-            basis = [_exponents(m, nvars) for m in data["basis"]]
+            basis = [_exponents(m, nvars) for m in _typed(data["basis"], list, "basis")]
             # the level is passed on as written; the verifier decides it
             cert = CommutativeSosCertificate(target, data["level"], basis,
                                              _parse_gram(data["gram"]))

@@ -197,7 +197,7 @@ def window_members(algebra, f, window=None):
 
 def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
                        opts: SolveOptions | None = None, attempt_proof: bool = True,
-                       members=None) -> dict:
+                       members=None, skeletons=None) -> dict:
     """Necessary evidence plus an optional direct proof for c - eps membership.
 
     Evidence: on every window member of the semialgebraic dual set, the image
@@ -207,7 +207,9 @@ def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
     blocks of that attempt to the face every certificate lies on, which is
     what lets a target such as su(2)'s a^2 - 1 (zero on spin 0) converge.
     The report labels which of the two was achieved.  `members` is
-    window_members(algebra, f, window) when the caller already has it.
+    window_members(algebra, f, window) when the caller already has it, and
+    `skeletons` the caller's {degree: GramSkeleton} cache for (algebra, f),
+    which the proof attempt reads and fills.
     """
     opts = opts or SolveOptions()
     algebra = c.algebra
@@ -236,7 +238,9 @@ def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
     if fallback != "failed" and attempt_proof:
         deg = shifted.degree() or 0
         degree = deg + (deg % 2)
-        proof = find_certificate(shifted, f, degree, opts=opts, reps=list(members.values()))
+        proof = find_certificate(shifted, f, degree, opts=opts,
+                                 skeleton=_skeleton(skeletons, algebra, f, degree),
+                                 reps=list(members.values()))
         if proof.status == "certificate":
             out["label"] = "proof"
             out["proof_degree"] = degree
@@ -244,6 +248,15 @@ def check_assumption_i(c: AlgebraElement, f, epsilon: Fraction, window=None,
         out["proof_attempt"] = proof.status
     out["label"] = fallback
     return out
+
+
+def _skeleton(skeletons, algebra, f, degree: int) -> GramSkeleton:
+    """The skeleton of (algebra, f) at degree, from the cache when it has one."""
+    if skeletons is None:
+        return GramSkeleton(algebra, f, degree)
+    if degree not in skeletons:
+        skeletons[degree] = GramSkeleton(algebra, f, degree)
+    return skeletons[degree]
 
 
 # -- the search --------------------------------------------------------------------
@@ -284,9 +297,11 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
     verdict_ii = check_assumption_ii(inst.c, level_cap=inst.level_cap, opts=inst.solver)
     ii_failed = verdict_ii["status"] in ("counterexample", "not-strictly-positive")
     members = window_members(algebra, inst.f, inst.window)
+    # one skeleton per degree, shared by the margin proof and every attempt
+    skeletons: dict[int, GramSkeleton] = {}
     verdict_i = check_assumption_i(inst.c, inst.f, inst.epsilon, window=inst.window,
                                    opts=inst.solver, attempt_proof=not ii_failed,
-                                   members=members)
+                                   members=members, skeletons=skeletons)
     if ii_failed:
         return SearchTranscript("assumption-failed", config, assumption_ii=verdict_ii,
                                 assumption_i=verdict_i,
@@ -305,17 +320,13 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
     window_reps = list((members or {}).values())
     attempts = []
     certificate = None
-    skeletons: dict[int, GramSkeleton] = {}
     for n, s in enumerate(family):
         target = conjugate_by(s, base)
         tdeg = target.degree() or 0
         start = tdeg + (tdeg % 2)
         for D in range(start, inst.d_max + 1, 2):
-            skeleton = skeletons.get(D)
-            if skeleton is None:
-                skeleton = GramSkeleton(algebra, inst.f, D)
-                skeletons[D] = skeleton
-            report = find_certificate(target, inst.f, D, opts=inst.solver, skeleton=skeleton,
+            report = find_certificate(target, inst.f, D, opts=inst.solver,
+                                      skeleton=_skeleton(skeletons, algebra, inst.f, D),
                                       reps=window_reps)
             attempts.append((n, D, report.status))
             if report.status == "certificate":

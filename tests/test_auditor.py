@@ -1,12 +1,17 @@
 from fractions import Fraction
 
+import pytest
+
+from envsos import exactla
 from envsos.auditor import (
+    IdealSpan,
     OperatorAlgebraContext,
     audit_cleared_commutator,
     audit_cleared_degree2,
     audit_r_relations,
     full_audit,
 )
+from envsos.exactla import EchelonAccumulator, cmat_mul
 from envsos.exprs import parse
 from envsos.lie import builtin
 from envsos.reps import direct_sum, make_point_rep, make_spin_rep
@@ -89,3 +94,56 @@ def test_full_audit_shape():
     assert out["cleared_commutator"]["status"] == "pass"
     assert out["cleared_degree2"]["status"] == "pass"
     assert out["contexts"][0]["relations"]["r1"]["status"] == "pass"
+
+
+def _flat(M):
+    return [x for row in M for v in row for x in (v.re, v.im)]
+
+
+def _spin_sum(*spins):
+    return direct_sum(*(make_spin_rep(Fraction(s)) for s in spins))
+
+
+@pytest.mark.parametrize("rep", [
+    make_spin_rep(Fraction(1, 2)),
+    _spin_sum(Fraction(1, 2), 1),
+    make_point_rep(builtin("abelian(2)"), [1, 2]),
+], ids=["spin 1/2", "spins 1/2+1", "abelian(2) at (1,2)"])
+def test_ideal_span_matches_brute_force_enumeration(rep):
+    # every product u*g, g*v and u*g*v over the whole family, level by level
+    ctx = OperatorAlgebraContext(rep)
+    n = rep.dim_rep
+    gens = [M for k in range(ctx.algebra.dim + 1) for M in (ctx.left[k][0], ctx.right[0][k])]
+    family = ctx.family_elements()
+    levels = [
+        gens,
+        [cmat_mul(u, g) for u in family for g in gens],
+        [cmat_mul(g, v) for g in gens for v in family],
+        [cmat_mul(cmat_mul(u, g), v) for u in family for g in gens for v in family],
+    ]
+    brute = EchelonAccumulator(2 * n * n)
+    span = IdealSpan(ctx)
+    for level, products in enumerate(levels):
+        for M in products:
+            brute.insert(_flat(M))
+        span.ensure_level(level)
+        assert span.acc.rank == brute.rank, level
+        assert all(brute.contains(_flat(M)) for M in span.basis_matrices), level
+        assert all(span.acc.contains(row) for row in brute.rows), level
+
+
+def test_ideal_span_on_spins_one_and_two_is_built_from_bases(monkeypatch):
+    calls = []
+    insert = exactla.EchelonAccumulator.insert
+
+    def counting_insert(self, vec):
+        calls.append(len(vec))
+        return insert(self, vec)
+
+    ctx = OperatorAlgebraContext(_spin_sum(1, 2))
+    monkeypatch.setattr(exactla.EchelonAccumulator, "insert", counting_insert)
+    span = IdealSpan(ctx)
+    span.ensure_level(3)
+    assert span.acc.rank == 68  # the rank of the full u*g*v enumeration
+    # the 33 x 8 x 33 two-sided products alone would be 8712 inserts
+    assert len(calls) <= 1000

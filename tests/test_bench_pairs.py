@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _path)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "certificates", "better": "higher"}]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("801-804") == [801, 802, 803, 804]
+    assert bench_pairs.parse_seeds("1,2,5") == [1, 2, 5]
+    assert bench_pairs.parse_seeds("7") == [7]
+
+
+def _run(seed, side, wall, certificates=5, failed=0):
+    return {"workload": "w", "seed": seed, "side": side, "order": 1, "correct": True,
+            "attempted": 2, "failed": failed,
+            "metrics": {"wall_s": wall, "certificates": certificates}}
+
+
+def test_summarize_synthetic_record():
+    runs = [_run(1, "parent", 4.0), _run(1, "change", 1.0),
+            _run(2, "change", 2.0, certificates=6), _run(2, "parent", 3.0, failed=1),
+            _run(3, "parent", 5.0), _run(3, "change", 6.0),
+            _run(4, "parent", 1.0)]  # an unpaired run counts in its side only
+    summary = bench_pairs.summarize(runs, END_TO_END)["w"]
+    assert summary["pairs"] == 3
+    assert summary["change_better_in"] == {"wall_s": 2, "certificates": 1}
+    parent, change = summary["parent"], summary["change"]
+    assert parent["runs"] == 4 and change["runs"] == 3
+    assert parent["failed_share"] == 1 / 8 and change["failed_share"] == 0
+    assert parent["metrics"]["wall_s"] == {"median": 3.5, "q1": 2.5, "q3": 4.25}
+    assert change["metrics"]["wall_s"] == {"median": 2.0, "q1": 1.5, "q3": 4.0}
+    assert change["all_correct"]
+
+
+def test_run_without_result_line_names_checkout_workload_and_seed(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("print('# started')\n")
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.run_once(str(tmp_path), "audit-su2", 17, 1.0)
+    message = str(info.value)
+    assert str(tmp_path) in message and "audit-su2" in message and "seed 17" in message

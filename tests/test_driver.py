@@ -12,6 +12,7 @@ from envsos.driver import (
 )
 from envsos.errors import NonCentralA, NotHermitean
 from envsos.exprs import parse
+from envsos.gram import GramSkeleton
 from envsos.lie import builtin
 from envsos.numeric import SolveOptions
 from envsos.pbw import AlgebraElement, canonical_a, conjugate_by, reduce_odd
@@ -187,6 +188,26 @@ def test_reduce_odd_branch_planted(su2):
     n, D, _ = transcript.attempts[-1]
     expected_target = conjugate_by(a ** n, cprime)
     assert verify_certificate(transcript.certificate, expected_target, [unit, f2])
+
+
+def test_theorem_run_builds_one_skeleton_per_degree(su2, monkeypatch):
+    # criterion 12's run: the a^2 - 1 margin proof and the search both work at D=4
+    degrees = []
+    init = GramSkeleton.__init__
+
+    def counting_init(self, algebra, generators, degree):
+        degrees.append(degree)
+        init(self, algebra, generators, degree)
+
+    monkeypatch.setattr(GramSkeleton, "__init__", counting_init)
+    a = canonical_a(su2)
+    unit = AlgebraElement.unit(su2)
+    inst = TheoremInstance(su2, a * a, [unit], Fraction(1), n_max=2, d_max=8,
+                           window=Fraction(3), solver=SolveOptions(seed=12))
+    transcript = search_certificate(inst)
+    assert transcript.status == "found"
+    assert transcript.assumption_i["label"] == "proof"
+    assert degrees == [4]
 
 
 def test_transcript_determinism(su2):

@@ -34,11 +34,16 @@ def parse_seeds(text: str):
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One run's end-to-end metrics; stops the script when the run printed no result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"bench_pairs: no result line from {checkout}, workload {workload}, "
+                         f"seed {seed} (exit code {proc.returncode})")
+    result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
