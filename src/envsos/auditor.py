@@ -184,9 +184,6 @@ class OperatorAlgebraContext:
                         f"adjoint exchange rule fails for indices ({k},{l})"
                     )
 
-    def adjoint(self, M):
-        return self.rep.adjoint(M)
-
     def family_elements(self):
         """Identity plus both Y-operator families; spans the small products."""
         d = self.algebra.dim
@@ -288,14 +285,14 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     d = algebra.dim
     n = ctx.rep.dim_rep
     b = b_constants(algebra)
-    adj = ctx.adjoint
+    # Y*_{kl} is ctx.right[l][k]: the context checked that equality exactly
     report: dict = {}
 
     # r1: sum_k Y*_{k0} Y_{k0} = Y
     acc = cmat_zero(n)
     for k in range(d + 1):
         yk0 = ctx.left[k][0]
-        acc = cmat_add(acc, cmat_mul(adj(yk0), yk0))
+        acc = cmat_add(acc, cmat_mul(ctx.right[0][k], yk0))
     report["r1"] = _relation_entry(cmat_sub(acc, ctx.Y))
 
     # r2: Y*_{k0} Y_{l0} - Y*_{l0} Y_{k0} = -i sum_j c^j_{lk} Y Y_{j0}
@@ -304,8 +301,8 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     for k in range(1, d + 1):
         for l in range(1, d + 1):
             lhs = cmat_sub(
-                cmat_mul(adj(ctx.left[k][0]), ctx.left[l][0]),
-                cmat_mul(adj(ctx.left[l][0]), ctx.left[k][0]),
+                cmat_mul(ctx.right[0][k], ctx.left[l][0]),
+                cmat_mul(ctx.right[0][l], ctx.left[k][0]),
             )
             rhs = cmat_zero(n)
             for j in range(1, d + 1):
@@ -323,14 +320,14 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     ok = True
     worst = None
     for k in range(1, d + 1):
-        lhs = cmat_sub(adj(ctx.left[k][0]), ctx.left[k][0])
+        lhs = cmat_sub(ctx.right[0][k], ctx.left[k][0])
         rhs = cmat_zero(n)
         for j in range(1, d + 1):
             for l in range(1, d + 1):
                 coeff = b[k - 1][l - 1][j - 1]
                 if coeff:
                     rhs = cmat_add(rhs, cmat_scale(Scalar(0, coeff),
-                                                   cmat_mul(adj(ctx.left[j][0]), ctx.left[l][0])))
+                                                   cmat_mul(ctx.right[0][j], ctx.left[l][0])))
         res = cmat_sub(lhs, rhs)
         if not cmat_is_zero(res):
             ok = False
@@ -342,7 +339,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     e1 = cmat_zero(n)
     for k in range(d + 1):
         for l in range(d + 1):
-            e1 = cmat_add(e1, cmat_mul(adj(ctx.left[k][l]), ctx.left[k][l]))
+            e1 = cmat_add(e1, cmat_mul(ctx.right[l][k], ctx.left[k][l]))
     e2 = cmat_identity(n)
     e3 = cmat_identity(n)
     for j in range(1, d + 1):
@@ -351,9 +348,9 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
                 coeff = b[j - 1][k - 1][l - 1]
                 if coeff:
                     e2 = cmat_add(e2, cmat_scale(Scalar(0, coeff),
-                                                 cmat_mul(adj(ctx.left[j][0]), ctx.left[k][l])))
+                                                 cmat_mul(ctx.right[0][j], ctx.left[k][l])))
                     e3 = cmat_add(e3, cmat_scale(Scalar(0, -coeff),
-                                                 cmat_mul(adj(ctx.left[k][l]), ctx.left[j][0])))
+                                                 cmat_mul(ctx.right[l][k], ctx.left[j][0])))
     r4_first = cmat_is_zero(cmat_sub(e1, e2))
     r4_second = cmat_is_zero(cmat_sub(e1, e3))
     report["r4"] = {
@@ -375,7 +372,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     ok5 = True
     for k in range(d + 1):
         for l in range(d + 1):
-            if not member(cmat_sub(ctx.left[k][l], adj(ctx.left[k][l]))):
+            if not member(cmat_sub(ctx.left[k][l], ctx.right[l][k])):
                 ok5 = False
             if not member(cmat_sub(ctx.left[k][l], ctx.left[l][k])):
                 ok5 = False

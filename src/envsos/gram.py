@@ -25,10 +25,22 @@ the same way.  All constraint data is exact; float copies are derived once
 for the numeric solver.  Projections onto the affine subspace use the
 Frobenius metric of the underlying (reduced) matrices, which in variable
 coordinates is the diagonal weight W stored alongside the system.
+
+Only the rhs b of A g = b depends on the target.  An AffineOperator holds
+what does not: the rows selected on A alone, W^-1 and N = (A W^-1 A^T)^-1
+over them, and their float copies.  A GramSkeleton builds one for its
+unreduced rows and every unreduced target shares it; a faced or commutative
+problem builds its own.  The AffineSystem of one target holds its rhs and
+an exact consistency check: a row is a consequence of the selected rows on
+[A | b] exactly when it is one on A and the system is consistent, so the
+selection (and every projection and certificate) is the same as selecting
+on [A | b] per target.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +99,16 @@ class VariableLayout:
                             self.weights.append(Fraction(4))
                             col += 1
         self.nvars = col
+        # per block: diagonal positions and columns, then the strict upper
+        # triangle's rows, columns and its re and im variable columns
+        self._float_index = []
+        for b, n in enumerate(self.block_sizes):
+            p, q = np.triu_indices(n, 1)
+            diag = [self.index[(b, i, i, "re")] for i in range(n)]
+            re = [self.index[(b, i, j, "re")] for i, j in zip(p, q)]
+            im = [self.index[(b, i, j, "im")] for i, j in zip(p, q)] if complex_blocks else []
+            self._float_index.append((np.arange(n), np.array(diag, dtype=np.intp), p, q,
+                                      np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)))
 
     def gram_blocks_exact(self, g):
         """Rational/Scalar Hermitian blocks from an exact variable vector."""
@@ -106,114 +128,149 @@ class VariableLayout:
     def embed_float(self, g):
         """Real symmetric block matrices (embedded 2n x 2n when complex)."""
         mats = []
-        for b, n in enumerate(self.block_sizes):
+        for n, (d, dcols, p, q, re, im) in zip(self.block_sizes, self._float_index):
+            U = np.zeros((n, n))
+            U[d, d] = g[dcols]
+            U[p, q] = U[q, p] = g[re]
             if self.complex_blocks:
-                U = np.zeros((n, n))
                 V = np.zeros((n, n))
-                for p in range(n):
-                    U[p, p] = g[self.index[(b, p, p, "re")]]
-                    for q in range(p + 1, n):
-                        U[p, q] = U[q, p] = g[self.index[(b, p, q, "re")]]
-                        v = g[self.index[(b, p, q, "im")]]
-                        V[p, q] = -v
-                        V[q, p] = v
-                M = np.block([[U, -V], [V, U]])
-            else:
-                M = np.zeros((n, n))
-                for p in range(n):
-                    M[p, p] = g[self.index[(b, p, p, "re")]]
-                    for q in range(p + 1, n):
-                        M[p, q] = M[q, p] = g[self.index[(b, p, q, "re")]]
-            mats.append(M)
+                V[p, q] = -g[im]
+                V[q, p] = g[im]
+                U = np.block([[U, -V], [V, U]])
+            mats.append(U)
         return mats
 
     def unembed_float(self, mats):
         """Back from embedded blocks, averaging the redundant copies."""
         g = np.zeros(self.nvars)
-        for b, n in enumerate(self.block_sizes):
-            M = mats[b]
+        for n, M, (d, dcols, p, q, re, im) in zip(self.block_sizes, mats, self._float_index):
             if self.complex_blocks:
                 U = 0.5 * (M[:n, :n] + M[n:, n:])
                 V = 0.5 * (M[n:, :n] - M[:n, n:])
                 U = 0.5 * (U + U.T)
                 V = 0.5 * (V - V.T)
-                for p in range(n):
-                    g[self.index[(b, p, p, "re")]] = U[p, p]
-                    for q in range(p + 1, n):
-                        g[self.index[(b, p, q, "re")]] = U[p, q]
-                        g[self.index[(b, p, q, "im")]] = V[q, p]
+                g[im] = V[q, p]
             else:
-                M = 0.5 * (M + M.T)
-                for p in range(n):
-                    g[self.index[(b, p, p, "re")]] = M[p, p]
-                    for q in range(p + 1, n):
-                        g[self.index[(b, p, q, "re")]] = M[p, q]
+                U = 0.5 * (M + M.T)
+            g[dcols] = U[d, d]
+            g[re] = U[p, q]
         return g
 
 
-class AffineSystem:
-    """Exact system A g = b plus the W-metric projector onto its solutions."""
+class AffineOperator:
+    """The target-independent half of A g = b: selected rows, W^-1 and N.
 
-    def __init__(self, rows, rhs, weights):
-        self.rows = rows            # list of Fraction rows
-        self.rhs = [Fraction(v) for v in rhs]
-        self.weights = weights      # Frobenius weights per variable
+    Rows are selected greedily on A alone, and N = (A_ind W^-1 A_ind^T)^-1 is
+    exact.  Each row is also kept as its nonzero columns, so every product
+    meets only shared support.  A GramSkeleton builds one for its unreduced
+    rows and shares it with every target; the rows are read, never changed.
+    """
+
+    def __init__(self, rows, weights):
+        self.rows = rows
         self.nvars = len(weights)
-        acc = EchelonAccumulator(self.nvars + 1)
-        self.independent: list[int] = []
-        for i, row in enumerate(rows):
-            if acc.insert(row + [self.rhs[i]]):
-                self.independent.append(i)
-        # drop rows that are linear consequences *including* their rhs;
-        # a later exact consistency check distinguishes genuine conflicts
-        self.A_ind = [rows[i] for i in self.independent]
-        self.b_ind = [self.rhs[i] for i in self.independent]
-        winv = [1 / w for w in weights]
-        self._winv = winv
-        if self.A_ind:
-            gram = [
-                [
-                    sum(ra[j] * rb[j] * winv[j] for j in range(self.nvars) if ra[j] and rb[j])
-                    for rb in self.A_ind
-                ]
-                for ra in self.A_ind
-            ]
-            try:
-                self.N = invert_exact(gram)
-                self.degenerate = False
-            except ValueError:
-                # rows dependent only through the rhs column: system infeasible
-                self.N = None
-                self.degenerate = True
-        else:
-            self.N = None
-            self.degenerate = False
+        self.sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        acc = EchelonAccumulator(self.nvars)
+        self.independent = [i for i, row in enumerate(rows) if acc.insert(row)]
+        selected = set(self.independent)
+        self.dependent = [i for i in range(len(rows)) if i not in selected]
+        self.winv = [1 / w for w in weights]
+        self.N = invert_exact(self._weighted_gram()) if self.independent else None
+        # N = N_num / N_den with integer N_num, so N r is integer arithmetic
+        self.N_den = math.lcm(*(x.denominator for row in self.N or () for x in row))
+        self.N_num = [[x.numerator * (self.N_den // x.denominator) for x in row]
+                      for row in self.N or ()]
         self._float_cache = None
+
+    def _weighted_gram(self):
+        """A_ind W^-1 A_ind^T, summed column by column over the rows that meet it."""
+        m = len(self.independent)
+        by_column = {}  # column -> [(selected row, entry)], rows ascending
+        for k, i in enumerate(self.independent):
+            for j, x in self.sparse[i]:
+                by_column.setdefault(j, []).append((k, x))
+        gram = [[Fraction(0)] * m for _ in range(m)]
+        for j, entries in by_column.items():
+            w = self.winv[j]
+            for a, (k, x) in enumerate(entries):
+                xw = x * w
+                row = gram[k]
+                for l, y in entries[a:]:
+                    row[l] += xw * y
+        for k in range(m):
+            for l in range(k):
+                gram[k][l] = gram[l][k]
+        return gram
+
+    def row_value(self, i, g):
+        """Row i of A applied to g."""
+        return sum(x * g[j] for j, x in self.sparse[i])
+
+    def pull_back(self, lam):
+        """W^-1 A_ind^T lam, dense."""
+        out = [0] * self.nvars
+        for i, li in zip(self.independent, lam):
+            if li:
+                for j, x in self.sparse[i]:
+                    out[j] += x * li
+        return [w * v if v else v for w, v in zip(self.winv, out)]
+
+    def multipliers(self, r):
+        """N r for a rational vector r over the selected rows."""
+        den = math.lcm(*(Fraction(x).denominator for x in r))
+        r_num = [x.numerator * (den // x.denominator) if x else 0 for x in map(Fraction, r)]
+        den *= self.N_den
+        return [Fraction(sum(n * x for n, x in zip(row, r_num) if x), den) for row in self.N_num]
+
+    def float_data(self):
+        """A_ind, N and W^-1 as float arrays, built on first use."""
+        if self._float_cache is None:
+            A = np.zeros((len(self.independent), self.nvars))
+            for k, i in enumerate(self.independent):
+                for j, x in self.sparse[i]:
+                    A[k, j] = float(x)
+            N = (np.array([[float(v) for v in row] for row in self.N])
+                 if self.N is not None else np.zeros((0, 0)))
+            winv = np.array([float(v) for v in self.winv])
+            self._float_cache = (A, N, winv)
+        return self._float_cache
+
+
+class AffineSystem:
+    """Exact system A g = b plus the W-metric projector onto its solutions.
+
+    The operator (row selection, N, their float copies) depends only on the
+    rows and is shared: pass `operator` when the caller holds one built from
+    these rows and weights.  What is per target is the rhs and an exact
+    consistency check: the system is consistent iff the min-norm point
+    x0 = W^-1 A_ind^T N b_ind of the selected rows satisfies the others.
+    """
+
+    def __init__(self, rows, rhs, weights, operator: AffineOperator | None = None):
+        op = AffineOperator(rows, weights) if operator is None else operator
+        self.operator = op
+        self.rows = op.rows
+        self.rhs = [Fraction(v) for v in rhs]
+        self.nvars = op.nvars
+        self.independent = op.independent
+        self.b_ind = [self.rhs[i] for i in op.independent]
+        self.degenerate = False
+        if op.dependent:
+            x0 = op.pull_back(op.multipliers(self.b_ind)) if op.independent else [0] * op.nvars
+            self.degenerate = any(op.row_value(i, x0) != self.rhs[i] for i in op.dependent)
+        self._b_float = None
 
     def project_exact(self, g):
         """W-metric projection of an exact vector onto {A x = b}."""
-        if not self.A_ind:
+        op = self.operator
+        if not op.independent:
             return list(g)
-        r = [
-            sum(row[j] * g[j] for j in range(self.nvars) if row[j]) - bi
-            for row, bi in zip(self.A_ind, self.b_ind)
-        ]
-        lam = [sum(self.N[i][j] * r[j] for j in range(len(r)) if r[j]) for i in range(len(r))]
-        out = list(g)
-        for i, row in enumerate(self.A_ind):
-            li = lam[i]
-            if li:
-                for j in range(self.nvars):
-                    if row[j]:
-                        out[j] -= self._winv[j] * row[j] * li
-        return out
+        r = [op.row_value(i, g) - bi for i, bi in zip(op.independent, self.b_ind)]
+        return [x - d for x, d in zip(g, op.pull_back(op.multipliers(r)))]
 
     def residual_exact(self, g):
         """Exact residuals of the *full* row set at g."""
-        return [
-            sum(row[j] * g[j] for j in range(self.nvars) if row[j]) - bi
-            for row, bi in zip(self.rows, self.rhs)
-        ]
+        return [self.operator.row_value(i, g) - bi for i, bi in enumerate(self.rhs)]
 
     def exact_infeasibility_combination(self):
         """A rational y with y^T A = 0 and y^T b = 1, when the rows conflict.
@@ -237,17 +294,10 @@ class AffineSystem:
     # -- float views -----------------------------------------------------------
 
     def float_data(self):
-        if self._float_cache is None:
-            A = np.array([[float(v) for v in row] for row in self.A_ind]) if self.A_ind else np.zeros((0, self.nvars))
-            b = np.array([float(v) for v in self.b_ind]) if self.A_ind else np.zeros(0)
-            N = (
-                np.array([[float(v) for v in row] for row in self.N])
-                if self.N is not None
-                else np.zeros((0, 0))
-            )
-            winv = np.array([float(v) for v in self._winv])
-            self._float_cache = (A, b, N, winv)
-        return self._float_cache
+        A, N, winv = self.operator.float_data()
+        if self._b_float is None:
+            self._b_float = np.array([float(v) for v in self.b_ind])
+        return A, self._b_float, N, winv
 
     def project_float(self, g):
         A, b, N, winv = self.float_data()
@@ -294,14 +344,15 @@ class SdpProblem:
         if faces is None:
             self.faces = [None] * len(skeleton.bases)
             self.layout = skeleton.layout
-            rows = skeleton.rows
+            self.system = AffineSystem(skeleton.rows, rhs, self.layout.weights,
+                                       skeleton.operator)
         else:
             self.faces = list(faces)
             self.layout = VariableLayout(
                 [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)],
                 complex_blocks=True)
             rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
-        self.system = AffineSystem(rows, rhs, self.layout.weights)
+            self.system = AffineSystem(rows, rhs, self.layout.weights)
 
     def gram_blocks_exact(self, g):
         return [
@@ -371,7 +422,8 @@ def _coordinates(G, b: int, layout: VariableLayout):
 
 
 class GramSkeleton:
-    """Target-independent part: bases, normal forms and the constraint matrix."""
+    """Target-independent part: bases, normal forms, the constraint matrix and,
+    from the first unreduced target on, the AffineOperator of its rows."""
 
     def __init__(self, algebra: LieAlgebra, generators, degree: int):
         if degree % 2 != 0 or degree < 0:
@@ -439,6 +491,11 @@ class GramSkeleton:
                     row_im[col] = s.im
             self.rows.append(row_re)
             self.rows.append(row_im)
+
+    @functools.cached_property
+    def operator(self) -> AffineOperator:
+        """The AffineOperator of the unreduced rows, built for the first unreduced target."""
+        return AffineOperator(self.rows, self.layout.weights)
 
     def problem_for(self, target: AlgebraElement, faces=None) -> SdpProblem:
         if target.algebra != self.algebra:

@@ -121,3 +121,21 @@ def commutative_product(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElemen
             m = tuple(a + b for a, b in zip(m1, m2))
             out[m] = out.get(m, Scalar(0)) + s1 * s2
     return AlgebraElement(e1.algebra, out)
+
+
+def planted_gram_vector(layout, rng: random.Random):
+    """Exact coordinates of positive definite blocks: n on the diagonal of a
+    size-n block, off-diagonal parts in [-1/2, 1/2] (diagonally dominant)."""
+    g = [Fraction(0)] * layout.nvars
+    for (b, p, q, _), col in layout.index.items():
+        g[col] = Fraction(layout.block_sizes[b]) if p == q else Fraction(rng.randint(-2, 2), 4)
+    return g
+
+
+def planted_target(skeleton, rng: random.Random) -> AlgebraElement:
+    """A target with a positive definite Gram on the skeleton: its rows applied to one."""
+    g = planted_gram_vector(skeleton.layout, rng)
+    values = [sum(x * y for x, y in zip(row, g) if x) for row in skeleton.rows]
+    return AlgebraElement(skeleton.algebra, {
+        mono: Scalar(re, im)
+        for mono, re, im in zip(skeleton.row_monomials, values[::2], values[1::2])})

@@ -14,7 +14,7 @@ from envsos.auditor import (
 from envsos.exactla import EchelonAccumulator, cmat_mul
 from envsos.exprs import parse
 from envsos.lie import builtin
-from envsos.reps import direct_sum, make_point_rep, make_spin_rep
+from envsos.reps import FiniteDimRep, direct_sum, make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
 
 ALL = ["su2", "abelian(3)", "heisenberg3", "affine_line", "sl2r"]
@@ -147,3 +147,22 @@ def test_ideal_span_on_spins_one_and_two_is_built_from_bases(monkeypatch):
     assert span.acc.rank == 68  # the rank of the full u*g*v enumeration
     # the 33 x 8 x 33 two-sided products alone would be 8712 inserts
     assert len(calls) <= 1000
+
+
+def test_r_relations_read_the_stored_adjoints(monkeypatch):
+    # the context checks adjoint(left[k][l]) == right[l][k] once per pair; the
+    # audit reads right[l][k] and recomputes no adjoint
+    calls = []
+    adjoint = FiniteDimRep.adjoint
+
+    def counting_adjoint(self, M):
+        calls.append(len(M))
+        return adjoint(self, M)
+
+    monkeypatch.setattr(FiniteDimRep, "adjoint", counting_adjoint)
+    ctx = OperatorAlgebraContext(_spin_sum(Fraction(1, 2), 1))
+    pairs = (ctx.algebra.dim + 1) ** 2
+    assert len(calls) == pairs
+    report = audit_r_relations(ctx)
+    assert all(entry["status"] == "pass" for entry in report.values())
+    assert len(calls) == pairs

@@ -14,12 +14,15 @@ from envsos.exactla import (
     nullspace,
     rref,
 )
-from envsos.gram import AffineSystem
+from envsos.driver import window_members
+from envsos.gram import AffineSystem, CommGramProblem, GramSkeleton
+from envsos.lie import builtin
+from envsos.pbw import AlgebraElement, canonical_a
 from envsos.poly import CommutativePoly
 from envsos.scalar import Scalar
-from envsos.sos import commutative_sos
+from envsos.sos import commutative_sos, forced_face_vectors, sample_sign_information
 
-from oracles import psd_by_char_poly
+from oracles import planted_gram_vector, psd_by_char_poly
 
 
 def rand_frac(rng, lo=-4, hi=4):
@@ -64,6 +67,99 @@ def test_exact_linear_infeasibility():
     dual = report.to_json_dict()["numeric"]["dual"]
     assert dual["kind"] == "exact-linear"
     assert dual["combination"] == ["1", "0"]
+
+
+def _per_target_reference(rows, rhs, weights):
+    """The construction the shared operator replaced, rebuilt for every rhs:
+    greedy selection on [A | b], a dense A W^-1 A^T and its exact inverse."""
+    nvars = len(weights)
+    rhs = [Fraction(v) for v in rhs]
+    acc = EchelonAccumulator(nvars + 1)
+    independent = [i for i, row in enumerate(rows) if acc.insert(list(row) + [rhs[i]])]
+    winv = [1 / Fraction(w) for w in weights]
+    A = [rows[i] for i in independent]
+    gram = [[sum(ra[j] * rb[j] * winv[j] for j in range(nvars) if ra[j] and rb[j]) for rb in A]
+            for ra in A]
+    try:
+        N = invert_exact(gram) if A else None
+    except ValueError:
+        return independent, None, True, None
+    b = [rhs[i] for i in independent]
+
+    def project(g):
+        if not A:
+            return list(g)
+        r = [sum(row[j] * g[j] for j in range(nvars) if row[j]) - bi for row, bi in zip(A, b)]
+        lam = [sum(N[i][j] * r[j] for j in range(len(r)) if r[j]) for i in range(len(r))]
+        out = list(g)
+        for i, row in enumerate(A):
+            for j in range(nvars):
+                if row[j] and lam[i]:
+                    out[j] -= winv[j] * row[j] * lam[i]
+        return out
+
+    return independent, N, False, project
+
+
+def _consistent_rhs(rows, rng, layout):
+    g = planted_gram_vector(layout, rng)
+    return [sum(x * y for x, y in zip(row, g) if x) for row in rows]
+
+
+def _assert_matches_reference(system, rows, rhs, weights, rng):
+    independent, N, degenerate, project = _per_target_reference(rows, rhs, weights)
+    assert system.degenerate == degenerate
+    if degenerate:
+        # [A | b] selects one row more than A alone: the one whose rhs conflicts
+        assert set(system.independent) < set(independent)
+        assert len(independent) == len(system.independent) + 1
+        return
+    assert system.independent == independent
+    assert system.operator.N == N
+    point = [rand_frac(rng) for _ in weights]
+    assert system.project_exact(point) == project(point)
+
+
+def test_shared_operator_matches_per_target_construction():
+    rng = random.Random(83)
+    su2 = builtin("su2")
+    unit = AlgebraElement.unit(su2)
+    f = [unit, unit.scale(2) + AlgebraElement.monomial(su2, (1, 0, 0), Scalar(0, 1))]
+    skeleton = GramSkeleton(su2, f, 4)
+    weights = skeleton.layout.weights
+    for _ in range(3):
+        rhs = _consistent_rhs(skeleton.rows, rng, skeleton.layout)
+        system = AffineSystem(skeleton.rows, rhs, weights, skeleton.operator)
+        _assert_matches_reference(system, skeleton.rows, rhs, weights, rng)
+        # a conflicting rhs on a row that the others determine, and on a selected row
+        for i in (skeleton.operator.dependent[-1], skeleton.operator.independent[-1]):
+            bad = list(rhs)
+            bad[i] += Fraction(1, 3)
+            conflict = AffineSystem(skeleton.rows, bad, weights, skeleton.operator)
+            _assert_matches_reference(conflict, skeleton.rows, bad, weights, rng)
+    assert len(skeleton.operator.independent) == 35
+
+
+def test_faced_and_commutative_operators_match_per_target_construction():
+    rng = random.Random(84)
+    su2 = builtin("su2")
+    unit = AlgebraElement.unit(su2)
+    a = canonical_a(su2)
+    margin = a * a - unit
+    skeleton = GramSkeleton(su2, [unit], 4)
+    members = window_members(su2, [unit], Fraction(3)).values()
+    forced, = forced_face_vectors(margin, [unit], skeleton.bases, members)
+    faced = skeleton.problem_for(margin, [nullspace(forced, len(skeleton.bases[0]))])
+    form = CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
+    _, zeros = sample_sign_information(form)
+    comm = CommGramProblem(form, kernel_points=zeros, level=1)
+    for problem in (faced, comm):
+        system, weights = problem.system, problem.layout.weights
+        _assert_matches_reference(system, system.rows, system.rhs, weights, rng)
+        bad = list(system.rhs)
+        bad[system.operator.dependent[0]] += 1
+        conflict = AffineSystem(system.rows, bad, weights)
+        _assert_matches_reference(conflict, system.rows, bad, weights, rng)
 
 
 def test_invert_exact_roundtrip():

@@ -1,11 +1,13 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envsos import certs, lie
+from envsos import certs, exactla, gram, lie
 from envsos.certs import (
     CommutativeSosCertificate,
     WeightedSosCertificate,
@@ -16,14 +18,31 @@ from envsos.certs import (
 )
 from envsos.errors import CertificateFormatError, NotHermitean, OddDegreeTarget
 from envsos.exactla import ldl_hermitian
-from envsos.gram import GramSkeleton, build_gram_problem, monomials_of_degree, monomials_up_to
+from envsos.driver import window_members
+from envsos.exactla import nullspace
+from envsos.gram import (
+    CommGramProblem,
+    GramSkeleton,
+    VariableLayout,
+    build_gram_problem,
+    monomials_of_degree,
+    monomials_up_to,
+)
 from envsos.lie import builtin
-from envsos.numeric import SolveOptions
+from envsos.numeric import SolveOptions, solve_feasibility
 from envsos.pbw import AlgebraElement, canonical_a, conjugate_by
 from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.exprs import parse
 from envsos.scalar import Scalar
-from envsos.sos import _sample_points, commutative_sos, find_certificate, sample_sign_information
+from envsos.sos import (
+    _sample_points,
+    commutative_sos,
+    find_certificate,
+    forced_face_vectors,
+    sample_sign_information,
+)
+
+from oracles import planted_target
 
 
 MOTZKIN = CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
@@ -290,6 +309,144 @@ def test_each_block_factored_once_per_stage(su2, monkeypatch):
     assert calls == [4]  # loading decides nothing
     assert verify_certificate_json(data)
     assert calls == [4, 4]  # re-verification factors from scratch
+
+
+def _planted_skeleton(su2):
+    """su(2) with generators 1 and 2 + i x1 at D = 4."""
+    unit = AlgebraElement.unit(su2)
+    f = [unit, unit.scale(2) + AlgebraElement.monomial(su2, (1, 0, 0), Scalar(0, 1))]
+    return f, GramSkeleton(su2, f, 4)
+
+
+def test_planted_targets_share_one_affine_operator(su2, monkeypatch):
+    inverses, accumulators = [], []
+
+    def counting_invert(M):
+        inverses.append(len(M))
+        return exactla.invert_exact(M)
+
+    class CountingAccumulator(exactla.EchelonAccumulator):
+        def __init__(self, ncols):
+            accumulators.append(ncols)
+            super().__init__(ncols)
+
+    monkeypatch.setattr(gram, "invert_exact", counting_invert)
+    monkeypatch.setattr(gram, "EchelonAccumulator", CountingAccumulator)
+    f, skeleton = _planted_skeleton(su2)
+    rows = [list(row) for row in skeleton.rows]
+    rng = random.Random(85)
+    for _ in range(40):
+        report = find_certificate(planted_target(skeleton, rng), f, 4, skeleton=skeleton)
+        assert report.status == "certificate"
+    # one row selection and one N for the unreduced rows, whatever the target
+    assert inverses == [35]
+    assert accumulators == [skeleton.layout.nvars]
+    assert skeleton.rows == rows
+
+
+def _embed_reference(layout, g):
+    """embed_float as one loop over the layout's index, the way it was first written."""
+    mats = []
+    for b, n in enumerate(layout.block_sizes):
+        U, V = np.zeros((n, n)), np.zeros((n, n))
+        for p in range(n):
+            U[p, p] = g[layout.index[(b, p, p, "re")]]
+            for q in range(p + 1, n):
+                U[p, q] = U[q, p] = g[layout.index[(b, p, q, "re")]]
+                if layout.complex_blocks:
+                    V[p, q] = -g[layout.index[(b, p, q, "im")]]
+                    V[q, p] = g[layout.index[(b, p, q, "im")]]
+        mats.append(np.block([[U, -V], [V, U]]) if layout.complex_blocks else U)
+    return mats
+
+
+def _unembed_reference(layout, mats):
+    g = np.zeros(layout.nvars)
+    for b, n in enumerate(layout.block_sizes):
+        M = mats[b]
+        if layout.complex_blocks:
+            U = 0.5 * (M[:n, :n] + M[n:, n:])
+            V = 0.5 * (M[n:, :n] - M[:n, n:])
+            U, V = 0.5 * (U + U.T), 0.5 * (V - V.T)
+        else:
+            U, V = 0.5 * (M + M.T), None
+        for p in range(n):
+            g[layout.index[(b, p, p, "re")]] = U[p, p]
+            for q in range(p + 1, n):
+                g[layout.index[(b, p, q, "re")]] = U[p, q]
+                if V is not None:
+                    g[layout.index[(b, p, q, "im")]] = V[q, p]
+    return g
+
+
+@pytest.mark.parametrize("complex_blocks", [True, False])
+def test_float_embedding_matches_the_loop_reference(complex_blocks):
+    rng = np.random.default_rng(86)
+    layout = VariableLayout([4, 1, 0, 3], complex_blocks)
+    g = rng.standard_normal(layout.nvars)
+    mats = layout.embed_float(g)
+    for M, R in zip(mats, _embed_reference(layout, g)):
+        assert M.shape == R.shape and np.array_equal(M, R)
+    noisy = [M + rng.standard_normal(M.shape) for M in mats]
+    assert np.array_equal(layout.unembed_float(noisy), _unembed_reference(layout, noisy))
+
+
+def _iterate_digest(problem, opts=None):
+    outcome = solve_feasibility(problem, opts)
+    return outcome.status, outcome.iterations, hashlib.sha256(outcome.g.tobytes()).hexdigest()[:16]
+
+
+# (status, iterations, sha256 of the final iterate's bytes, first 16 hex digits)
+RECORDED_DIGESTS = {
+    "planted": ("candidate", 26, "cf95744126ec9e5c"),
+    "margin face": ("candidate", 17, "2ee464a7f3c86843"),
+    "robinson level 1": ("candidate", 1, "f012391f59815dad"),
+    "margin, 400 iterations": ("inconclusive", 400, "1815d7d16e51dbba"),
+}
+
+
+def _numeric_digests(su2):
+    f, skeleton = _planted_skeleton(su2)
+    # len(basis) + 2 random squares z^* f_l z per block: an interior point, but
+    # not a diagonally dominant one, so the search takes a few dozen steps
+    rng = random.Random(8)
+    target = AlgebraElement.zero(su2)
+    for basis, gen in zip(skeleton.bases, f):
+        for _ in range(len(basis) + 2):
+            z = AlgebraElement(su2, {w: Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
+                                     for w in basis})
+            target = target + z.star() * gen * z
+    planted = skeleton.problem_for(target)
+    unit = AlgebraElement.unit(su2)
+    a = canonical_a(su2)
+    margin = a * a - unit
+    margin_skeleton = GramSkeleton(su2, [unit], 4)
+    members = window_members(su2, [unit], Fraction(3)).values()
+    forced, = forced_face_vectors(margin, [unit], margin_skeleton.bases, members)
+    face = margin_skeleton.problem_for(margin, [nullspace(forced, len(margin_skeleton.bases[0]))])
+    robinson = CommutativePoly(3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1,
+                                   (2, 4, 0): -1, (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1,
+                                   (0, 2, 4): -1, (2, 2, 2): 3})
+    _, zeros = sample_sign_information(robinson)
+    level_one = CommGramProblem(robinson, kernel_points=zeros, level=1)
+    return {
+        "planted": _iterate_digest(planted),
+        "margin face": _iterate_digest(face),
+        "robinson level 1": _iterate_digest(level_one),
+        # the unreduced margin problem has no interior: 400 iterations of real work
+        "margin, 400 iterations": _iterate_digest(margin_skeleton.problem_for(margin),
+                                                  SolveOptions(max_iters=400)),
+    }
+
+
+def test_numeric_iterates_match_recorded_values(su2):
+    """Every numeric iterate is bit-identical to the loop-based float embedding.
+
+    The digests were recorded with the loop implementation (Python 3.11,
+    numpy 2.4.6 with OpenBLAS, x86-64); another LAPACK build may round
+    eigh differently and need them recorded afresh.
+    """
+    assert _numeric_digests(su2) == RECORDED_DIGESTS
 
 
 # t1^4 + t2^4 on (t1^2, t1 t2, t2^2): for every lam the Gram re-expands exactly,
