@@ -11,7 +11,9 @@ invert_exact are built on it, and callers that only need span membership use
 it directly.  It takes Fraction or Scalar entries (ints are read as
 Fractions), and results keep the entry type of the input.  The exact LDL^*
 decision for Hermitian matrices is separate: it is a symmetric factorization,
-not row reduction.
+not row reduction, and keeps one record per elimination step (pivot index,
+real pivot, multiplier column).  It trusts its input to be exactly Hermitian;
+its callers guarantee that (see ldl_hermitian).
 """
 
 from __future__ import annotations
@@ -205,93 +207,77 @@ class LdlResult:
 def ldl_hermitian(M) -> LdlResult:
     """Exact LDL^* with diagonal pivoting and the zero-pivot column rule.
 
-    Pivots are chosen as the largest remaining diagonal entry.  A zero pivot
-    whose row is not identically zero certifies indefiniteness, as does any
-    negative diagonal entry of the Schur complement.
+    M must be exactly Hermitian; only its diagonal is checked.  Each Schur
+    entry is computed once, in the upper triangle, and mirrored as its
+    conjugate.  Callers guarantee the precondition: certs._block_factors runs
+    cmat_is_hermitian first, and FiniteDimRep.is_positive factors S * pi(e)
+    for a hermitean e, which the representation's exact skew-adjointness
+    check makes Hermitian.
+
+    Each step is recorded once as (pivot index, real pivot, multiplier column
+    by original row); perm, diag, lower and the witness lift read these
+    records.  The pivot is the largest remaining diagonal entry.  A zero pivot
+    with a zero column is a step with an empty column; a zero pivot with a
+    nonzero column certifies indefiniteness, as does a negative pivot.
     """
     n = len(M)
-    A = [[M[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if not A[i][i].is_real():
-            raise ValueError("matrix is not Hermitian: complex diagonal")
-    perm: list[int] = []  # perm[k] = original index processed at step k
+    A = [list(row) for row in M]
+    if not all(A[i][i].is_real() for i in range(n)):
+        raise ValueError("matrix is not Hermitian: complex diagonal")
     active = list(range(n))
-    diag: list[Fraction] = []
-    # lower_cols[k] holds the multiplier column at step k, indexed by original row
-    lower_cols: list[dict] = []
+    steps: list[tuple[int, Fraction, dict]] = []
 
-    def negative_witness(step_vectors, vec_in_current):
-        """Undo the elimination steps to express the witness in original frame."""
-        # vec_in_current: {original_index: Scalar} in the current Schur frame.
-        v = dict(vec_in_current)
-        for col, pivot_idx in reversed(step_vectors):
-            # elimination replaced rows r by r - L[r]*pivot_row; the quadratic
-            # form witness lifts by subtracting L^* components on the pivot.
+    def indefinite(vec, value):
+        """Lift a current-frame vector of value v^* A v < 0 to the original frame.
+
+        Each step replaced row r by r - L_r * (pivot row); subtracting L^* v
+        on the pivot coordinate undoes it and keeps the value.
+        """
+        v = dict(vec)
+        for pivot, _, col in reversed(steps):
             correction = Scalar(0)
             for r, lv in col.items():
                 if r in v:
                     correction = correction + lv.conj() * v[r]
             if correction:
-                v[pivot_idx] = v.get(pivot_idx, Scalar(0)) - correction
-        out = [Scalar(0)] * n
-        for idx, val in v.items():
-            out[idx] = val
-        return out
+                v[pivot] = v.get(pivot, Scalar(0)) - correction
+        return LdlResult(False, witness=[v.get(i, Scalar(0)) for i in range(n)],
+                         witness_value=value)
 
-    steps = []  # (multiplier column dict, pivot original index)
     while active:
-        # diagonal pivoting: take the largest remaining diagonal entry
         pivot = max(active, key=lambda r: A[r][r].re)
-        piv_val = A[pivot][pivot].re
-        if piv_val < 0:
-            w = negative_witness(steps, {pivot: Scalar(1)})
-            return LdlResult(False, witness=w, witness_value=piv_val)
-        if piv_val == 0:
-            for r in active:
-                if r != pivot and A[r][pivot]:
-                    # 2x2 block [[0, m*],[m, A_rr]] is indefinite:
-                    # phi = e_r + t*conj(m)*e_pivot with m = A[r][pivot] gives
-                    # value A_rr + 2t|m|^2; pick t so the value is -1.
-                    m = A[r][pivot]
-                    norm = (m * m.conj()).re
-                    t = (-1 - A[r][r].re) / (2 * norm)
-                    vec = {r: Scalar(1), pivot: Scalar(t) * m.conj()}
-                    value = A[r][r].re + 2 * t * norm
-                    w = negative_witness(steps, vec)
-                    return LdlResult(False, witness=w, witness_value=value)
-            active.remove(pivot)
-            perm.append(pivot)
-            diag.append(Fraction(0))
-            lower_cols.append({})
-            continue
+        piv = A[pivot][pivot].re
         active.remove(pivot)
-        perm.append(pivot)
-        col = {}
-        for r in active:
-            if A[r][pivot]:
-                col[r] = A[r][pivot] / Scalar(piv_val)
-        # Schur update: A_rs -= L_r * piv * conj(L_s)
-        for r in active:
-            lr = col.get(r)
-            if lr is None:
-                continue
-            for s in active:
-                ls = col.get(s)
-                if ls is None:
-                    continue
-                A[r][s] = A[r][s] - lr * Scalar(piv_val) * ls.conj()
-        diag.append(piv_val)
-        lower_cols.append(col)
-        steps.append((col, pivot))
+        if piv < 0:
+            return indefinite({pivot: Scalar(1)}, piv)
+        rows = [r for r in active if A[r][pivot]]
+        if piv == 0 and rows:
+            # 2x2 block [[0, m*],[m, A_rr]] is indefinite: phi = e_r +
+            # t*conj(m)*e_pivot with m = A[r][pivot] has value A_rr + 2t|m|^2;
+            # pick t so the value is -1.
+            r = rows[0]
+            m = A[r][pivot]
+            norm = (m * m.conj()).re
+            t = (-1 - A[r][r].re) / (2 * norm)
+            return indefinite({r: Scalar(1), pivot: Scalar(t) * m.conj()},
+                              A[r][r].re + 2 * t * norm)
+        col = {r: Scalar(A[r][pivot].re / piv, A[r][pivot].im / piv) for r in rows}
+        steps.append((pivot, piv, col))
+        # Schur update A_rs -= L_r * piv * conj(L_s) = A_r,pivot * conj(L_s)
+        for i, r in enumerate(rows):
+            Ar, a = A[r], A[r][pivot]
+            for s in rows[i:]:
+                x = Ar[s] - a * col[s].conj()
+                Ar[s] = x
+                A[s][r] = x.conj()
 
-    # assemble L in the permuted frame for the stored factorization
+    perm = [pivot for pivot, _, _ in steps]
     order = {orig: k for k, orig in enumerate(perm)}
     L = cmat_identity(n)
-    for k, col in enumerate(lower_cols):
-        for orig, val in col.items():
-            if order[orig] > k:
-                L[order[orig]][k] = val
-    return LdlResult(True, perm=perm, diag=diag, lower=L)
+    for k, (_, _, col) in enumerate(steps):
+        for r, val in col.items():
+            L[order[r]][k] = val
+    return LdlResult(True, perm=perm, diag=[piv for _, piv, _ in steps], lower=L)
 
 
 def hermitian_form(M, v):

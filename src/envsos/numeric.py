@@ -16,25 +16,24 @@ from __future__ import annotations
 import numpy as np
 
 
+INFEAS_TOL = 1e-3  # normalized dual value below -INFEAS_TOL counts as evidence
+PSD_FLOOR = 1e-4  # initial eigenvalue floor of the PSD projection, decays each step
+STALL_WINDOW = 200  # iterations whose gaps must agree before a stall is declared
+BLOCK_CAP = 60  # largest Gram block the dense eigendecompositions accept
+
+
 class SolveOptions:
-    """Knobs of the numeric search.
+    """Settable values of the numeric search.
 
     The search itself is deterministic; `seed` drives only the random
     directions of the exact sign sampler (sos.sample_sign_information) that
     the commutative mode and the symbol check run before any solver work.
     """
 
-    def __init__(self, tol: float = 1e-9, max_iters: int = 20000,
-                 infeas_tol: float = 1e-3, seed: int = 0,
-                 psd_floor: float = 1e-4, stall_window: int = 200,
-                 block_cap: int = 60):
+    def __init__(self, tol: float = 1e-9, max_iters: int = 20000, seed: int = 0):
         self.tol = tol
         self.max_iters = max_iters
-        self.infeas_tol = infeas_tol
         self.seed = seed
-        self.psd_floor = psd_floor
-        self.stall_window = stall_window
-        self.block_cap = block_cap
 
 
 class NumericOutcome:
@@ -90,9 +89,9 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
     opts = opts or SolveOptions()
     system = problem.system
     layout = problem.layout
-    if layout.block_sizes and max(layout.block_sizes) > opts.block_cap:
+    if layout.block_sizes and max(layout.block_sizes) > BLOCK_CAP:
         raise ValueError(
-            f"a Gram block of size {max(layout.block_sizes)} exceeds the cap {opts.block_cap}"
+            f"a Gram block of size {max(layout.block_sizes)} exceeds the cap {BLOCK_CAP}"
         )
 
     # exact linear infeasibility needs no numerics at all
@@ -113,9 +112,11 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
 
     g = system.min_norm_point_float()
 
-    floor = opts.psd_floor
+    floor = PSD_FLOOR
     gap_history = []
     g_psd = g
+    it = 0
+    stalled = False
     for it in range(1, opts.max_iters + 1):
         mats = layout.embed_float(g)
         mats_psd, _ = _project_psd(mats, floor)
@@ -132,28 +133,29 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
                 return NumericOutcome("candidate", g=g_psd, residual=residual,
                                       min_eig=min_eig, iterations=it)
         # stall detection for infeasible instances
-        w = opts.stall_window
-        if it > 2 * w and gap > 100 * opts.tol:
-            recent = gap_history[-w:]
+        if it > 2 * STALL_WINDOW and gap > 100 * opts.tol:
+            recent = gap_history[-STALL_WINDOW:]
             if max(recent) - min(recent) < 1e-4 * max(gap, 1e-12):
-                outcome = _dual_evidence(system, layout, g_aff, g_psd, opts, it)
+                outcome = _dual_evidence(system, layout, g_aff, g_psd, it)
                 if outcome is not None:
                     return outcome
+                stalled = True
                 break
 
     residual = system.residual_float(g_psd)
     _, min_eig = _project_psd(layout.embed_float(g_psd), 0.0)
     if residual <= opts.tol and min_eig >= -opts.tol:
         return NumericOutcome("candidate", g=g_psd, residual=residual,
-                              min_eig=min_eig, iterations=opts.max_iters)
-    outcome = _dual_evidence(system, layout, g, g_psd, opts, opts.max_iters)
+                              min_eig=min_eig, iterations=it)
+    # a stall has already tried these vectors for dual evidence
+    outcome = None if stalled else _dual_evidence(system, layout, g, g_psd, it)
     if outcome is not None:
         return outcome
     return NumericOutcome("inconclusive", g=g_psd, residual=residual,
-                          min_eig=min_eig, iterations=opts.max_iters)
+                          min_eig=min_eig, iterations=it)
 
 
-def _dual_evidence(system, layout, g_aff, g_psd, opts, iterations):
+def _dual_evidence(system, layout, g_aff, g_psd, iterations):
     """Build the separating functional from the stalled gap vector."""
     A, b, N, winv = system.float_data()
     if A.shape[0] == 0:
@@ -171,7 +173,7 @@ def _dual_evidence(system, layout, g_aff, g_psd, opts, iterations):
     )
     # every affine-feasible PSD point X would give 0 <= <S, X> = b.y < 0
     dual_value = float(b @ y) / norm
-    if dual_value < -opts.infeas_tol and min_eig_S / norm >= -1e-7:
+    if dual_value < -INFEAS_TOL and min_eig_S / norm >= -1e-7:
         return NumericOutcome(
             "infeasible-evidence",
             residual=float(np.linalg.norm(gap)),

@@ -24,7 +24,6 @@ from .exactla import (
     cmat_scale,
     cmat_sub,
     cmat_zero,
-    hermitian_form,
     ldl_hermitian,
 )
 from .lie import LieAlgebra, builtin
@@ -133,15 +132,18 @@ class FiniteDimRep:
         return self._metric_weighted(self.evaluate(e))
 
     def is_positive(self, e: AlgebraElement) -> "PositivityVerdict":
-        """Decide <dU(e) phi, phi> >= 0 for all phi, with an exact witness."""
+        """Decide <dU(e) phi, phi> >= 0 for all phi, with an exact witness.
+
+        H = S * pi(e) is exactly Hermitian (e is hermitean and every generator
+        image is skew-adjoint for S), so the factorization's witness_value is
+        exactly <dU(e) phi, phi> = phi^* H phi at its witness phi.
+        """
         if not e.is_hermitean():
             raise NotHermitean("positivity is only defined for hermitean elements")
-        H = self.weighted_matrix(e)
-        ldl = ldl_hermitian(H)
+        ldl = ldl_hermitian(self.weighted_matrix(e))
         if ldl.psd:
             return PositivityVerdict(True, ldl=ldl)
-        value = hermitian_form(H, ldl.witness)
-        return PositivityVerdict(False, witness=ldl.witness, witness_value=value.re, ldl=ldl)
+        return PositivityVerdict(False, witness=ldl.witness, witness_value=ldl.witness_value, ldl=ldl)
 
     def __repr__(self):
         return f"FiniteDimRep({self.label or 'unnamed'}, N={self.dim_rep})"

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they test: word straightening uses a
 leftmost-descent rewriting on explicit words (the package peels the rightmost
 generator), and the PSD oracle goes through characteristic polynomial
-coefficient signs instead of LDL.
+coefficient signs instead of LDL.  reference_ldl_hermitian is a frozen copy of
+an earlier LDL^* implementation, the reference for differential tests.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from envsos.exactla import LdlResult, cmat_identity
 from envsos.lie import LieAlgebra
 from envsos.pbw import AlgebraElement
 from envsos.scalar import Scalar
@@ -139,3 +141,100 @@ def planted_target(skeleton, rng: random.Random) -> AlgebraElement:
     return AlgebraElement(skeleton.algebra, {
         mono: Scalar(re, im)
         for mono, re, im in zip(skeleton.row_monomials, values[::2], values[1::2])})
+
+
+def reference_ldl_hermitian(M) -> LdlResult:
+    """Frozen copy of the earlier exact LDL^*, kept as a differential reference.
+
+    It keeps a multiplier dict per step, a separate (column, pivot) log for
+    the witness lift and updates the full Schur complement square; the
+    package's ldl_hermitian must return the same perm, diag, lower, witness
+    and witness_value on exactly Hermitian input.
+
+    Pivots are chosen as the largest remaining diagonal entry.  A zero pivot
+    whose row is not identically zero certifies indefiniteness, as does any
+    negative diagonal entry of the Schur complement.
+    """
+    n = len(M)
+    A = [[M[i][j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if not A[i][i].is_real():
+            raise ValueError("matrix is not Hermitian: complex diagonal")
+    perm: list[int] = []  # perm[k] = original index processed at step k
+    active = list(range(n))
+    diag: list[Fraction] = []
+    # lower_cols[k] holds the multiplier column at step k, indexed by original row
+    lower_cols: list[dict] = []
+
+    def negative_witness(step_vectors, vec_in_current):
+        """Undo the elimination steps to express the witness in original frame."""
+        # vec_in_current: {original_index: Scalar} in the current Schur frame.
+        v = dict(vec_in_current)
+        for col, pivot_idx in reversed(step_vectors):
+            # elimination replaced rows r by r - L[r]*pivot_row; the quadratic
+            # form witness lifts by subtracting L^* components on the pivot.
+            correction = Scalar(0)
+            for r, lv in col.items():
+                if r in v:
+                    correction = correction + lv.conj() * v[r]
+            if correction:
+                v[pivot_idx] = v.get(pivot_idx, Scalar(0)) - correction
+        out = [Scalar(0)] * n
+        for idx, val in v.items():
+            out[idx] = val
+        return out
+
+    steps = []  # (multiplier column dict, pivot original index)
+    while active:
+        # diagonal pivoting: take the largest remaining diagonal entry
+        pivot = max(active, key=lambda r: A[r][r].re)
+        piv_val = A[pivot][pivot].re
+        if piv_val < 0:
+            w = negative_witness(steps, {pivot: Scalar(1)})
+            return LdlResult(False, witness=w, witness_value=piv_val)
+        if piv_val == 0:
+            for r in active:
+                if r != pivot and A[r][pivot]:
+                    # 2x2 block [[0, m*],[m, A_rr]] is indefinite:
+                    # phi = e_r + t*conj(m)*e_pivot with m = A[r][pivot] gives
+                    # value A_rr + 2t|m|^2; pick t so the value is -1.
+                    m = A[r][pivot]
+                    norm = (m * m.conj()).re
+                    t = (-1 - A[r][r].re) / (2 * norm)
+                    vec = {r: Scalar(1), pivot: Scalar(t) * m.conj()}
+                    value = A[r][r].re + 2 * t * norm
+                    w = negative_witness(steps, vec)
+                    return LdlResult(False, witness=w, witness_value=value)
+            active.remove(pivot)
+            perm.append(pivot)
+            diag.append(Fraction(0))
+            lower_cols.append({})
+            continue
+        active.remove(pivot)
+        perm.append(pivot)
+        col = {}
+        for r in active:
+            if A[r][pivot]:
+                col[r] = A[r][pivot] / Scalar(piv_val)
+        # Schur update: A_rs -= L_r * piv * conj(L_s)
+        for r in active:
+            lr = col.get(r)
+            if lr is None:
+                continue
+            for s in active:
+                ls = col.get(s)
+                if ls is None:
+                    continue
+                A[r][s] = A[r][s] - lr * Scalar(piv_val) * ls.conj()
+        diag.append(piv_val)
+        lower_cols.append(col)
+        steps.append((col, pivot))
+
+    # assemble L in the permuted frame for the stored factorization
+    order = {orig: k for k, orig in enumerate(perm)}
+    L = cmat_identity(n)
+    for k, col in enumerate(lower_cols):
+        for orig, val in col.items():
+            if order[orig] > k:
+                L[order[orig]][k] = val
+    return LdlResult(True, perm=perm, diag=diag, lower=L)

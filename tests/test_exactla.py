@@ -8,6 +8,7 @@ from envsos.exactla import (
     EchelonAccumulator,
     cmat_identity,
     cmat_mul,
+    cmat_zero,
     hermitian_form,
     invert_exact,
     ldl_hermitian,
@@ -19,10 +20,11 @@ from envsos.gram import AffineSystem, CommGramProblem, GramSkeleton
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement, canonical_a
 from envsos.poly import CommutativePoly
+from envsos.reps import make_spin_rep
 from envsos.scalar import Scalar
 from envsos.sos import commutative_sos, forced_face_vectors, sample_sign_information
 
-from oracles import planted_gram_vector, psd_by_char_poly
+from oracles import planted_gram_vector, psd_by_char_poly, random_hermitean, reference_ldl_hermitian
 
 
 def rand_frac(rng, lo=-4, hi=4):
@@ -371,3 +373,108 @@ def test_positive_definite_flag():
     sing = [[Scalar(1), Scalar(1)], [Scalar(1), Scalar(1)]]
     res = ldl_hermitian(sing)
     assert res.psd and not res.is_positive_definite()
+
+
+# -- differential check against the frozen earlier LDL^* ------------------------
+
+
+def assert_same_ldl(M):
+    new, ref = ldl_hermitian(M), reference_ldl_hermitian(M)
+    assert (new.psd, new.perm, new.diag, new.lower) == (ref.psd, ref.perm, ref.diag, ref.lower)
+    assert (new.witness, new.witness_value) == (ref.witness, ref.witness_value)
+    if not new.psd:
+        assert new.witness_value == hermitian_form(M, new.witness).re < 0
+    return new
+
+
+def with_schur_complement(rng, m, tail):
+    """[[P, B], [B^*, B^* P^-1 B + tail]]: its Schur complement after P is `tail`.
+
+    P = 50 I + (random PSD) keeps every pivot of P the largest diagonal entry,
+    so P is eliminated first and the factorization then meets `tail` exactly.
+    """
+    k = len(tail)
+    P = random_psd(rng, m)
+    for i in range(m):
+        P[i][i] = P[i][i] + 50
+    B = [[Scalar(rand_frac(rng), rand_frac(rng)) for _ in range(k)] for _ in range(m)]
+    Bh = [[B[i][j].conj() for i in range(m)] for j in range(k)]
+    Z = cmat_mul(cmat_mul(Bh, invert_exact(P)), B)
+    n = m + k
+    M = cmat_zero(n)
+    for i in range(n):
+        for j in range(n):
+            if i < m:
+                M[i][j] = P[i][j] if j < m else B[i][j - m]
+            else:
+                M[i][j] = Bh[i - m][j] if j < m else Z[i - m][j - m] + tail[i - m][j - m]
+    return M
+
+
+def zero_diagonal(M):
+    return [[Scalar(0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
+
+
+def test_ldl_matches_reference_on_positive_definite_and_rank_deficient_psd():
+    rng = random.Random(21)
+    for n in range(1, 7):
+        for _ in range(4):
+            res = assert_same_ldl(random_psd(rng, n))
+            assert res.is_positive_definite()
+            res = assert_same_ldl(random_psd(rng, n, rank=max(1, n - 2)))
+            assert res.psd and res.is_positive_definite() == (n == 1)
+    # a rank-deficient Schur complement: zero pivots after nonzero steps
+    for m, k in ((1, 2), (2, 3), (3, 2)):
+        res = assert_same_ldl(with_schur_complement(rng, m, cmat_zero(k)))
+        assert res.psd and res.diag[m:] == [0] * k
+
+
+def test_ldl_matches_reference_on_negative_schur_pivots():
+    rng = random.Random(22)
+    for m, k in ((1, 1), (2, 2), (3, 3)):
+        for _ in range(4):
+            tail = random_hermitian(rng, k)
+            tail[0][0] = Scalar(-1 - abs(tail[0][0].re))
+            res = assert_same_ldl(with_schur_complement(rng, m, tail))
+            assert not res.psd and res.witness[:m] != [Scalar(0)] * m
+    # random Hermitian matrices with a positive diagonal fail, if at all, at a later pivot
+    for n in range(2, 7):
+        for _ in range(6):
+            M = random_hermitian(rng, n)
+            for i in range(n):
+                M[i][i] = Scalar(1 + abs(M[i][i].re))
+            assert_same_ldl(M)
+
+
+def test_ldl_matches_reference_on_zero_diagonal_with_off_diagonal_entries():
+    rng = random.Random(23)
+    for n in range(2, 7):
+        for _ in range(4):
+            res = assert_same_ldl(zero_diagonal(random_hermitian(rng, n)))
+            assert not res.psd
+    # the zero pivot met inside the Schur complement, lifted through the earlier steps
+    for m, k in ((1, 2), (2, 2), (3, 4)):
+        for _ in range(3):
+            tail = zero_diagonal(random_hermitian(rng, k))
+            tail[0][1] = Scalar(1, 1)
+            tail[1][0] = Scalar(1, -1)
+            res = assert_same_ldl(with_schur_complement(rng, m, tail))
+            # the zero-pivot rule chooses its witness to have value -1
+            assert not res.psd and res.witness_value == -1
+
+
+def test_is_positive_witness_value_is_the_form_at_the_witness():
+    rng = random.Random(24)
+    su2 = builtin("su2")
+    found = 0
+    for l in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+        rep = make_spin_rep(l)
+        for _ in range(6):
+            e = random_hermitean(su2, rng, max_degree=2)
+            verdict = rep.is_positive(e)
+            H = rep.weighted_matrix(e)
+            assert_same_ldl(H)
+            if not verdict:
+                found += 1
+                assert verdict.witness_value == hermitian_form(H, verdict.witness).re < 0
+    assert found > 5

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envsos import certs, exactla, gram, lie
+from envsos import certs, exactla, gram, lie, numeric
 from envsos.certs import (
     CommutativeSosCertificate,
     WeightedSosCertificate,
@@ -447,6 +447,18 @@ def test_numeric_iterates_match_recorded_values(su2):
     eigh differently and need them recorded afresh.
     """
     assert _numeric_digests(su2) == RECORDED_DIGESTS
+
+
+def test_stall_without_dual_evidence_reports_where_the_search_stopped(su2, monkeypatch):
+    """-a has no Gram at D=2: the gap stalls at iteration 401.  With the dual
+    evidence withheld the outcome is inconclusive at that iteration, and the
+    stalled vectors are tried for dual evidence once, not again at the cap."""
+    problem = GramSkeleton(su2, [AlgebraElement.unit(su2)], 2).problem_for(-canonical_a(su2))
+    assert solve_feasibility(problem).status == "infeasible-evidence"
+    calls = []
+    monkeypatch.setattr(numeric, "_dual_evidence", lambda *args: calls.append(args[-1]))
+    outcome = solve_feasibility(problem)
+    assert (outcome.status, outcome.iterations, calls) == ("inconclusive", 401, [401])
 
 
 # t1^4 + t2^4 on (t1^2, t1 t2, t2^2): for every lam the Gram re-expands exactly,
