@@ -11,15 +11,24 @@ with denominator 2^k, project exactly onto the affine constraint subspace,
 take the exact blocks from the problem and gate on the verifier; k escalates
 until success or exhaustion.
 
-The two verifiers differ only in how they re-expand a certificate.  They share
-one block check (square shapes, Hermitian entries, then an exact LDL of every
-block before any re-expansion), which always factors the certificate's
-current Gram blocks.  On success the verifier keeps those fresh factors on
-the in-memory certificate (a strict symbol proof reads them), so each block
-is factored once per stage: once on emission, none on loading, once on
-re-verification.  The JSON form carries no factors: schema version 2 dropped
-the ldl_witness field, which no reader used; version-1 files are still read
-and the field is ignored.
+The two verifiers share one block check (square shapes, Hermitian entries,
+then an exact LDL of every block before any re-expansion), which always
+factors the certificate's current Gram blocks, and one integer re-expansion
+kernel.  The kernel clears each block's Gram entries, and its rows
+NF(w_p^* f_l), to Gaussian integers over one denominator, multiplies by w_q
+through the normal-form straightening (exponent addition for a commutative
+certificate), accumulates [re, im] integer pairs in one dict over one common
+denominator and compares that sum with the target.  A certificate must state
+the algebra, target and generators it is checked against, so the claim the
+JSON form writes is the claim that was checked.  Every call starts from
+nothing: no state is kept between calls but the algebra's straightening memo.
+
+On success the verifier keeps the fresh factors on the in-memory certificate
+(a strict symbol proof reads them), so each block is factored once per
+stage: once on emission, none on loading, once on re-verification.  The JSON
+form carries no factors: schema version 2 dropped the ldl_witness field,
+which no reader used; version-1 files are still read and the field is
+ignored.
 
 Loading is strict: counts, degrees and exponents must be JSON integers
 (nonnegative, not booleans or floats), every exponent list has one entry per
@@ -37,15 +46,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from . import lie
 from .errors import CertificateFormatError
 from .exactla import cmat_is_hermitian, ldl_hermitian
 from .exprs import parse, render
 from .gram import CommGramProblem
-from .pbw import AlgebraElement
+from .pbw import AlgebraElement, _mul_monomials, _mul_terms, _star_monomial
 from .poly import CommutativePoly, squared_norm_poly
-from .scalar import Scalar, format_fraction, format_scalar, parse_scalar
+from .scalar import ONE, Scalar, format_fraction, format_scalar, parse_scalar
 
 SCHEMA_VERSION = 2
 # version 1 also stored an LDL factor per block, which was never read back
@@ -201,17 +212,99 @@ def _block_factors(grams, sizes):
     return factors
 
 
+def _cleared(values):
+    """Gaussian rationals as integer pairs [(re, im), ...] over their least common denominator."""
+    den = lcm(*(x.denominator for s in values for x in (s.re, s.im)))
+    return [(s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
+            for s in values], den
+
+
+def _reexpand(blocks, multiply):
+    """sum_l sum_pq (G_l)_pq row_lp * w_q as integers ({monomial: [re, im]}, den) over one den.
+
+    blocks yields (rows, basis, gram) with row_lp = NF(w_p^* f_l) as {monomial: Scalar};
+    multiply(m, w) is the normal form of x^m x^w as {monomial: rational}.  Each block's
+    Gram entries and rows are cleared to Gaussian integers, each over one denominator;
+    for every w_q the combination sum_p (G_l)_pq row_lp is formed in integers and
+    multiplied out once.  The running sum lives in one dict of [re, im] pairs over den,
+    rescaled in place whenever a new denominator does not divide den.
+    """
+    acc: dict = {}
+    den = 1
+    for rows, basis, gram in blocks:
+        n = len(basis)
+        g, gden = _cleared([s for row in gram for s in row])
+        values, rden = _cleared([s for row in rows for s in row.values()])
+        values = iter(values)
+        cleared_rows = [[(m, next(values)) for m in row] for row in rows]
+        block_den = gden * rden
+        for q, wq in enumerate(basis):
+            combination: dict = {}
+            for p in range(n):
+                a, b = g[p * n + q]
+                if not (a or b):
+                    continue
+                for m, (c, d) in cleared_rows[p]:
+                    re, im = a * c - b * d, a * d + b * c
+                    v = combination.get(m)
+                    if v is None:
+                        combination[m] = [re, im]
+                    else:
+                        v[0] += re
+                        v[1] += im
+            for m, (re, im) in combination.items():
+                if not (re or im):
+                    continue
+                product = multiply(m, wq)
+                pden = lcm(*(x.denominator for x in product.values()))
+                term_den = block_den * pden
+                if den % term_den:
+                    factor = lcm(den, term_den) // den
+                    for v in acc.values():
+                        v[0] *= factor
+                        v[1] *= factor
+                    den *= factor
+                scale = den // term_den
+                for m2, x in product.items():
+                    x = x.numerator * (pden // x.denominator) * scale
+                    v = acc.get(m2)
+                    if v is None:
+                        acc[m2] = [re * x, im * x]
+                    else:
+                        v[0] += re * x
+                        v[1] += im * x
+    return acc, den
+
+
+def _matches(expansion, target_terms) -> bool:
+    """True when the integer expansion (acc, den) equals target_terms ({monomial: Scalar})."""
+    acc, den = expansion
+    values, tden = _cleared(list(target_terms.values()))
+    target = dict(zip(target_terms, values))
+    for m, (re, im) in acc.items():
+        t_re, t_im = target.pop(m, (0, 0))
+        if re * tden != t_re * den or im * tden != t_im * den:
+            return False
+    return not any(re or im for re, im in target.values())
+
+
 def verify_certificate(cert: WeightedSosCertificate, target: AlgebraElement,
                        generators) -> bool:
     """Recompute the certificate's claim from scratch, exactly.
 
-    Independent of how the certificate was produced: every basis monomial must
-    fit the degree window, PSD is re-decided by a fresh LDL and the
-    re-expansion identity is recomputed term by term.  On success the fresh
-    factors are stored as the certificate's ldl_results.
+    Independent of how the certificate was produced: the certificate must
+    state this algebra, target and generators, every basis monomial must fit
+    the degree window, PSD is re-decided by a fresh LDL, and the identity
+    sum_l sum_pq (G_l)_pq w_p^* f_l w_q = target is recomputed by _reexpand in
+    Gaussian integers over one common denominator.  Nothing is kept between
+    calls but the algebra's straightening memo.  On success the fresh factors
+    are stored as the certificate's ldl_results.
     """
     generators = list(generators)
-    if len(cert.bases) != len(generators) or cert.target != target:
+    algebra = target.algebra
+    if (cert.algebra != algebra or cert.generators != generators
+            or any(gen.algebra != algebra for gen in generators)
+            or len(cert.bases) != len(generators) or cert.target != target):
         return False
     for basis, gen in zip(cert.bases, generators):
         if any(2 * sum(w) + (gen.degree() or 0) > cert.degree for w in basis):
@@ -219,15 +312,10 @@ def verify_certificate(cert: WeightedSosCertificate, target: AlgebraElement,
     factors = _block_factors(cert.grams, [len(basis) for basis in cert.bases])
     if factors is None:
         return False
-    algebra = target.algebra
-    total = AlgebraElement.zero(algebra)
-    for basis, gram, gen in zip(cert.bases, cert.grams, generators):
-        for p, wp in enumerate(basis):
-            left = AlgebraElement.monomial(algebra, wp).star() * gen
-            for q, wq in enumerate(basis):
-                if gram[p][q]:
-                    total = total + (left * AlgebraElement.monomial(algebra, wq)).scale(gram[p][q])
-    if total != target:
+    blocks = (([_mul_terms(algebra, _star_monomial(algebra, wp), gen.terms) for wp in basis],
+               basis, gram)
+              for basis, gram, gen in zip(cert.bases, cert.grams, generators))
+    if not _matches(_reexpand(blocks, partial(_mul_monomials, algebra)), target.terms):
         return False
     cert.ldl_results = factors
     return True
@@ -239,8 +327,11 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
 
     The stated level must be a nonnegative integer k with (t_1^2+...+t_d^2)^k
     dividing the target exactly, so the certificate proves what it claims
-    about the form target / (t_1^2+...+t_d^2)^k.  On success the fresh factor
-    is stored as the certificate's ldl.
+    about the form target / (t_1^2+...+t_d^2)^k.  The identity
+    sum_pq G_pq t^(w_p + w_q) = target goes through the same integer kernel
+    as the weighted verifier, with rows t^(w_p) and exponent addition as the
+    product; nothing is kept between calls.  On success the fresh factor is
+    stored as the certificate's ldl.
     """
     if cert.target != target:
         return False
@@ -258,14 +349,9 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
     factors = _block_factors([cert.gram], [len(cert.basis)])
     if factors is None:
         return False
-    out: dict = {}
-    for p, wp in enumerate(cert.basis):
-        for q, wq in enumerate(cert.basis):
-            s = cert.gram[p][q]
-            if s:
-                mono = tuple(a + b for a, b in zip(wp, wq))
-                out[mono] = out.get(mono, Fraction(0)) + s.re
-    if CommutativePoly(target.nvars, out) != target:
+    blocks = [([{tuple(wp): ONE} for wp in cert.basis], cert.basis, cert.gram)]
+    expansion = _reexpand(blocks, lambda m, w: {tuple(a + b for a, b in zip(m, w)): 1})
+    if not _matches(expansion, {m: Scalar(q) for m, q in target.coeffs.items()}):
         return False
     cert.ldl = factors[0]
     return True

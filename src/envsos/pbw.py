@@ -72,10 +72,44 @@ def _mul_monomial_gen(algebra: LieAlgebra, mono: Monomial, g: int) -> dict:
 
 
 def _mul_monomials(algebra: LieAlgebra, left: Monomial, right: Monomial) -> dict:
-    """Normal form of x^left * x^right as {monomial: Fraction}."""
-    acc = {left: Fraction(1)}
+    """Normal form of x^left * x^right as {monomial: Fraction}.
+
+    Read only: after one generator step the result is the memo's own entry.
+    """
+    acc = None
     for g in range(algebra.dim):
         for _ in range(right[g]):
+            if acc is None:
+                acc = _mul_monomial_gen(algebra, left, g)
+                continue
+            nxt: dict = {}
+            for m, q in acc.items():
+                for m2, q2 in _mul_monomial_gen(algebra, m, g).items():
+                    v = q * q2
+                    prev = nxt.get(m2)
+                    nxt[m2] = v if prev is None else prev + v
+            acc = nxt
+    return {left: Fraction(1)} if acc is None else acc
+
+
+def _mul_terms(algebra: LieAlgebra, left: dict, right: dict) -> dict:
+    """Normal form of (sum left) * (sum right) as {monomial: Scalar}, zeros kept."""
+    out: dict = {}
+    for m1, s1 in left.items():
+        for m2, s2 in right.items():
+            s = s1 * s2
+            for m, q in _mul_monomials(algebra, m1, m2).items():
+                v = s * q
+                prev = out.get(m)
+                out[m] = v if prev is None else prev + v
+    return out
+
+
+def _star_monomial(algebra: LieAlgebra, mono: Monomial) -> dict:
+    """Normal form of (x^mono)* = (-1)^deg x_d^kd ... x_1^k1 as {monomial: Fraction}."""
+    acc = {_unit_monomial(algebra.dim): Fraction(-1 if monomial_degree(mono) % 2 else 1)}
+    for g in range(algebra.dim - 1, -1, -1):
+        for _ in range(mono[g]):
             nxt: dict = {}
             for m, q in acc.items():
                 for m2, q2 in _mul_monomial_gen(algebra, m, g).items():
@@ -178,15 +212,7 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_algebra(other)
-        out: dict = {}
-        for m1, s1 in self.terms.items():
-            for m2, s2 in other.terms.items():
-                s = s1 * s2
-                for m, q in _mul_monomials(self.algebra, m1, m2).items():
-                    v = s * q
-                    prev = out.get(m)
-                    out[m] = v if prev is None else prev + v
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, _mul_terms(self.algebra, self.terms, other.terms))
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -204,28 +230,13 @@ class AlgebraElement:
         (x^k1 ... x^kd)* = (-1)^{k1+...+kd} x_d^kd ... x_1^k1, restraightened.
         """
         out: dict = {}
-        algebra = self.algebra
         for m, s in self.terms.items():
-            deg = monomial_degree(m)
             coeff = s.conj()
-            if deg % 2:
-                coeff = -coeff
-            # multiply out the reversed word x_d^kd ... x_1^k1
-            acc = {_unit_monomial(algebra.dim): Fraction(1)}
-            for g in range(algebra.dim - 1, -1, -1):
-                for _ in range(m[g]):
-                    nxt: dict = {}
-                    for mm, q in acc.items():
-                        for m2, q2 in _mul_monomial_gen(algebra, mm, g).items():
-                            v = q * q2
-                            prev = nxt.get(m2)
-                            nxt[m2] = v if prev is None else prev + v
-                    acc = nxt
-            for mm, q in acc.items():
+            for mm, q in _star_monomial(self.algebra, m).items():
                 v = coeff * q
                 prev = out.get(mm)
                 out[mm] = v if prev is None else prev + v
-        return AlgebraElement(algebra, out)
+        return AlgebraElement(self.algebra, out)
 
     def is_hermitean(self) -> bool:
         return self.star() == self

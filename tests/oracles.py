@@ -4,7 +4,10 @@ These deliberately avoid the code paths they test: word straightening uses a
 leftmost-descent rewriting on explicit words (the package peels the rightmost
 generator), and the PSD oracle goes through characteristic polynomial
 coefficient signs instead of LDL.  reference_ldl_hermitian is a frozen copy of
-an earlier LDL^* implementation, the reference for differential tests.
+an earlier LDL^* implementation, and reference_verify_certificate and
+reference_verify_commutative_certificate are frozen copies of the earlier
+verifiers, which re-expanded a certificate term by term in AlgebraElement and
+Fraction arithmetic; they are the references for differential tests.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from envsos.exactla import LdlResult, cmat_identity
+from envsos.exactla import LdlResult, cmat_identity, cmat_is_hermitian, ldl_hermitian
 from envsos.lie import LieAlgebra
 from envsos.pbw import AlgebraElement
+from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.scalar import Scalar
 
 
@@ -238,3 +242,71 @@ def reference_ldl_hermitian(M) -> LdlResult:
             if order[orig] > k:
                 L[order[orig]][k] = val
     return LdlResult(True, perm=perm, diag=diag, lower=L)
+
+
+def _reference_block_factors(grams, sizes):
+    if len(grams) != len(sizes):
+        return None
+    for gram, n in zip(grams, sizes):
+        if len(gram) != n or any(len(row) != n for row in gram):
+            return None
+        if not cmat_is_hermitian(gram):
+            return None
+    factors = []
+    for gram in grams:
+        res = ldl_hermitian(gram)
+        if not res.psd:
+            return None
+        factors.append(res)
+    return factors
+
+
+def reference_expansion(algebra, bases, grams, generators) -> AlgebraElement:
+    """sum_l sum_pq (G_l)_pq w_p^* f_l w_q, one AlgebraElement per term."""
+    total = AlgebraElement.zero(algebra)
+    for basis, gram, gen in zip(bases, grams, generators):
+        for p, wp in enumerate(basis):
+            left = AlgebraElement.monomial(algebra, wp).star() * gen
+            for q, wq in enumerate(basis):
+                if gram[p][q]:
+                    total = total + (left * AlgebraElement.monomial(algebra, wq)).scale(gram[p][q])
+    return total
+
+
+def reference_verify_certificate(cert, target: AlgebraElement, generators) -> bool:
+    """Frozen copy of the earlier weighted verifier; it stores no factors."""
+    generators = list(generators)
+    if len(cert.bases) != len(generators) or cert.target != target:
+        return False
+    for basis, gen in zip(cert.bases, generators):
+        if any(2 * sum(w) + (gen.degree() or 0) > cert.degree for w in basis):
+            return False
+    if _reference_block_factors(cert.grams, [len(basis) for basis in cert.bases]) is None:
+        return False
+    return reference_expansion(target.algebra, cert.bases, cert.grams, generators) == target
+
+
+def reference_verify_commutative_certificate(cert, target: CommutativePoly) -> bool:
+    """Frozen copy of the earlier commutative verifier; it stores no factor."""
+    if cert.target != target:
+        return False
+    level = cert.level
+    if type(level) is not int or level < 0:
+        return False
+    if not target.is_zero() and (
+        2 * level > target.degree()
+        or target.exact_quotient(squared_norm_poly(target.nvars) ** level) is None
+    ):
+        return False
+    if not all(s.is_real() for row in cert.gram for s in row):
+        return False
+    if _reference_block_factors([cert.gram], [len(cert.basis)]) is None:
+        return False
+    out: dict = {}
+    for p, wp in enumerate(cert.basis):
+        for q, wq in enumerate(cert.basis):
+            s = cert.gram[p][q]
+            if s:
+                mono = tuple(a + b for a, b in zip(wp, wq))
+                out[mono] = out.get(mono, Fraction(0)) + s.re
+    return CommutativePoly(target.nvars, out) == target
