@@ -44,7 +44,6 @@ from .reps import (
     is_su2_standard,
     make_point_rep,
     make_spin_rep,
-    rep_to_json_dict,
     scan_dual_window,
     spin_window,
 )

@@ -263,18 +263,19 @@ class IdealSpan:
                     for w in self.right_basis:
                         self._insert(cmat_mul(u, w))
 
-    def contains(self, M, max_level: int = 3) -> bool:
+    def contains(self, M) -> bool:
+        """Membership of M in the span, growing it level by level up to level 3."""
         vec = _vec(M)
         if self.acc.contains(vec):
             return True
-        while self.level < max_level:
+        while self.level < 3:
             self.ensure_level(self.level + 1)
             if self.acc.contains(vec):
                 return True
         return False
 
 
-def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
+def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     """Exact audit of the eight operator relations in the given context.
 
     r1-r4 are matrix equalities (residuals must vanish identically); r5-r8 are
@@ -367,7 +368,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext, max_level: int = 3) -> dict:
     def member(M):
         if cmat_is_zero(M):
             return True
-        return span.contains(M, max_level=max_level)
+        return span.contains(M)
 
     ok5 = True
     for k in range(d + 1):

@@ -14,14 +14,16 @@ until success or exhaustion.
 The two verifiers share one block check (square shapes, Hermitian entries,
 then an exact LDL of every block before any re-expansion), which always
 factors the certificate's current Gram blocks, and one integer re-expansion
-kernel.  The kernel clears each block's Gram entries, and its rows
-NF(w_p^* f_l), to Gaussian integers over one denominator, multiplies by w_q
-through the normal-form straightening (exponent addition for a commutative
-certificate), accumulates [re, im] integer pairs in one dict over one common
-denominator and compares that sum with the target.  A certificate must state
-the algebra, target and generators it is checked against, so the claim the
-JSON form writes is the claim that was checked.  Every call starts from
-nothing: no state is kept between calls but the algebra's straightening memo.
+kernel, both in integers cleared by one helper, exactla.cleared: the LDL
+eliminates fraction-free on the block cleared to Gaussian integers, and the
+kernel clears the block, and its rows NF(w_p^* f_l), to Gaussian integers
+over one denominator each, multiplies by w_q through the normal-form
+straightening (exponent addition for a commutative certificate), accumulates
+[re, im] integer pairs in one dict over one common denominator and compares
+that sum with the target.  A certificate must state the algebra, target and
+generators it is checked against, so the claim the JSON form writes is the
+claim that was checked.  Every call starts from nothing: no state is kept
+between calls but the algebra's straightening memo.
 
 On success the verifier keeps the fresh factors on the in-memory certificate
 (a strict symbol proof reads them), so each block is factored once per
@@ -50,9 +52,9 @@ from functools import partial
 from math import lcm
 
 from . import lie
-from .errors import CertificateFormatError
-from .exactla import cmat_is_hermitian, ldl_hermitian
-from .exprs import parse, render
+from .errors import CertificateFormatError, nonnegative_int
+from .exactla import cleared, cmat_is_hermitian, ldl_hermitian
+from .exprs import _render_monomial, parse, render
 from .gram import CommGramProblem
 from .pbw import AlgebraElement, _mul_monomials, _mul_terms, _star_monomial
 from .poly import CommutativePoly, squared_norm_poly
@@ -138,15 +140,7 @@ def _poly_from_json(nvars, entries) -> CommutativePoly:
 
 
 def _render_monomial_text(algebra, mono) -> str:
-    if not any(mono):
-        return "1"
-    parts = []
-    for idx, e in enumerate(mono):
-        if e == 1:
-            parts.append(algebra.names[idx])
-        elif e > 1:
-            parts.append(f"{algebra.names[idx]}^{e}")
-    return "*".join(parts)
+    return _render_monomial(mono, algebra.names) or "1"
 
 
 # -- rounding ---------------------------------------------------------------------
@@ -161,7 +155,7 @@ def _round_vector(g, k: int):
     return [Fraction(round(float(x) * scale), scale) for x in g]
 
 
-def round_and_verify(problem, g_numeric, exponents=ROUNDING_EXPONENTS):
+def round_and_verify(problem, g_numeric):
     """Turn a numeric Gram candidate into an exact verified certificate.
 
     An SdpProblem yields a WeightedSosCertificate and a CommGramProblem a
@@ -169,7 +163,7 @@ def round_and_verify(problem, g_numeric, exponents=ROUNDING_EXPONENTS):
     Raises RoundingFailed when no denominator 2^k in the schedule produces an
     exactly feasible PSD point.
     """
-    for k in exponents:
+    for k in ROUNDING_EXPONENTS:
         g = problem.system.project_exact(_round_vector(g_numeric, k))
         if any(r != 0 for r in problem.system.residual_exact(g)):
             continue  # inconsistent system cannot round (caught earlier anyway)
@@ -212,13 +206,6 @@ def _block_factors(grams, sizes):
     return factors
 
 
-def _cleared(values):
-    """Gaussian rationals as integer pairs [(re, im), ...] over their least common denominator."""
-    den = lcm(*(x.denominator for s in values for x in (s.re, s.im)))
-    return [(s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
-            for s in values], den
-
-
 def _reexpand(blocks, multiply):
     """sum_l sum_pq (G_l)_pq row_lp * w_q as integers ({monomial: [re, im]}, den) over one den.
 
@@ -233,8 +220,8 @@ def _reexpand(blocks, multiply):
     den = 1
     for rows, basis, gram in blocks:
         n = len(basis)
-        g, gden = _cleared([s for row in gram for s in row])
-        values, rden = _cleared([s for row in rows for s in row.values()])
+        g, gden = cleared([s for row in gram for s in row])
+        values, rden = cleared([s for row in rows for s in row.values()])
         values = iter(values)
         cleared_rows = [[(m, next(values)) for m in row] for row in rows]
         block_den = gden * rden
@@ -279,7 +266,7 @@ def _reexpand(blocks, multiply):
 def _matches(expansion, target_terms) -> bool:
     """True when the integer expansion (acc, den) equals target_terms ({monomial: Scalar})."""
     acc, den = expansion
-    values, tden = _cleared(list(target_terms.values()))
+    values, tden = cleared(list(target_terms.values()))
     target = dict(zip(target_terms, values))
     for m, (re, im) in acc.items():
         t_re, t_im = target.pop(m, (0, 0))
@@ -360,13 +347,6 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
 # -- JSON loading -------------------------------------------------------------------
 
 
-def _nonnegative_int(value, what: str) -> int:
-    """value itself when it is a nonnegative int; a bool, float or string is rejected."""
-    if type(value) is not int or value < 0:
-        raise CertificateFormatError(f"{what} must be a nonnegative integer, not {value!r}")
-    return value
-
-
 def _typed(value, expected: type, what: str):
     """value itself when its JSON type is expected; a bool is no int."""
     if type(value) is not expected:
@@ -387,7 +367,7 @@ def _exponents(entry, nvars: int) -> tuple:
     exponents = tuple(_typed(entry, list, "an exponent list"))
     if len(exponents) != nvars:
         raise CertificateFormatError(f"exponent list {entry!r} does not have {nvars} entries")
-    return tuple(_nonnegative_int(e, "an exponent") for e in exponents)
+    return tuple(nonnegative_int(e, "an exponent") for e in exponents)
 
 
 def _parse_gram(rows):
@@ -434,12 +414,12 @@ def certificate_from_json(data: dict):
             bases = [[_parse_monomial(_typed(t, str, "a basis entry"), algebra)
                       for t in _typed(blk["basis"], list, "a basis")] for blk in blocks]
             grams = [_parse_gram(blk["gram"]) for blk in blocks]
-            degree = _nonnegative_int(data["degree"], "degree")
+            degree = nonnegative_int(data["degree"], "degree")
             return WeightedSosCertificate(
                 algebra, degree, target, generators, bases, grams
             ), target, generators
         if kind == "commutative_sos":
-            nvars = _nonnegative_int(data["nvars"], "nvars")
+            nvars = nonnegative_int(data["nvars"], "nvars")
             target = _poly_from_json(nvars, data["target_coeffs"])
             if data["target"] != target.render():
                 raise CertificateFormatError(

@@ -57,13 +57,6 @@ def _aliases(pairs):
     return out
 
 
-def _solver_options(args) -> SolveOptions:
-    return SolveOptions(
-        tol=getattr(args, "tol", 1e-9) or 1e-9,
-        seed=getattr(args, "seed", 0) or 0,
-    )
-
-
 def _parse_exprs(texts, algebra, aliases):
     return [parse(t, algebra, aliases) for t in texts]
 
@@ -101,7 +94,7 @@ def cmd_sos(args) -> int:
     aliases = _aliases(args.alias)
     c = parse(args.expr, algebra, aliases)
     f = _parse_exprs(args.exprs or ["1"], algebra, aliases)
-    opts = _solver_options(args)
+    opts = SolveOptions(tol=args.tol, seed=args.seed)
     _progress(f"membership search at degree {args.degree}")
     report = find_certificate(c, f, args.degree, opts=opts)
     if report.status == "certificate":
@@ -139,7 +132,7 @@ def cmd_theorem(args) -> int:
         window = [tuple(Fraction(v) for v in point) for point in data["window_points"]]
     solver_cfg = data.get("solver", {})
     opts = SolveOptions(
-        tol=args.tol or solver_cfg.get("tol", 1e-9),
+        tol=args.tol if args.tol is not None else solver_cfg.get("tol", 1e-9),
         seed=args.seed if args.seed is not None else solver_cfg.get("seed", 0),
         max_iters=solver_cfg.get("max_iters", 20000),
     )

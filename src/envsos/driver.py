@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonCentralA, NotHermitean
+from .errors import NonCentralA, NotHermitean, nonnegative_int
 from .exprs import render
 from .gram import GramSkeleton
 from .numeric import SolveOptions
@@ -41,9 +41,9 @@ class TheoremInstance:
         self.c = c
         self.f = list(f)
         self.epsilon = Fraction(epsilon)
-        self.n_max = n_max
-        self.d_max = d_max
-        self.level_cap = level_cap
+        self.n_max = nonnegative_int(n_max, "n_max")
+        self.d_max = nonnegative_int(d_max, "d_max")
+        self.level_cap = nonnegative_int(level_cap, "level_cap")
         self.ore_family = ore_family  # None: powers of the canonical element
         self.window = window          # su(2): max spin; abelian: list of points
         self.allow_evidence = allow_evidence

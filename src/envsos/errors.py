@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the nonnegative-integer input check."""
 
 
 class EnvSosError(Exception):
@@ -89,3 +89,10 @@ class NonCentralA(EnvSosError):
 
 class CertificateFormatError(EnvSosError):
     """Certificate JSON does not match the documented schema."""
+
+
+def nonnegative_int(value, what: str) -> int:
+    """value itself when it is a nonnegative int; a bool, float or string is a ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, not {value!r}")
+    return value

@@ -10,15 +10,16 @@ EchelonAccumulator is the one elimination loop: rref, nullspace and
 invert_exact are built on it, and callers that only need span membership use
 it directly.  It takes Fraction or Scalar entries (ints are read as
 Fractions), and results keep the entry type of the input.  The exact LDL^*
-decision for Hermitian matrices is separate: it is a symmetric factorization,
-not row reduction, and keeps one record per elimination step (pivot index,
-real pivot, multiplier column).  It trusts its input to be exactly Hermitian;
-its callers guarantee that (see ldl_hermitian).
+decision, the one Hermitian PSD routine, is separate: a fraction-free
+(Bareiss) symmetric factorization over Gaussian integers of its input
+cleared by `cleared`, the helper the certificate re-expansion shares.  It
+trusts its input to be exactly Hermitian (see ldl_hermitian).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalar import Scalar
 
@@ -177,18 +178,26 @@ def cmat_is_zero(A) -> bool:
 
 def cmat_is_hermitian(A) -> bool:
     n = len(A)
-    return all(A[i][j] == A[j][i].conj() for i in range(n) for j in range(n))
+    return all(A[i][j] == A[j][i].conj() for i in range(n) for j in range(i, n))
 
 
 # -- Hermitian PSD decision -------------------------------------------------------
+
+
+def cleared(values):
+    """Gaussian rationals as integer pairs [(re, im), ...] over their least common denominator."""
+    den = lcm(*{x.denominator for s in values for x in (s.re, s.im)})
+    return [(s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
+            for s in values], den
 
 
 class LdlResult:
     """Outcome of the exact LDL^* factorization of a Hermitian matrix.
 
     When positive semidefinite: perm, diag and lower describe the factorization
-    P M P^T = L D L^*.  Otherwise `witness` is a rational vector v with
-    v^* M v < 0 and `witness_value` that negative number.
+    P M P^T = L D L^* (lower is built from ldl_hermitian's step records when
+    first read).  Otherwise `witness` is a rational vector v with v^* M v < 0
+    and `witness_value` that negative number.
     """
 
     def __init__(self, psd: bool, perm=None, diag=None, lower=None,
@@ -196,88 +205,97 @@ class LdlResult:
         self.psd = psd
         self.perm = perm
         self.diag = diag
-        self.lower = lower
+        self._lower = lower
+        self._steps = ()
         self.witness = witness
         self.witness_value = witness_value
+
+    @property
+    def lower(self):
+        if self._lower is None and self.psd:
+            order = {orig: k for k, orig in enumerate(self.perm)}
+            self._lower = cmat_identity(len(order))
+            for k, (_, p, col) in enumerate(self._steps):
+                for r, (a, b) in col.items():
+                    self._lower[order[r]][k] = Scalar(Fraction(a, p), Fraction(b, p))
+        return self._lower
 
     def is_positive_definite(self) -> bool:
         return self.psd and all(d > 0 for d in self.diag)
 
 
 def ldl_hermitian(M) -> LdlResult:
-    """Exact LDL^* with diagonal pivoting and the zero-pivot column rule.
+    """Exact LDL^* by fraction-free (Bareiss) elimination over Gaussian integers.
 
-    M must be exactly Hermitian; only its diagonal is checked.  Each Schur
-    entry is computed once, in the upper triangle, and mirrored as its
-    conjugate.  Callers guarantee the precondition: certs._block_factors runs
-    cmat_is_hermitian first, and FiniteDimRep.is_positive factors S * pi(e)
-    for a hermitean e, which the representation's exact skew-adjointness
-    check makes Hermitian.
+    M must be exactly Hermitian; only its diagonal is checked.  Callers
+    guarantee the rest: certs._block_factors runs cmat_is_hermitian first,
+    and FiniteDimRep.is_positive factors S * pi(e) for a hermitean e, which
+    the representation's exact skew-adjointness check makes Hermitian.
 
-    Each step is recorded once as (pivot index, real pivot, multiplier column
-    by original row); perm, diag, lower and the witness lift read these
-    records.  The pivot is the largest remaining diagonal entry.  A zero pivot
-    with a zero column is a step with an empty column; a zero pivot with a
-    nonzero column certifies indefiniteness, as does a negative pivot.
+    M is cleared once to integers over one denominator den.  A nonzero pivot
+    p turns the whole active upper triangle into (p A_rs - A_r,pivot
+    conj(A_s,pivot)) // prev, exact division by the previous nonzero pivot,
+    so it stays the true Schur complement times prev * den > 0.  The pivot
+    is the largest diagonal entry; a zero pivot with a zero column is a
+    skipped step, and a zero pivot with a nonzero column or a negative pivot
+    certifies indefiniteness.  A step is recorded once as (pivot index,
+    scaled pivot, integer column); rationals are built for diag and a witness.
     """
     n = len(M)
-    A = [list(row) for row in M]
-    if not all(A[i][i].is_real() for i in range(n)):
+    if not all(M[i][i].is_real() for i in range(n)):
         raise ValueError("matrix is not Hermitian: complex diagonal")
-    active = list(range(n))
-    steps: list[tuple[int, Fraction, dict]] = []
+    pairs, den = cleared([s for row in M for s in row])
+    re, im = ([[pair[k] for pair in pairs[i * n:(i + 1) * n]] for i in range(n)] for k in (0, 1))
+    active, steps, diag, prev = list(range(n)), [], [], 1
 
-    def indefinite(vec, value):
-        """Lift a current-frame vector of value v^* A v < 0 to the original frame.
+    def indefinite(v, vden, value):
+        """Lift v ({index: (re, im)} over vden) of value v^* A v < 0 to the original frame.
 
-        Each step replaced row r by r - L_r * (pivot row); subtracting L^* v
-        on the pivot coordinate undoes it and keeps the value.
+        A step replaced row r by r - (col_r / p) * (pivot row); subtracting
+        conj(col / p) . v on the pivot coordinate undoes it, keeping the value.
         """
-        v = dict(vec)
-        for pivot, _, col in reversed(steps):
-            correction = Scalar(0)
-            for r, lv in col.items():
-                if r in v:
-                    correction = correction + lv.conj() * v[r]
-            if correction:
-                v[pivot] = v.get(pivot, Scalar(0)) - correction
-        return LdlResult(False, witness=[v.get(i, Scalar(0)) for i in range(n)],
+        for pivot, p, col in reversed(steps):
+            cre = sum(a * v[r][0] + b * v[r][1] for r, (a, b) in col.items() if r in v)
+            cim = sum(a * v[r][1] - b * v[r][0] for r, (a, b) in col.items() if r in v)
+            if cre or cim:
+                v = {r: (p * x, p * y) for r, (x, y) in v.items()}
+                x, y = v.get(pivot, (0, 0))
+                v[pivot], vden = (x - cre, y - cim), vden * p
+        return LdlResult(False, witness=[Scalar(Fraction(x, vden), Fraction(y, vden))
+                                         for x, y in (v.get(i, (0, 0)) for i in range(n))],
                          witness_value=value)
 
     while active:
-        pivot = max(active, key=lambda r: A[r][r].re)
-        piv = A[pivot][pivot].re
+        pivot = max(active, key=lambda r: re[r][r])
+        p = re[pivot][pivot]
         active.remove(pivot)
-        if piv < 0:
-            return indefinite({pivot: Scalar(1)}, piv)
-        rows = [r for r in active if A[r][pivot]]
-        if piv == 0 and rows:
-            # 2x2 block [[0, m*],[m, A_rr]] is indefinite: phi = e_r +
-            # t*conj(m)*e_pivot with m = A[r][pivot] has value A_rr + 2t|m|^2;
-            # pick t so the value is -1.
-            r = rows[0]
-            m = A[r][pivot]
-            norm = (m * m.conj()).re
-            t = (-1 - A[r][r].re) / (2 * norm)
-            return indefinite({r: Scalar(1), pivot: Scalar(t) * m.conj()},
-                              A[r][r].re + 2 * t * norm)
-        col = {r: Scalar(A[r][pivot].re / piv, A[r][pivot].im / piv) for r in rows}
-        steps.append((pivot, piv, col))
-        # Schur update A_rs -= L_r * piv * conj(L_s) = A_r,pivot * conj(L_s)
-        for i, r in enumerate(rows):
-            Ar, a = A[r], A[r][pivot]
-            for s in rows[i:]:
-                x = Ar[s] - a * col[s].conj()
-                Ar[s] = x
-                A[s][r] = x.conj()
-
-    perm = [pivot for pivot, _, _ in steps]
-    order = {orig: k for k, orig in enumerate(perm)}
-    L = cmat_identity(n)
-    for k, (_, _, col) in enumerate(steps):
-        for r, val in col.items():
-            L[order[r]][k] = val
-    return LdlResult(True, perm=perm, diag=[piv for _, piv, _ in steps], lower=L)
+        scale = prev * den
+        if p < 0:
+            return indefinite({pivot: (1, 0)}, 1, Fraction(p, scale))
+        col = {}
+        for r in active:  # below the diagonal A_r,pivot is conj(A_pivot,r)
+            a, b = (re[r][pivot], im[r][pivot]) if r < pivot else (re[pivot][r], -im[pivot][r])
+            if a or b:
+                col[r] = (a, b)
+        if p == 0 and col:
+            # [[0, m*], [m, A_rr]] is indefinite: e_r + t conj(m) e_pivot with
+            # t = (-1 - A_rr) / (2|m|^2) has value -1.
+            r, (a, b) = next(iter(col.items()))
+            norm2, c = 2 * (a * a + b * b), scale + re[r][r]
+            return indefinite({r: (norm2, 0), pivot: (-c * a, c * b)}, norm2, Fraction(-1))
+        steps.append((pivot, p, col))
+        diag.append(Fraction(p, scale))
+        if p:
+            column = [col.get(r, (0, 0)) for r in active]
+            for i, r in enumerate(active):
+                (a, b), Rr, Ir = column[i], re[r], im[r]
+                for s, (c, d) in zip(active[i:], column[i:]):
+                    Rr[s] = (p * Rr[s] - a * c - b * d) // prev
+                    Ir[s] = (p * Ir[s] - b * c + a * d) // prev
+            prev = p
+    result = LdlResult(True, perm=[pivot for pivot, _, _ in steps], diag=diag)
+    result._steps = steps
+    return result
 
 
 def hermitian_form(M, v):

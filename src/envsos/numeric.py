@@ -13,7 +13,11 @@ with the normalized dual value -b.y / ||S||_F, never as a proof.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import nonnegative_int
 
 
 INFEAS_TOL = 1e-3  # normalized dual value below -INFEAS_TOL counts as evidence
@@ -28,12 +32,16 @@ class SolveOptions:
     The search itself is deterministic; `seed` drives only the random
     directions of the exact sign sampler (sos.sample_sign_information) that
     the commutative mode and the symbol check run before any solver work.
+    A tol that is not a finite positive number, or a max_iters or seed that
+    is not a nonnegative int, is a ValueError.
     """
 
     def __init__(self, tol: float = 1e-9, max_iters: int = 20000, seed: int = 0):
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+            raise ValueError(f"tol must be a finite positive number, not {tol!r}")
         self.tol = tol
-        self.max_iters = max_iters
-        self.seed = seed
+        self.max_iters = nonnegative_int(max_iters, "max_iters")
+        self.seed = nonnegative_int(seed, "seed")
 
 
 class NumericOutcome:

@@ -281,10 +281,6 @@ class AlgebraElement:
                 return j, comm
         return None
 
-    def sorted_terms(self):
-        """Terms in canonical order: by (total degree, exponents with x1 first)."""
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
-
 
 def term_sort_key(mono: Monomial):
     return (monomial_degree(mono), tuple(-e for e in mono))

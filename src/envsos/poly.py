@@ -188,7 +188,7 @@ class CommutativePoly:
     def __repr__(self):
         return f"CommutativePoly({self.nvars}, {self.coeffs!r})"
 
-    def render(self, var_prefix: str = "t") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -196,9 +196,9 @@ class CommutativePoly:
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
-                    factors.append(f"{var_prefix}{i+1}")
+                    factors.append(f"t{i+1}")
                 elif e > 1:
-                    factors.append(f"{var_prefix}{i+1}^{e}")
+                    factors.append(f"t{i+1}^{e}")
             body = "*".join(factors)
             if not body:
                 parts.append((q, str(abs(q))))

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch, ContextInvalid, NotAbelian, NotHermitean
 from .exactla import (
-    LdlResult,
     cmat_add,
     cmat_identity,
     cmat_is_zero,
@@ -141,20 +140,17 @@ class FiniteDimRep:
         if not e.is_hermitean():
             raise NotHermitean("positivity is only defined for hermitean elements")
         ldl = ldl_hermitian(self.weighted_matrix(e))
-        if ldl.psd:
-            return PositivityVerdict(True, ldl=ldl)
-        return PositivityVerdict(False, witness=ldl.witness, witness_value=ldl.witness_value, ldl=ldl)
+        return PositivityVerdict(ldl.psd, witness=ldl.witness, witness_value=ldl.witness_value)
 
     def __repr__(self):
         return f"FiniteDimRep({self.label or 'unnamed'}, N={self.dim_rep})"
 
 
 class PositivityVerdict:
-    def __init__(self, positive: bool, witness=None, witness_value=None, ldl: LdlResult | None = None):
+    def __init__(self, positive: bool, witness=None, witness_value=None):
         self.positive = positive
         self.witness = witness
         self.witness_value = witness_value
-        self.ldl = ldl
 
     def __bool__(self):
         return self.positive
@@ -334,15 +330,3 @@ def scan_dual_window(
                 break
         membership[label] = verdict_ok
     return DualWindowResult(labels, membership, witnesses, dict(zip(labels, reps)))
-
-
-def rep_to_json_dict(rep: FiniteDimRep) -> dict:
-    return {
-        "algebra_dim": rep.algebra.dim,
-        "dim_rep": rep.dim_rep,
-        "label": rep.label,
-        "metric": [format_fraction(s) for s in rep.metric],
-        "matrices": [
-            [[format_scalar(v) for v in row] for row in mat] for mat in rep.mats
-        ],
-    }

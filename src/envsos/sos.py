@@ -133,8 +133,8 @@ def _solve_and_round(problem, opts: SolveOptions | None) -> FeasibilityReport:
 # -- commutative positivity -------------------------------------------------------
 
 
-def _sample_points(nvars: int, seed: int = 0, random_count: int = 200):
-    """Structured rational points plus seeded random directions."""
+def _sample_points(nvars: int, seed: int = 0):
+    """Structured rational points plus 200 seeded random directions."""
     pts = []
     small = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2)]
     if nvars <= 4:
@@ -147,7 +147,7 @@ def _sample_points(nvars: int, seed: int = 0, random_count: int = 200):
             e[i] = Fraction(1)
             pts.append(tuple(e))
     rng = np.random.default_rng(seed)
-    for _ in range(random_count):
+    for _ in range(200):
         v = rng.standard_normal(nvars)
         v = v / max(np.max(np.abs(v)), 1e-12)
         pts.append(tuple(Fraction(float(x)).limit_denominator(64) for x in v))

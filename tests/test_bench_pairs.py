@@ -46,3 +46,27 @@ def test_run_without_result_line_names_checkout_workload_and_seed(tmp_path):
         bench_pairs.run_once(str(tmp_path), "audit-su2", 17, 1.0)
     message = str(info.value)
     assert str(tmp_path) in message and "audit-su2" in message and "seed 17" in message
+
+
+def test_run_records_the_number_of_passes(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('# passes=7 traced_passes=0 ops_per_pass=3')\n"
+        "print('{\"correct\": true, \"attempted\": 21, \"failed\": 0,'"
+        " ' \"metrics\": {\"wall_s\": {\"value\": 1.5, \"unit\": \"s\"}}}')\n")
+    run = bench_pairs.run_once(str(tmp_path), "planted-batch", 3, 1.0)
+    assert run["passes"] == 7 and run["metrics"] == {"wall_s": 1.5}
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "print('{\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {}}')\n")
+    assert bench_pairs.run_once(str(tmp_path), "planted-batch", 3, 1.0)["passes"] is None
+
+
+def test_summarize_reports_the_median_passes_per_side():
+    runs = [dict(_run(1, "parent", 4.0), passes=6), dict(_run(1, "change", 2.0), passes=9),
+            dict(_run(2, "parent", 4.0), passes=7), dict(_run(2, "change", 2.0), passes=10),
+            dict(_run(3, "parent", 4.0), passes=5), _run(3, "change", 2.0)]  # a run without a count
+    summary = bench_pairs.summarize(runs, END_TO_END)["w"]
+    assert summary["parent"]["passes_median"] == 6
+    assert summary["change"]["passes_median"] == 9.5
+    assert bench_pairs.summarize([_run(1, "parent", 1.0)], END_TO_END)["w"]["parent"][
+        "passes_median"] is None

@@ -180,3 +180,63 @@ def test_byte_identical_outputs(tmp_path, capsys):
     assert run(capsys, "theorem", "--instance", str(path), "--out", str(out1))[0] == 0
     assert run(capsys, "theorem", "--instance", str(path), "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+PROVABLE = {
+    "algebra": "su2",
+    "c": "(1 - x1^2 - x2^2 - x3^2)^2",
+    "f": ["1"],
+    "epsilon": "1",
+    "n_max": 0,
+    "d_max": 4,
+}
+
+
+def write_instance(tmp_path, **changes):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(PROVABLE, **changes)))
+    return path
+
+
+def test_sos_rejects_a_tolerance_that_is_not_finite_and_positive(capsys):
+    for tol in ("nan", "inf", "-1", "0"):
+        code, out, err = run(capsys, "sos", "--algebra", "su2", "--expr", "3 - x1^2",
+                             "--degree", "2", "--tol", tol)
+        assert (code, out) == (2, ""), tol
+        assert "tol must be a finite positive number" in err
+
+
+def test_theorem_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    for tol in ("nan", "-1", "0"):
+        code, out, _ = run(capsys, "theorem", "--instance", str(path), "--tol", tol)
+        assert (code, out) == (2, ""), tol
+    for tol in (0, -1e-9, "1e-9", True):
+        path = write_instance(tmp_path, solver={"tol": tol})
+        code, out, err = run(capsys, "theorem", "--instance", str(path))
+        assert (code, out) == (2, ""), tol
+        assert "tol must be a finite positive number" in err
+    # json reads the non-standard literal NaN as a float
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(PROVABLE)[:-1] + ', "solver": {"tol": NaN}}')
+    assert run(capsys, "theorem", "--instance", str(path))[:2] == (2, "")
+
+
+def test_theorem_rejects_integers_that_are_not_nonnegative_json_integers(tmp_path, capsys):
+    bad = [("n_max", "1"), ("n_max", -1), ("d_max", True), ("d_max", 4.0),
+           ("level_cap", 1.5), ("level_cap", None)]
+    for field, value in bad:
+        path = write_instance(tmp_path, **{field: value})
+        code, out, err = run(capsys, "theorem", "--instance", str(path))
+        assert (code, out) == (2, ""), (field, value)
+        assert f"{field} must be a nonnegative integer" in err
+    for field, value in (("max_iters", 1.5), ("max_iters", "20000"), ("seed", -1), ("seed", False)):
+        path = write_instance(tmp_path, solver={field: value})
+        code, out, err = run(capsys, "theorem", "--instance", str(path))
+        assert (code, out) == (2, ""), (field, value)
+        assert f"{field} must be a nonnegative integer" in err
+    path = write_instance(tmp_path)
+    for flag in ("--nmax", "--dmax"):
+        code, out, err = run(capsys, "theorem", "--instance", str(path), flag, "-1")
+        assert (code, out) == (2, ""), flag
+        assert "must be a nonnegative integer" in err

@@ -478,3 +478,106 @@ def test_is_positive_witness_value_is_the_form_at_the_witness():
                 found += 1
                 assert verdict.witness_value == hermitian_form(H, verdict.witness).re < 0
     assert found > 5
+
+
+# -- the fraction-free LDL^* against the frozen reference, generated blocks ------
+
+DENOMINATORS = [1, 2, 3, 5, 7, 35, 3 * 2**40, 2**30, 2**60]
+
+
+def entries(real):
+    part = st.one_of(st.just(Fraction(0)),
+                     st.builds(Fraction, st.integers(-50, 50), st.sampled_from(DENOMINATORS)))
+    return st.builds(Scalar, part, st.just(Fraction(0)) if real else part)
+
+
+def hermitian_from(draw, n, entry, diagonal):
+    M = [[Scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = Scalar(draw(diagonal))
+        for j in range(i + 1, n):
+            M[i][j] = draw(entry)
+            M[j][i] = M[i][j].conj()
+    return M
+
+
+@st.composite
+def ldl_blocks(draw):
+    """PD, rank-deficient, indefinite, zero-diagonal and skipped-zero-pivot blocks.
+
+    A skipped zero pivot: the tail [[0, 0], [0, T]] with T's diagonal <= 0
+    follows m positive pivots, so its zero row is taken (and skipped) before
+    T's zero or negative pivots, with an earlier nonzero pivot to divide by.
+    """
+    n = draw(st.integers(0, 6))
+    entry = entries(draw(st.booleans()))
+    kind = draw(st.sampled_from(["gram", "hermitian", "zero_diagonal", "skipped_zero"]))
+    if kind == "gram":  # rank 0..n, so both positive definite and rank-deficient
+        vectors = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        return [[sum((v[i] * v[j].conj() for v in vectors), Scalar(0)) for j in range(n)]
+                for i in range(n)]
+    if kind == "hermitian":
+        return hermitian_from(draw, n, entry, st.builds(lambda s: s.re, entry))
+    if kind == "zero_diagonal":
+        return hermitian_from(draw, n, entry, st.just(Fraction(0)))
+    tail = hermitian_from(draw, max(n, 1), entry, st.builds(lambda s: -abs(s.re), entry))
+    for j in range(len(tail)):
+        tail[0][j] = tail[j][0] = Scalar(0)
+    m = draw(st.integers(0, 3))
+    return with_schur_complement(random.Random(draw(st.integers(0, 99))), m, tail) if m else tail
+
+
+@settings(deadline=None, max_examples=150)
+@given(ldl_blocks())
+def test_ldl_matches_reference_on_generated_blocks(M):
+    assert_same_ldl(M)
+
+
+def test_ldl_matches_reference_on_edge_blocks():
+    tiny = Scalar(Fraction(1, 2**60), Fraction(-3, 2**60))
+    cases = [
+        [],
+        [[Scalar(Fraction(5, 7))]],
+        [[Scalar(0)]],
+        [[Scalar(Fraction(-1, 2**60))]],
+        # coprime mixed denominators and dyadic entries down to 2^-60
+        [[Scalar(Fraction(1, 3)), Scalar(Fraction(1, 5), Fraction(1, 7))],
+         [Scalar(Fraction(1, 5), Fraction(-1, 7)), Scalar(Fraction(2, 35))]],
+        [[Scalar(1), tiny], [tiny.conj(), Scalar(Fraction(1, 2**59))]],
+        # a zero pivot skipped first, then a zero pivot with a nonzero column
+        [[Scalar(0), Scalar(0), Scalar(0)],
+         [Scalar(0), Scalar(0), Scalar(1, 1)],
+         [Scalar(0), Scalar(1, -1), Scalar(0)]],
+        # a zero pivot skipped first, then a negative pivot
+        [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(Fraction(-1, 3))]],
+        # only zero pivots: every step skipped
+        cmat_zero(3),
+    ]
+    for M in cases:
+        assert_same_ldl(M)
+    rng = random.Random(25)
+    # the zero pivot skipped after positive pivots, then a negative one
+    res = assert_same_ldl(with_schur_complement(
+        rng, 2, [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(-2)]]))
+    assert not res.psd and res.witness_value == -2
+    res = assert_same_ldl(with_schur_complement(rng, 3, cmat_zero(2)))
+    assert res.psd and res.diag[3:] == [0, 0]
+
+
+def test_ldl_builds_no_scalar_unless_lower_is_read(monkeypatch):
+    M = random_psd(random.Random(26), 10)
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, re=0, im=0):
+        built.append(self)
+        init(self, re, im)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    res = ldl_hermitian(M)
+    assert res.is_positive_definite() and len(res.perm) == 10
+    assert built == []
+    lower = res.lower
+    assert built and res.lower is lower
+    monkeypatch.undo()
+    assert lower == reference_ldl_hermitian(M).lower

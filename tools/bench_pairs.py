@@ -9,10 +9,12 @@ two sides run `perfbench/run.py --trace 0` one after the other, each in its
 own process; the side that goes first alternates from pair to pair, so a
 drift in machine speed does not favour one side.  Every run is appended to
 --out (created when missing) with its workload, seed, side, order, every
-end-to-end metric and its failed count.  The summary is then rebuilt from all
+end-to-end metric, its failed count and the number of passes that fit in the
+window (the run's `# passes=N` line).  The summary is then rebuilt from all
 runs in the file: per workload and side, the median and quartiles of each
-metric and the failed share, and per metric the number of pairs the change
-won.
+metric, the failed share and the median number of passes, and per metric the
+number of pairs the change won.  The pass count matters because a run keeps
+every pass alive until its checks, so peak_rss_mb grows with it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ def parse_seeds(text: str):
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One run's end-to-end metrics; stops the script when the run printed no result."""
+    """One run's end-to-end metrics and passes; stops the script when the run printed no result.
+
+    passes is None when the run printed no `# passes=N` line.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -44,8 +49,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"bench_pairs: no result line from {checkout}, workload {workload}, "
                          f"seed {seed} (exit code {proc.returncode})")
     result = json.loads(lines[-1])
+    passes = next((int(line.split()[1].split("=")[1]) for line in lines
+                   if line.startswith("# passes=")), None)
     return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
+            "failed": result["failed"], "passes": passes,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -63,8 +70,10 @@ def summarize(runs, end_to_end) -> dict:
                 q = (statistics.quantiles(values, n=4, method="inclusive")
                      if len(values) > 1 else [values[0]] * 3)
                 stats[metric["name"]] = {"median": q[1], "q1": q[0], "q3": q[2]}
+            passes = [r["passes"] for r in mine if r.get("passes") is not None]
             sides[side] = {
                 "runs": len(mine),
+                "passes_median": statistics.median(passes) if passes else None,
                 "failed_share": sum(r["failed"] for r in mine) / sum(r["attempted"] for r in mine),
                 "all_correct": all(r["correct"] for r in mine),
                 "metrics": stats,
@@ -107,7 +116,7 @@ def main(argv=None) -> int:
             record["runs"].append({"workload": args.workload, "seed": seed, "side": side,
                                    "order": position + 1, **run})
             print(f"{args.workload} seed={seed} {side}: failed={run['failed']}/"
-                  f"{run['attempted']} {run['metrics']}", flush=True)
+                  f"{run['attempted']} passes={run['passes']} {run['metrics']}", flush=True)
         record["summary"] = summarize(record["runs"], end_to_end)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
