@@ -61,6 +61,13 @@ def _parse_exprs(texts, algebra, aliases):
     return [parse(t, algebra, aliases) for t in texts]
 
 
+def _exact(value, what: str) -> Fraction:
+    """A JSON string or integer of an instance file as an exact rational."""
+    if type(value) not in (str, int):  # a float is not exact, and a bool is no int
+        raise ValueError(f"{what} must be a JSON string or integer, not {value!r}")
+    return Fraction(value)
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -127,9 +134,10 @@ def cmd_theorem(args) -> int:
     if args.lmax is not None:
         window = Fraction(args.lmax)
     elif "l_max" in data:
-        window = Fraction(data["l_max"])
+        window = _exact(data["l_max"], "l_max")
     elif "window_points" in data:
-        window = [tuple(Fraction(v) for v in point) for point in data["window_points"]]
+        window = [tuple(_exact(v, "a window_points coordinate") for v in point)
+                  for point in data["window_points"]]
     solver_cfg = data.get("solver", {})
     opts = SolveOptions(
         tol=args.tol if args.tol is not None else solver_cfg.get("tol", 1e-9),
@@ -139,7 +147,8 @@ def cmd_theorem(args) -> int:
     allow_evidence = data.get("allow_evidence", True)
     if args.allow_evidence is not None:
         allow_evidence = args.allow_evidence == "yes"
-    epsilon = Fraction(args.epsilon) if args.epsilon else Fraction(data.get("epsilon", "1"))
+    epsilon = (Fraction(args.epsilon) if args.epsilon
+               else _exact(data.get("epsilon", "1"), "epsilon"))
     inst = TheoremInstance(
         algebra, c, f,
         epsilon=epsilon,

@@ -16,6 +16,7 @@ sos.find_certificate).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import NonCentralA, NotHermitean, nonnegative_int
@@ -168,15 +169,10 @@ def default_window(algebra, window):
         return window
     if algebra.is_abelian():
         # small rational grid around the origin
-        pts = []
         vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
         if algebra.dim == 1:
-            pts = [(v,) for v in vals]
-        else:
-            import itertools
-
-            pts = [p for p in itertools.product(vals[:3], repeat=algebra.dim)]
-        return pts
+            return [(v,) for v in vals]
+        return list(itertools.product(vals[:3], repeat=algebra.dim))
     return Fraction(3)
 
 

@@ -6,8 +6,10 @@ degree window D, the problem asks for Hermitian PSD blocks G_l with
     sum_l sum_{p,q} (G_l)_{pq} * NF(w_p^* f_l w_q) = c,
 
 where W_l collects the normal-form monomials w with 2 deg(w) + deg(f_l) <= D.
-Coefficient matching yields an exact rational linear system over the real
-variable vector (diagonal entries, then re/im parts of off-diagonal entries).
+Coefficient matching, with each NF(w_p^* f_l w_q) formed as the product
+(w_p^* f_l) w_q for every ordered pair (p, q), yields an exact rational linear
+system over the real variable vector (diagonal entries, then re/im parts of
+off-diagonal entries).
 
 Facial reduction.  When exact vectors are known that every feasible G_l
 must annihilate (sos.forced_face_vectors derives them from representations
@@ -422,7 +424,8 @@ def _coordinates(G, b: int, layout: VariableLayout):
 
 
 class GramSkeleton:
-    """Target-independent part: bases, normal forms, the constraint matrix and,
+    """Target-independent part: bases, the normal forms NF(w_p^* f_l w_q), each the
+    product (w_p^* f_l) w_q for an ordered pair (p, q), the constraint matrix and,
     from the first unreduced target on, the AffineOperator of its rows."""
 
     def __init__(self, algebra: LieAlgebra, generators, degree: int):
@@ -447,50 +450,30 @@ class GramSkeleton:
             basis = monomials_up_to(algebra.dim, cap) if cap >= 0 else []
             self.bases.append(basis)
         self.layout = VariableLayout([len(b) for b in self.bases], complex_blocks=True)
-        # normal forms NF(w_p^* f_l w_q) for p <= q; the q<p entries follow by involution
-        nf: list[dict] = []
-        for basis, gen in zip(self.bases, self.generators):
-            table = {}
-            for p, wp in enumerate(basis):
-                wp_star = AlgebraElement.monomial(algebra, wp).star()
-                left = wp_star * gen
-                for q in range(p, len(basis)):
-                    table[(p, q)] = left * AlgebraElement.monomial(algebra, basis[q])
-            nf.append(table)
-        # assemble rows: coefficient matching per monomial, real and imaginary part
-        combos = {}  # column -> {monomial: Scalar coefficient}
-        for b, basis in enumerate(self.bases):
-            for p in range(len(basis)):
-                for q in range(p, len(basis)):
-                    e_pq = nf[b][(p, q)]
-                    if p == q:
-                        col = self.layout.index[(b, p, p, "re")]
-                        combos[col] = dict(e_pq.terms)
-                    else:
-                        e_qp = e_pq.star()
-                        sum_re = e_pq + e_qp
-                        diff = e_pq - e_qp
-                        col = self.layout.index[(b, p, q, "re")]
-                        combos[col] = dict(sum_re.terms)
-                        col_im = self.layout.index[(b, p, q, "im")]
-                        combos[col_im] = {m: Scalar(0, 1) * s for m, s in diff.terms.items()}
-        support = set()
-        for terms in combos.values():
-            support.update(terms.keys())
-        support.update(monomials_up_to(algebra.dim, degree))
+        # NF(w_p^* f_l w_q) = left_p * w_q for every ordered pair, left_p = w_p^* f_l.
+        # (column, e, times_i): the column's coefficients are e, or i e when times_i
+        columns = []
+        index = self.layout.index
+        for b, (basis, gen) in enumerate(zip(self.bases, self.generators)):
+            monos = [AlgebraElement.monomial(algebra, w) for w in basis]
+            nf = [[left * w for w in monos] for left in [w.star() * gen for w in monos]]
+            for p, nf_p in enumerate(nf):
+                columns.append((index[(b, p, p, "re")], nf_p[p], False))
+                for q in range(p + 1, len(basis)):
+                    columns.append((index[(b, p, q, "re")], nf_p[q] + nf[q][p], False))
+                    columns.append((index[(b, p, q, "im")], nf_p[q] - nf[q][p], True))
+        # one row pair (real part, imaginary part) per monomial; each column is scattered once
+        support = set(monomials_up_to(algebra.dim, degree))
+        for _, e, _ in columns:
+            support.update(e.terms)
         self.row_monomials = sorted(support, key=term_sort_key)
-        nvars = self.layout.nvars
-        self.rows = []
-        for mono in self.row_monomials:
-            row_re = [Fraction(0)] * nvars
-            row_im = [Fraction(0)] * nvars
-            for col, terms in combos.items():
-                s = terms.get(mono)
-                if s is not None:
-                    row_re[col] = s.re
-                    row_im[col] = s.im
-            self.rows.append(row_re)
-            self.rows.append(row_im)
+        at = {m: 2 * i for i, m in enumerate(self.row_monomials)}
+        self.rows = [[Fraction(0)] * self.layout.nvars for _ in range(2 * len(at))]
+        for col, e, times_i in columns:
+            for m, s in e.terms.items():
+                re, im = (-s.im, s.re) if times_i else (s.re, s.im)
+                self.rows[at[m]][col] = re
+                self.rows[at[m] + 1][col] = im
 
     @functools.cached_property
     def operator(self) -> AffineOperator:

@@ -9,6 +9,7 @@ identity exactly; everything downstream assumes both.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import AntisymmetryViolation, JacobiViolation, UnknownAlgebra
@@ -197,23 +198,45 @@ def to_json_dict(algebra: LieAlgebra) -> dict:
     }
 
 
+# the identifiers of the expression grammar (exprs), where "i" is the imaginary unit
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _json_index(value, dim: int, what: str) -> int:
+    """A 1-based index, which must be a JSON integer in 1..dim, as a 0-based one."""
+    if type(value) is not int or not 1 <= value <= dim:  # a bool is no int
+        raise AlgebraShapeError(f"{what} must be a JSON integer in 1..{dim}, not {value!r}")
+    return value - 1
+
+
 def from_json_dict(data: dict) -> LieAlgebra:
-    d = int(data["dim"])
-    names = data.get("names") or [f"x{i+1}" for i in range(d)]
+    """Read an algebra file strictly; malformed input raises AlgebraShapeError.
+
+    Each unordered pair of distinct indices has at most one bracket, in either
+    orientation, naming each k at most once; antisymmetry implies the mirror.
+    """
+    d = data["dim"]
+    if type(d) is not int or d < 1:
+        raise AlgebraShapeError(f"dim must be a positive JSON integer, not {d!r}")
+    names = data.get("names", [f"x{i+1}" for i in range(d)])
+    if (type(names) is not list or len(names) != d
+            or not all(type(n) is str and _NAME_RE.fullmatch(n) and n != "i" for n in names)
+            or len(set(names)) != d):
+        raise AlgebraShapeError(f"names must be {d} distinct identifiers other than i: {names!r}")
     c = _zeros(d)
+    pairs = set()
     for entry in data.get("brackets", []):
-        i = int(entry["i"]) - 1
-        j = int(entry["j"]) - 1
-        if not (0 <= i < d and 0 <= j < d):
-            raise AlgebraShapeError(f"bracket index out of range: {entry}")
-        for term in entry["terms"]:
-            k = int(term["k"]) - 1
-            if not (0 <= k < d):
-                raise AlgebraShapeError(f"bracket target out of range: {term}")
-            v = parse_fraction(term["coeff"])
-            # antisymmetric completion: unlisted mirror entries are implied
-            c[i][j][k] += v
-            c[j][i][k] -= v
+        i, j = (_json_index(entry[key], d, f"bracket index {key}") for key in "ij")
+        if i == j or (min(i, j), max(i, j)) in pairs:
+            raise AlgebraShapeError(f"bracket [{i+1}, {j+1}] repeats a pair or an index")
+        pairs.add((min(i, j), max(i, j)))
+        ks = [_json_index(term["k"], d, "bracket target k") for term in entry["terms"]]
+        if len(set(ks)) != len(ks):
+            raise AlgebraShapeError(f"bracket [{i+1}, {j+1}] names a target k twice")
+        for k, term in zip(ks, entry["terms"]):
+            # antisymmetric completion: the mirror entry is implied
+            c[i][j][k] = parse_fraction(term["coeff"])
+            c[j][i][k] = -c[i][j][k]
     return LieAlgebra(d, names, c)
 
 

@@ -66,7 +66,6 @@ class NumericOutcome:
             out["dual"] = {
                 k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
                 for k, v in self.dual.items()
-                if k != "y"
             }
         return out
 
@@ -189,7 +188,6 @@ def _dual_evidence(system, layout, g_aff, g_psd, iterations):
                 "kind": "separating-functional",
                 "dual_value": dual_value,
                 "min_eigenvalue_S": min_eig_S / norm,
-                "y": y,
             },
             iterations=iterations,
         )

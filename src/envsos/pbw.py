@@ -3,7 +3,9 @@
 Elements are sparse maps from ordered monomials (exponent tuples over the
 fixed basis) to Gaussian-rational coefficients.  Products are straightened
 into normal form with the rewrite x_j x_i = x_i x_j - [x_i, x_j] for j > i,
-applied recursively with memoization on (monomial, generator) pairs.
+applied recursively with memoization on (monomial, generator) pairs.  Every
+longer product and every star is a chain of one step, _times_generator,
+which multiplies a normal form on the right by one generator.
 """
 
 from __future__ import annotations
@@ -53,12 +55,7 @@ def _mul_monomial_gen(algebra: LieAlgebra, mono: Monomial, g: int) -> dict:
     head[j] -= 1
     head = tuple(head)
     # x^head * x_j * x_g  =  (x^head * x_g) * x_j  +  sum_k c^k_{jg} x^head * x_k
-    result: dict = {}
-    for m1, q1 in _mul_monomial_gen(algebra, head, g).items():
-        for m2, q2 in _mul_monomial_gen(algebra, m1, j).items():
-            q = q1 * q2
-            prev = result.get(m2)
-            result[m2] = q if prev is None else prev + q
+    result = _times_generator(algebra, _mul_monomial_gen(algebra, head, g), j)
     for k in range(algebra.dim):
         ck = algebra.c[j][g][k]
         if ck:
@@ -71,6 +68,17 @@ def _mul_monomial_gen(algebra: LieAlgebra, mono: Monomial, g: int) -> dict:
     return result
 
 
+def _times_generator(algebra: LieAlgebra, acc: dict, g: int) -> dict:
+    """Normal form of (sum acc) * x_g as {monomial: Fraction}, zeros kept."""
+    out: dict = {}
+    for m, q in acc.items():
+        for m2, q2 in _mul_monomial_gen(algebra, m, g).items():
+            v = q * q2
+            prev = out.get(m2)
+            out[m2] = v if prev is None else prev + v
+    return out
+
+
 def _mul_monomials(algebra: LieAlgebra, left: Monomial, right: Monomial) -> dict:
     """Normal form of x^left * x^right as {monomial: Fraction}.
 
@@ -79,16 +87,8 @@ def _mul_monomials(algebra: LieAlgebra, left: Monomial, right: Monomial) -> dict
     acc = None
     for g in range(algebra.dim):
         for _ in range(right[g]):
-            if acc is None:
-                acc = _mul_monomial_gen(algebra, left, g)
-                continue
-            nxt: dict = {}
-            for m, q in acc.items():
-                for m2, q2 in _mul_monomial_gen(algebra, m, g).items():
-                    v = q * q2
-                    prev = nxt.get(m2)
-                    nxt[m2] = v if prev is None else prev + v
-            acc = nxt
+            acc = (_mul_monomial_gen(algebra, left, g) if acc is None
+                   else _times_generator(algebra, acc, g))
     return {left: Fraction(1)} if acc is None else acc
 
 
@@ -110,13 +110,7 @@ def _star_monomial(algebra: LieAlgebra, mono: Monomial) -> dict:
     acc = {_unit_monomial(algebra.dim): Fraction(-1 if monomial_degree(mono) % 2 else 1)}
     for g in range(algebra.dim - 1, -1, -1):
         for _ in range(mono[g]):
-            nxt: dict = {}
-            for m, q in acc.items():
-                for m2, q2 in _mul_monomial_gen(algebra, m, g).items():
-                    v = q * q2
-                    prev = nxt.get(m2)
-                    nxt[m2] = v if prev is None else prev + v
-            acc = nxt
+            acc = _times_generator(algebra, acc, g)
     return acc
 
 
@@ -266,11 +260,7 @@ class AlgebraElement:
     # -- structural queries --------------------------------------------------------
 
     def is_central(self) -> bool:
-        for j in range(self.algebra.dim):
-            xj = AlgebraElement.generator(self.algebra, j)
-            if not (self * xj - xj * self).is_zero():
-                return False
-        return True
+        return self.centrality_witness() is None
 
     def centrality_witness(self) -> tuple[int, "AlgebraElement"] | None:
         """First generator index j with e*x_j - x_j*e != 0, plus the commutator."""

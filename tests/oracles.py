@@ -8,6 +8,12 @@ an earlier LDL^* implementation, and reference_verify_certificate and
 reference_verify_commutative_certificate are frozen copies of the earlier
 verifiers, which re-expanded a certificate term by term in AlgebraElement and
 Fraction arithmetic; they are the references for differential tests.
+reference_mul_monomial_gen, reference_mul_monomials and
+reference_star_monomial are frozen copies of the earlier straightening loops,
+each with its own generator-step loop and a memo passed in, and
+reference_skeleton_rows is the earlier Gram skeleton assembly, which took
+NF(w_q^* f w_p) as the star of NF(w_p^* f w_q) and scanned every column per
+row monomial.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ import random
 from fractions import Fraction
 
 from envsos.exactla import LdlResult, cmat_identity, cmat_is_hermitian, ldl_hermitian
+from envsos.gram import VariableLayout, monomials_up_to
 from envsos.lie import LieAlgebra
-from envsos.pbw import AlgebraElement
+from envsos.pbw import AlgebraElement, term_sort_key
 from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.scalar import Scalar
 
@@ -310,3 +317,124 @@ def reference_verify_commutative_certificate(cert, target: CommutativePoly) -> b
                 mono = tuple(a + b for a, b in zip(wp, wq))
                 out[mono] = out.get(mono, Fraction(0)) + s.re
     return CommutativePoly(target.nvars, out) == target
+
+
+def reference_mul_monomial_gen(algebra: LieAlgebra, mono, g: int, cache: dict) -> dict:
+    """Frozen copy of the earlier pbw._mul_monomial_gen, memoized in `cache`."""
+    key = (mono, g)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    j = -1
+    for idx in range(algebra.dim - 1, -1, -1):
+        if mono[idx]:
+            j = idx
+            break
+    if j <= g:
+        lst = list(mono)
+        lst[g] += 1
+        result = {tuple(lst): Fraction(1)}
+        cache[key] = result
+        return result
+    head = list(mono)
+    head[j] -= 1
+    head = tuple(head)
+    result: dict = {}
+    for m1, q1 in reference_mul_monomial_gen(algebra, head, g, cache).items():
+        for m2, q2 in reference_mul_monomial_gen(algebra, m1, j, cache).items():
+            q = q1 * q2
+            prev = result.get(m2)
+            result[m2] = q if prev is None else prev + q
+    for k in range(algebra.dim):
+        ck = algebra.c[j][g][k]
+        if ck:
+            for m1, q1 in reference_mul_monomial_gen(algebra, head, k, cache).items():
+                q = ck * q1
+                prev = result.get(m1)
+                result[m1] = q if prev is None else prev + q
+    result = {m: q for m, q in result.items() if q}
+    cache[key] = result
+    return result
+
+
+def reference_mul_monomials(algebra: LieAlgebra, left, right, cache: dict) -> dict:
+    """Frozen copy of the earlier pbw._mul_monomials, memoized in `cache`."""
+    acc = None
+    for g in range(algebra.dim):
+        for _ in range(right[g]):
+            if acc is None:
+                acc = reference_mul_monomial_gen(algebra, left, g, cache)
+                continue
+            nxt: dict = {}
+            for m, q in acc.items():
+                for m2, q2 in reference_mul_monomial_gen(algebra, m, g, cache).items():
+                    v = q * q2
+                    prev = nxt.get(m2)
+                    nxt[m2] = v if prev is None else prev + v
+            acc = nxt
+    return {left: Fraction(1)} if acc is None else acc
+
+
+def reference_star_monomial(algebra: LieAlgebra, mono, cache: dict) -> dict:
+    """Frozen copy of the earlier pbw._star_monomial, memoized in `cache`."""
+    acc = {(0,) * algebra.dim: Fraction(-1 if sum(mono) % 2 else 1)}
+    for g in range(algebra.dim - 1, -1, -1):
+        for _ in range(mono[g]):
+            nxt: dict = {}
+            for m, q in acc.items():
+                for m2, q2 in reference_mul_monomial_gen(algebra, m, g, cache).items():
+                    v = q * q2
+                    prev = nxt.get(m2)
+                    nxt[m2] = v if prev is None else prev + v
+            acc = nxt
+    return acc
+
+
+def reference_skeleton_rows(algebra: LieAlgebra, generators, degree: int):
+    """Frozen copy of the earlier GramSkeleton assembly, as (row_monomials, rows).
+
+    NF(w_p^* f_l w_q) is formed for p <= q only and the q < p entries are its
+    star; every row monomial then scans every column.
+    """
+    bases = []
+    for gen in generators:
+        cap = (degree - gen.degree()) // 2
+        bases.append(monomials_up_to(algebra.dim, cap) if cap >= 0 else [])
+    layout = VariableLayout([len(b) for b in bases], complex_blocks=True)
+    nf: list[dict] = []
+    for basis, gen in zip(bases, generators):
+        table = {}
+        for p, wp in enumerate(basis):
+            left = AlgebraElement.monomial(algebra, wp).star() * gen
+            for q in range(p, len(basis)):
+                table[(p, q)] = left * AlgebraElement.monomial(algebra, basis[q])
+        nf.append(table)
+    combos = {}
+    for b, basis in enumerate(bases):
+        for p in range(len(basis)):
+            for q in range(p, len(basis)):
+                e_pq = nf[b][(p, q)]
+                if p == q:
+                    combos[layout.index[(b, p, p, "re")]] = dict(e_pq.terms)
+                else:
+                    e_qp = e_pq.star()
+                    combos[layout.index[(b, p, q, "re")]] = dict((e_pq + e_qp).terms)
+                    combos[layout.index[(b, p, q, "im")]] = {
+                        m: Scalar(0, 1) * s for m, s in (e_pq - e_qp).terms.items()}
+    support = set()
+    for terms in combos.values():
+        support.update(terms.keys())
+    support.update(monomials_up_to(algebra.dim, degree))
+    row_monomials = sorted(support, key=term_sort_key)
+    rows = []
+    for mono in row_monomials:
+        row_re = [Fraction(0)] * layout.nvars
+        row_im = [Fraction(0)] * layout.nvars
+        for col, terms in combos.items():
+            s = terms.get(mono)
+            if s is not None:
+                row_re[col] = s.re
+                row_im[col] = s.im
+        rows.append(row_re)
+        rows.append(row_im)
+    return row_monomials, rows

@@ -70,3 +70,27 @@ def test_summarize_reports_the_median_passes_per_side():
     assert summary["change"]["passes_median"] == 9.5
     assert bench_pairs.summarize([_run(1, "parent", 1.0)], END_TO_END)["w"]["parent"][
         "passes_median"] is None
+
+
+def test_summarize_gives_the_no_regression_verdict():
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "certificates", "better": "higher", "bound": 0.05}]
+    # wall_s medians 4.0 -> 4.9 (+22.5%, within 25%); certificates 20 -> 19 (-5%, at the bound)
+    runs = [_run(1, "parent", 4.0, certificates=20), _run(1, "change", 4.9, certificates=19),
+            _run(2, "parent", 4.0, certificates=20), _run(2, "change", 4.9, certificates=19)]
+    summary = bench_pairs.summarize(runs, end_to_end)["w"]
+    assert summary["worse_beyond_bound"] == {"wall_s": False, "certificates": False}
+    assert summary["failed_share_rose"] is False and summary["no_regression"] is True
+    # wall_s 4.0 -> 5.1 (+27.5%), certificates 20 -> 18 (-10%), one failure more
+    runs = [_run(1, "parent", 4.0, certificates=20), _run(1, "change", 5.1, certificates=18),
+            _run(2, "parent", 4.0, certificates=20), _run(2, "change", 5.1, certificates=18,
+                                                          failed=1)]
+    summary = bench_pairs.summarize(runs, end_to_end)["w"]
+    assert summary["worse_beyond_bound"] == {"wall_s": True, "certificates": True}
+    assert summary["failed_share_rose"] is True and summary["no_regression"] is False
+    # a gain never counts as worse, whichever way the metric is better
+    runs = [_run(1, "parent", 4.0, certificates=20), _run(1, "change", 1.0, certificates=30)]
+    summary = bench_pairs.summarize(runs, end_to_end)["w"]
+    assert summary["worse_beyond_bound"] == {"wall_s": False, "certificates": False}
+    # only one side: no verdict
+    assert "no_regression" not in bench_pairs.summarize(runs[:1], end_to_end)["w"]

@@ -240,3 +240,27 @@ def test_theorem_rejects_integers_that_are_not_nonnegative_json_integers(tmp_pat
         code, out, err = run(capsys, "theorem", "--instance", str(path), flag, "-1")
         assert (code, out) == (2, ""), flag
         assert "must be a nonnegative integer" in err
+
+
+def test_theorem_reads_exact_rationals_only_from_strings_and_integers(tmp_path, capsys):
+    bad = [("epsilon", 0.1), ("epsilon", True), ("l_max", 3.0), ("l_max", False),
+           ("window_points", [[0.5]]), ("window_points", [["1/2", True]])]
+    for field, value in bad:
+        path = write_instance(tmp_path, **{field: value})
+        code, out, err = run(capsys, "theorem", "--instance", str(path))
+        assert (code, out) == (2, ""), (field, value)
+        assert "must be a JSON string or integer" in err
+    path = write_instance(tmp_path, epsilon=1)
+    code, out, _ = run(capsys, "theorem", "--instance", str(path))
+    assert code == 0 and json.loads(out)["config"]["epsilon"] == "1"
+
+
+def test_malformed_algebra_file_is_an_input_error(tmp_path, capsys):
+    data = to_json_dict(builtin("su2"))
+    data["brackets"].append({"i": 2, "j": 1, "terms": [{"k": 3, "coeff": "-1"}]})
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    for argv in (("normalize", "--expr", "x1"), ("audit",)):
+        code, out, err = run(capsys, argv[0], "--algebra", str(path), *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert "repeats a pair" in err

@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from envsos.errors import AntisymmetryViolation, JacobiViolation, UnknownAlgebra
-from envsos.lie import LieAlgebra, b_constants, builtin, from_json_dict, to_json_dict, validate
+from envsos.lie import (
+    AlgebraShapeError,
+    LieAlgebra,
+    b_constants,
+    builtin,
+    from_json_dict,
+    to_json_dict,
+    validate,
+)
 
 
 def dense(algebra):
@@ -133,3 +141,53 @@ def test_json_antisymmetric_completion():
                      {"i": 3, "j": 1, "terms": [{"k": 2, "coeff": "1"}]}],
     }
     assert from_json_dict(data) == builtin("su2")
+
+
+def _su2_file(extra=(), replace=None, **fields):
+    """su(2)'s canonical JSON, with brackets replaced or appended and fields overridden."""
+    data = to_json_dict(builtin("su2"))
+    if replace is not None:
+        data["brackets"] = list(replace)
+    data["brackets"] += list(extra)
+    data.update(fields)
+    return data
+
+
+def _bracket(i, j, *terms):
+    return {"i": i, "j": j, "terms": [{"k": k, "coeff": v} for k, v in terms]}
+
+
+def test_json_reads_each_pair_once_in_either_orientation():
+    flipped = [_bracket(2, 1, (3, "-1")), _bracket(3, 2, (1, "-1")), _bracket(1, 3, (2, "-1"))]
+    assert from_json_dict(_su2_file(replace=flipped)) == builtin("su2")
+    unnamed = _su2_file()
+    del unnamed["names"]
+    assert from_json_dict(unnamed) == builtin("su2")
+    # listed in both orientations, [x1,x2] = x3 and [x2,x1] = -x3 once read as [x1,x2] = 2 x3
+    with pytest.raises(AlgebraShapeError, match="repeats a pair"):
+        from_json_dict(_su2_file(flipped[:1]))
+
+
+@pytest.mark.parametrize("data", [
+    {"dim": True, "brackets": []},
+    _su2_file(dim=3.0),
+    _su2_file(replace=[_bracket(1.9, 2, (3, "1")), _bracket(2, 3, (1, "1")),
+                       _bracket(3, 1, (2, "1"))]),
+    _su2_file(replace=[_bracket(1, 2, (True, "1"))]),
+    _su2_file(replace=[_bracket(1, "2", (3, "1"))]),
+    _su2_file([_bracket(1, 1, (2, "1"))]),
+    _su2_file([_bracket(2, 1, (3, "-1"))]),
+    _su2_file([_bracket(1, 2, (3, "0"))]),
+    _su2_file(replace=[_bracket(1, 2, (3, "1/2"), (3, "1/2")), _bracket(2, 3, (1, "1")),
+                       _bracket(3, 1, (2, "1"))]),
+    _su2_file(names=["x1", "i", "x3"]),
+    _su2_file(names=["x1", "x1", "x3"]),
+    _su2_file(names=["x1", "x 2", "x3"]),
+    _su2_file(names=["x1", 2, "x3"]),
+    _su2_file(names=None),
+], ids=["dim-bool", "dim-float", "i-float", "k-bool", "j-string", "i-equals-j",
+        "both-orientations", "pair-twice", "k-twice", "name-i", "names-repeat", "name-space",
+        "name-number", "names-null"])
+def test_json_rejects_malformed_algebra_files(data):
+    with pytest.raises(AlgebraShapeError):
+        from_json_dict(data)

@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from envsos.errors import AlgebraMismatch, DegreeMismatch
-from envsos.lie import builtin
+from envsos.gram import monomials_up_to
+from envsos.lie import builtin, validate
 from envsos.pbw import (
     AlgebraElement,
+    _mul_monomial_gen,
+    _mul_monomials,
+    _star_monomial,
     canonical_a,
     conjugate_by,
     reduce_odd,
@@ -16,7 +20,15 @@ from envsos.pbw import (
 from envsos.poly import CommutativePoly
 from envsos.scalar import Scalar
 
-from oracles import commutative_product, random_element, random_hermitean, word_element
+from oracles import (
+    commutative_product,
+    random_element,
+    random_hermitean,
+    reference_mul_monomial_gen,
+    reference_mul_monomials,
+    reference_star_monomial,
+    word_element,
+)
 
 
 def gens(alg):
@@ -281,3 +293,41 @@ def test_su2_a_squared_reduce(su2):
     out = reduce_odd(a)
     assert out.is_hermitean()
     assert out.degree() == 4
+
+
+def _affine_half():
+    """The affine line with [x1, x2] = 1/2 x2: a non-integer structure constant."""
+    c = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+    c[0][1][1], c[1][0][1] = Fraction(1, 2), Fraction(-1, 2)
+    return validate(2, ["x1", "x2"], c)
+
+
+def _fresh(name):
+    return _affine_half() if name == "affine_half" else builtin(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["abelian(3)", "su2", "heisenberg3", "affine_line", "sl2r", "affine_half"])
+def test_straightening_matches_the_frozen_generator_loops(name):
+    """Same values, zeros kept, in the same order, and the same memo in the same order."""
+    algebra, cache = _fresh(name), {}
+    monos = monomials_up_to(algebra.dim, 4)
+    for mono in monos:
+        for g in range(algebra.dim):
+            got = _mul_monomial_gen(algebra, mono, g)
+            want = reference_mul_monomial_gen(algebra, mono, g, cache)
+            assert list(got.items()) == list(want.items())
+        got = _star_monomial(algebra, mono)
+        assert list(got.items()) == list(reference_star_monomial(algebra, mono, cache).items())
+    for left in monos:
+        for right in monos:
+            got = _mul_monomials(algebra, left, right)
+            want = reference_mul_monomials(algebra, left, right, cache)
+            assert list(got.items()) == list(want.items())
+    assert list(algebra._mulgen_cache.items()) == list(cache.items())
+
+
+def test_mul_monomials_returns_the_memo_entry_after_one_step():
+    algebra = builtin("su2")
+    got = _mul_monomials(algebra, (0, 2, 1), (1, 0, 0))
+    assert got is algebra._mulgen_cache[((0, 2, 1), 0)]

@@ -147,6 +147,13 @@ def test_negative_constant_infeasible(su2):
     assert report.numeric.dual["dual_value"] < -1e-3
 
 
+def test_separating_evidence_reports_what_it_keeps(su2):
+    unit = AlgebraElement.unit(su2)
+    numeric = find_certificate(AlgebraElement.unit(su2, -1), [unit], 0).numeric
+    assert set(numeric.dual) == {"kind", "dual_value", "min_eigenvalue_S"}
+    assert numeric.report_dict()["dual"] == numeric.dual
+
+
 def test_certificate_tampering_detected(su2):
     unit = AlgebraElement.unit(su2)
     a = canonical_a(su2)

@@ -15,6 +15,12 @@ runs in the file: per workload and side, the median and quartiles of each
 metric, the failed share and the median number of passes, and per metric the
 number of pairs the change won.  The pass count matters because a run keeps
 every pass alive until its checks, so peak_rss_mb grows with it.
+
+When both sides have runs, the summary also gives the no-regression verdict:
+per end-to-end metric with a `bound`, whether the change's median is worse
+than the parent's by more than that bound, taken relative to the parent
+median in the direction of `better`; whether the failed share rose; and
+`no_regression`, true when neither happened.
 """
 
 from __future__ import annotations
@@ -56,6 +62,14 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def worse_beyond_bound(metric, parent_median, change_median) -> bool:
+    """Whether the change's median is worse than the parent's by more than metric's bound."""
+    worse = change_median - parent_median
+    if metric["better"] != "lower":
+        worse = -worse
+    return worse > metric["bound"] * abs(parent_median)
+
+
 def summarize(runs, end_to_end) -> dict:
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -89,6 +103,14 @@ def summarize(runs, end_to_end) -> dict:
             wins[name] = sum((p["change"][name] < p["parent"][name]) if lower
                              else (p["change"][name] > p["parent"][name]) for p in complete)
         summary[workload] = {"pairs": len(complete), "change_better_in": wins, **sides}
+        if len(sides) == 2:
+            parent, change = sides["parent"], sides["change"]
+            worse = {m["name"]: worse_beyond_bound(m, parent["metrics"][m["name"]]["median"],
+                                                   change["metrics"][m["name"]]["median"])
+                     for m in end_to_end if "bound" in m}
+            rose = change["failed_share"] > parent["failed_share"]
+            summary[workload].update(worse_beyond_bound=worse, failed_share_rose=rose,
+                                     no_regression=not rose and not any(worse.values()))
     return summary
 
 
