@@ -128,34 +128,28 @@ class VariableLayout:
         return blocks
 
     def embed_float(self, g):
-        """Real symmetric block matrices (embedded 2n x 2n when complex)."""
+        """The n x n float blocks: complex Hermitian, or real symmetric for a real layout.
+
+        An off-diagonal pair p < q reads H[p,q] = re - i*im and H[q,p] = re + i*im.
+        """
         mats = []
         for n, (d, dcols, p, q, re, im) in zip(self.block_sizes, self._float_index):
-            U = np.zeros((n, n))
-            U[d, d] = g[dcols]
-            U[p, q] = U[q, p] = g[re]
-            if self.complex_blocks:
-                V = np.zeros((n, n))
-                V[p, q] = -g[im]
-                V[q, p] = g[im]
-                U = np.block([[U, -V], [V, U]])
-            mats.append(U)
+            H = np.zeros((n, n), dtype=complex if self.complex_blocks else float)
+            H[d, d] = g[dcols]
+            H[p, q] = g[re] - 1j * g[im] if self.complex_blocks else g[re]
+            H[q, p] = H[p, q].conj()
+            mats.append(H)
         return mats
 
     def unembed_float(self, mats):
-        """Back from embedded blocks, averaging the redundant copies."""
+        """Back from n x n blocks, reading the Hermitian part 0.5 (M + M^H)."""
         g = np.zeros(self.nvars)
-        for n, M, (d, dcols, p, q, re, im) in zip(self.block_sizes, mats, self._float_index):
+        for M, (d, dcols, p, q, re, im) in zip(mats, self._float_index):
+            H = 0.5 * (M + M.conj().T)
+            g[dcols] = H[d, d].real
+            g[re] = H[p, q].real
             if self.complex_blocks:
-                U = 0.5 * (M[:n, :n] + M[n:, n:])
-                V = 0.5 * (M[n:, :n] - M[:n, n:])
-                U = 0.5 * (U + U.T)
-                V = 0.5 * (V - V.T)
-                g[im] = V[q, p]
-            else:
-                U = 0.5 * (M + M.T)
-            g[dcols] = U[d, d]
-            g[re] = U[p, q]
+                g[im] = H[q, p].imag
         return g
 
 

@@ -209,12 +209,23 @@ def _json_index(value, dim: int, what: str) -> int:
     return value - 1
 
 
+def _json_objects(value, what: str) -> list:
+    """value, which must be a JSON list of JSON objects."""
+    if type(value) is not list or not all(type(v) is dict for v in value):
+        raise AlgebraShapeError(f"{what} must be a JSON list of objects, not {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> LieAlgebra:
     """Read an algebra file strictly; malformed input raises AlgebraShapeError.
 
-    Each unordered pair of distinct indices has at most one bracket, in either
-    orientation, naming each k at most once; antisymmetry implies the mirror.
+    The file is an object, `brackets` and each bracket's `terms` are lists of
+    objects and each `coeff` is a string.  Each unordered pair of distinct
+    indices has at most one bracket, in either orientation, naming each k at
+    most once; antisymmetry implies the mirror.
     """
+    if type(data) is not dict:
+        raise AlgebraShapeError(f"an algebra file must be a JSON object, not {data!r}")
     d = data["dim"]
     if type(d) is not int or d < 1:
         raise AlgebraShapeError(f"dim must be a positive JSON integer, not {d!r}")
@@ -225,15 +236,18 @@ def from_json_dict(data: dict) -> LieAlgebra:
         raise AlgebraShapeError(f"names must be {d} distinct identifiers other than i: {names!r}")
     c = _zeros(d)
     pairs = set()
-    for entry in data.get("brackets", []):
+    for entry in _json_objects(data.get("brackets", []), "brackets"):
         i, j = (_json_index(entry[key], d, f"bracket index {key}") for key in "ij")
         if i == j or (min(i, j), max(i, j)) in pairs:
             raise AlgebraShapeError(f"bracket [{i+1}, {j+1}] repeats a pair or an index")
         pairs.add((min(i, j), max(i, j)))
-        ks = [_json_index(term["k"], d, "bracket target k") for term in entry["terms"]]
+        terms = _json_objects(entry["terms"], f"bracket [{i+1}, {j+1}] terms")
+        ks = [_json_index(term["k"], d, "bracket target k") for term in terms]
         if len(set(ks)) != len(ks):
             raise AlgebraShapeError(f"bracket [{i+1}, {j+1}] names a target k twice")
-        for k, term in zip(ks, entry["terms"]):
+        for k, term in zip(ks, terms):
+            if type(term["coeff"]) is not str:
+                raise AlgebraShapeError(f"coeff must be a JSON string, not {term['coeff']!r}")
             # antisymmetric completion: the mirror entry is implied
             c[i][j][k] = parse_fraction(term["coeff"])
             c[j][i][k] = -c[i][j][k]

@@ -2,13 +2,15 @@
 
 The iteration bounces between the affine coefficient-matching subspace
 (projector precomputed exactly, applied in floating point) and the PSD cone
-(eigendecomposition clip).  A decaying eigenvalue floor nudges iterates toward
-the relative interior, which is what makes the later rational rounding land.
+(eigendecomposition clip of each n x n Hermitian block).  A decaying eigenvalue
+floor nudges iterates toward the relative interior, which is what makes the
+later rational rounding land.
 
 When the gap between the two sets stalls at a positive value, the gap vector
 yields a separating functional: y with S = -mat(A^T y) PSD and b . y > 0.  No
 affine-feasible PSD point can then exist; this is reported as numeric evidence
-with the normalized dual value -b.y / ||S||_F, never as a proof.
+with the normalized dual value -b.y / ||S||_W (W the Frobenius metric of the
+variable coordinates), never as a proof.
 """
 
 from __future__ import annotations
@@ -71,21 +73,13 @@ class NumericOutcome:
 
 
 def _project_psd(mats, floor: float):
-    """Clip each symmetric block's eigenvalues at `floor`; return min eigenvalue."""
-    out = []
-    min_eig = np.inf
-    for M in mats:
-        if M.size == 0:
-            out.append(M)
-            continue
-        M = 0.5 * (M + M.T)
-        w, Q = np.linalg.eigh(M)
-        min_eig = min(min_eig, float(w[0]))
-        w = np.maximum(w, floor)
-        out.append((Q * w) @ Q.T)
-    if min_eig is np.inf:
-        min_eig = 0.0
-    return out, min_eig
+    """Clip each Hermitian block's eigenvalues at `floor`."""
+    return [(Q * np.maximum(w, floor)) @ Q.conj().T for w, Q in map(np.linalg.eigh, mats)]
+
+
+def _min_eigenvalue(mats) -> float:
+    """The smallest eigenvalue over the Hermitian blocks, 0.0 when all are empty."""
+    return min((float(np.linalg.eigvalsh(M)[0]) for M in mats if M.size), default=0.0)
 
 
 def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutcome:
@@ -125,9 +119,7 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
     it = 0
     stalled = False
     for it in range(1, opts.max_iters + 1):
-        mats = layout.embed_float(g)
-        mats_psd, _ = _project_psd(mats, floor)
-        g_psd = layout.unembed_float(mats_psd)
+        g_psd = layout.unembed_float(_project_psd(layout.embed_float(g), floor))
         g_aff = system.project_float(g_psd)
         gap = float(np.linalg.norm(g_aff - g_psd))
         gap_history.append(gap)
@@ -135,7 +127,7 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
         floor = max(floor * 0.995, 0.0)
         if it % 10 == 0 or gap <= opts.tol:
             residual = system.residual_float(g_psd)
-            _, min_eig = _project_psd(layout.embed_float(g_psd), 0.0)
+            min_eig = _min_eigenvalue(layout.embed_float(g_psd))
             if residual <= opts.tol and min_eig >= -opts.tol:
                 return NumericOutcome("candidate", g=g_psd, residual=residual,
                                       min_eig=min_eig, iterations=it)
@@ -150,7 +142,7 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
                 break
 
     residual = system.residual_float(g_psd)
-    _, min_eig = _project_psd(layout.embed_float(g_psd), 0.0)
+    min_eig = _min_eigenvalue(layout.embed_float(g_psd))
     if residual <= opts.tol and min_eig >= -opts.tol:
         return NumericOutcome("candidate", g=g_psd, residual=residual,
                               min_eig=min_eig, iterations=it)
@@ -170,14 +162,10 @@ def _dual_evidence(system, layout, g_aff, g_psd, iterations):
     gap = g_aff - g_psd  # equals -W^-1 A^T y for the multiplier below
     y = N @ (A @ g_psd - b)
     s_vec = winv * (A.T @ y)  # variable-space coordinates of S = -embed(gap)
-    S_blocks = layout.embed_float(s_vec)
-    norm = np.sqrt(sum(float(np.sum(M * M)) for M in S_blocks))
+    norm = float(np.sqrt(np.sum(s_vec * s_vec / winv)))  # ||S||_W
     if norm < 1e-14:
         return None
-    min_eig_S = min(
-        (float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) for M in S_blocks if M.size),
-        default=0.0,
-    )
+    min_eig_S = _min_eigenvalue(layout.embed_float(s_vec))
     # every affine-feasible PSD point X would give 0 <= <S, X> = b.y < 0
     dual_value = float(b @ y) / norm
     if dual_value < -INFEAS_TOL and min_eig_S / norm >= -1e-7:

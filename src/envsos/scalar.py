@@ -45,6 +45,8 @@ class Scalar:
         return Scalar.coerce(other) - self
 
     def __mul__(self, other) -> "Scalar":
+        if isinstance(other, (int, Fraction)):
+            return Scalar(self.re * other, self.im * other)
         other = Scalar.coerce(other)
         return Scalar(
             self.re * other.re - self.im * other.im,

@@ -88,6 +88,12 @@ def test_summarize_gives_the_no_regression_verdict():
     summary = bench_pairs.summarize(runs, end_to_end)["w"]
     assert summary["worse_beyond_bound"] == {"wall_s": True, "certificates": True}
     assert summary["failed_share_rose"] is True and summary["no_regression"] is False
+    # within every bound, but one change run reported a wrong output
+    runs = [_run(1, "parent", 4.0), _run(1, "change", 4.0),
+            _run(2, "parent", 4.0), dict(_run(2, "change", 4.0), correct=False)]
+    summary = bench_pairs.summarize(runs, end_to_end)["w"]
+    assert not any(summary["worse_beyond_bound"].values()) and not summary["failed_share_rose"]
+    assert summary["no_regression"] is False
     # a gain never counts as worse, whichever way the metric is better
     runs = [_run(1, "parent", 4.0, certificates=20), _run(1, "change", 1.0, certificates=30)]
     summary = bench_pairs.summarize(runs, end_to_end)["w"]

@@ -264,3 +264,13 @@ def test_malformed_algebra_file_is_an_input_error(tmp_path, capsys):
         code, out, err = run(capsys, argv[0], "--algebra", str(path), *argv[1:])
         assert (code, out) == (2, ""), argv
         assert "repeats a pair" in err
+
+
+def test_algebra_file_coefficients_are_strings(tmp_path, capsys):
+    data = to_json_dict(builtin("su2"))
+    data["brackets"][0]["terms"][0]["coeff"] = 1
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "normalize", "--algebra", str(path), "--expr", "x1")
+    assert (code, out) == (2, "")
+    assert "coeff must be a JSON string" in err

@@ -185,9 +185,18 @@ def test_json_reads_each_pair_once_in_either_orientation():
     _su2_file(names=["x1", "x 2", "x3"]),
     _su2_file(names=["x1", 2, "x3"]),
     _su2_file(names=None),
+    [_su2_file()],
+    _su2_file(brackets={}),
+    _su2_file(brackets={"i": 1}),
+    _su2_file(replace=[[1, 2]]),
+    _su2_file(replace=[{"i": 1, "j": 2, "terms": {}}]),
+    _su2_file(replace=[{"i": 1, "j": 2, "terms": [3]}]),
+    _su2_file(replace=[_bracket(1, 2, (3, 1)), _bracket(2, 3, (1, "1")),
+                       _bracket(3, 1, (2, "1"))]),
 ], ids=["dim-bool", "dim-float", "i-float", "k-bool", "j-string", "i-equals-j",
         "both-orientations", "pair-twice", "k-twice", "name-i", "names-repeat", "name-space",
-        "name-number", "names-null"])
+        "name-number", "names-null", "file-list", "brackets-object", "brackets-keys",
+        "bracket-list", "terms-object", "term-number", "coeff-number"])
 def test_json_rejects_malformed_algebra_files(data):
     with pytest.raises(AlgebraShapeError):
         from_json_dict(data)

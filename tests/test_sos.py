@@ -352,7 +352,7 @@ def test_planted_targets_share_one_affine_operator(su2, monkeypatch):
 
 
 def _embed_reference(layout, g):
-    """embed_float as one loop over the layout's index, the way it was first written."""
+    """embed_float as one loop over the layout's index: the Hermitian block U + iV."""
     mats = []
     for b, n in enumerate(layout.block_sizes):
         U, V = np.zeros((n, n)), np.zeros((n, n))
@@ -363,7 +363,7 @@ def _embed_reference(layout, g):
                 if layout.complex_blocks:
                     V[p, q] = -g[layout.index[(b, p, q, "im")]]
                     V[q, p] = g[layout.index[(b, p, q, "im")]]
-        mats.append(np.block([[U, -V], [V, U]]) if layout.complex_blocks else U)
+        mats.append(U + 1j * V if layout.complex_blocks else U)
     return mats
 
 
@@ -372,9 +372,7 @@ def _unembed_reference(layout, mats):
     for b, n in enumerate(layout.block_sizes):
         M = mats[b]
         if layout.complex_blocks:
-            U = 0.5 * (M[:n, :n] + M[n:, n:])
-            V = 0.5 * (M[n:, :n] - M[:n, n:])
-            U, V = 0.5 * (U + U.T), 0.5 * (V - V.T)
+            U, V = 0.5 * (M.real + M.real.T), 0.5 * (M.imag - M.imag.T)
         else:
             U, V = 0.5 * (M + M.T), None
         for p in range(n):
@@ -398,6 +396,49 @@ def test_float_embedding_matches_the_loop_reference(complex_blocks):
     assert np.array_equal(layout.unembed_float(noisy), _unembed_reference(layout, noisy))
 
 
+@pytest.mark.parametrize("complex_blocks", [True, False])
+def test_psd_projection_clips_hermitian_blocks_at_the_floor(complex_blocks):
+    rng = np.random.default_rng(87)
+    floor = 1e-3
+    for n in (0, 1, 4, 7):
+        X = rng.standard_normal((n, n))
+        if complex_blocks:
+            X = X + 1j * rng.standard_normal((n, n))
+        P, = numeric._project_psd([X + X.conj().T], floor)
+        assert P.shape == (n, n) and np.iscomplexobj(P) == complex_blocks
+        assert np.allclose(P, P.conj().T, rtol=0, atol=1e-12)
+        assert n == 0 or np.linalg.eigvalsh(P)[0] >= floor - 1e-12
+        # a block whose eigenvalues are all at least the floor stays where it is
+        Y = X @ X.conj().T + 2 * floor * np.eye(n)
+        Z, = numeric._project_psd([Y], floor)
+        assert np.allclose(Z, Y, rtol=0, atol=1e-12)
+
+
+def test_dual_norm_is_the_frobenius_norm_of_the_real_embedding(su2, monkeypatch):
+    """The dual value is b.y over the Frobenius norm of S's real 2n x 2n embedding
+    [[Re S, -Im S], [Im S, Re S]], which counts every entry of S twice."""
+    problem = GramSkeleton(su2, [AlgebraElement.unit(su2)], 2).problem_for(-canonical_a(su2))
+    calls = []
+    dual_evidence = numeric._dual_evidence
+
+    def recording(*args):
+        calls.append(args)
+        return dual_evidence(*args)
+
+    monkeypatch.setattr(numeric, "_dual_evidence", recording)
+    outcome = solve_feasibility(problem)
+    assert outcome.status == "infeasible-evidence" and len(calls) == 1
+    system, layout, _, g_psd, _ = calls[0]
+    A, b, N, winv = system.float_data()
+    y = N @ (A @ g_psd - b)
+    S_blocks = layout.embed_float(winv * (A.T @ y))
+    embedded = [np.block([[S.real, -S.imag], [S.imag, S.real]]) for S in S_blocks]
+    norm = np.sqrt(sum(np.sum(E * E) for E in embedded))
+    assert outcome.dual["dual_value"] == pytest.approx(float(b @ y) / norm, rel=1e-12)
+    min_eig = min(np.linalg.eigvalsh(E)[0] for E in embedded)
+    assert outcome.dual["min_eigenvalue_S"] == pytest.approx(min_eig / norm, rel=1e-9, abs=1e-12)
+
+
 def _iterate_digest(problem, opts=None):
     outcome = solve_feasibility(problem, opts)
     return outcome.status, outcome.iterations, hashlib.sha256(outcome.g.tobytes()).hexdigest()[:16]
@@ -405,10 +446,10 @@ def _iterate_digest(problem, opts=None):
 
 # (status, iterations, sha256 of the final iterate's bytes, first 16 hex digits)
 RECORDED_DIGESTS = {
-    "planted": ("candidate", 26, "cf95744126ec9e5c"),
-    "margin face": ("candidate", 17, "2ee464a7f3c86843"),
+    "planted": ("candidate", 26, "0c5bf4225c10f5e6"),
+    "margin face": ("candidate", 17, "f57daed0f2984f8c"),
     "robinson level 1": ("candidate", 1, "f012391f59815dad"),
-    "margin, 400 iterations": ("inconclusive", 400, "1815d7d16e51dbba"),
+    "margin, 400 iterations": ("inconclusive", 400, "5d3197983acfd3de"),
 }
 
 
@@ -447,11 +488,13 @@ def _numeric_digests(su2):
 
 
 def test_numeric_iterates_match_recorded_values(su2):
-    """Every numeric iterate is bit-identical to the loop-based float embedding.
+    """Every numeric iterate is bit-identical to the recorded values.
 
-    The digests were recorded with the loop implementation (Python 3.11,
-    numpy 2.4.6 with OpenBLAS, x86-64); another LAPACK build may round
-    eigh differently and need them recorded afresh.
+    The robinson digest (real blocks) was recorded with the loop-based float
+    embedding; the three su(2) digests (complex blocks) with the projection
+    of the n x n Hermitian blocks, which kept their statuses and iteration
+    counts.  All on Python 3.11, numpy 2.4.6 with OpenBLAS, x86-64; another
+    LAPACK build may round eigh differently and need them recorded afresh.
     """
     assert _numeric_digests(su2) == RECORDED_DIGESTS
 

@@ -20,7 +20,8 @@ When both sides have runs, the summary also gives the no-regression verdict:
 per end-to-end metric with a `bound`, whether the change's median is worse
 than the parent's by more than that bound, taken relative to the parent
 median in the direction of `better`; whether the failed share rose; and
-`no_regression`, true when neither happened.
+`no_regression`, true when neither happened and every change-side run
+reported correct output.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ def summarize(runs, end_to_end) -> dict:
                                                    change["metrics"][m["name"]]["median"])
                      for m in end_to_end if "bound" in m}
             rose = change["failed_share"] > parent["failed_share"]
-            summary[workload].update(worse_beyond_bound=worse, failed_share_rose=rose,
-                                     no_regression=not rose and not any(worse.values()))
+            summary[workload].update(
+                worse_beyond_bound=worse, failed_share_rose=rose,
+                no_regression=change["all_correct"] and not rose and not any(worse.values()))
     return summary
 
 
