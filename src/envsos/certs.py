@@ -375,22 +375,29 @@ def _parse_gram(rows):
             for row in _typed(rows, list, "a Gram block")]
 
 
+def _parse_canonical(text, algebra, what: str) -> AlgebraElement:
+    """The element of an expression text, which must be the rendering of that element."""
+    element = parse(_typed(text, str, what), algebra)
+    if render(element) != text:
+        raise CertificateFormatError(f"{what} {text!r} is not the canonical {render(element)!r}")
+    return element
+
+
 def _parse_monomial(text: str, algebra):
     """Exponents of a basis entry, which must be a canonical monomial string."""
-    terms = parse(text, algebra).terms
-    if len(terms) == 1:
-        (mono, coeff), = terms.items()
-        if coeff == Scalar(1) and _render_monomial_text(algebra, mono) == text:
-            return tuple(mono)
-    raise CertificateFormatError(f"basis entry {text!r} is not a canonical monomial")
+    terms = _parse_canonical(text, algebra, "a basis entry").terms
+    if len(terms) != 1 or ONE not in terms.values():
+        raise CertificateFormatError(f"basis entry {text!r} is not a canonical monomial")
+    return next(iter(terms))
 
 
 def certificate_from_json(data: dict):
     """Parse a certificate JSON document (either kind) without deciding anything.
 
     Only schema versions 1 and 2, integer counts and exponents, canonical
-    monomial basis strings, canonical target_coeffs, a canonical algebra,
-    block indices 1..r and fields of the writer's JSON types are accepted.
+    monomial basis strings, canonical target and generator texts, canonical
+    target_coeffs, a canonical algebra, block indices 1..r and fields of the
+    writer's JSON types are accepted.
     Gram blocks are read as written; positivity is left to the verifier.
     """
     try:
@@ -400,8 +407,8 @@ def certificate_from_json(data: dict):
         kind = data["kind"]
         if kind == "weighted_sos":
             algebra = _canonical_algebra(data["algebra"])
-            target = parse(_typed(data["target"], str, "target"), algebra)
-            generators = [parse(_typed(g, str, "a generator"), algebra)
+            target = _parse_canonical(data["target"], algebra, "target")
+            generators = [_parse_canonical(g, algebra, "a generator")
                           for g in _typed(data["generators"], list, "generators")]
             blocks = [_typed(blk, dict, "a block")
                       for blk in _typed(data["blocks"], list, "blocks")]

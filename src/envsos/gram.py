@@ -21,12 +21,14 @@ reduced rows are the shared skeleton's rows composed with that linear map,
 so the skeleton stays target-independent; congruence() maps a reduced block
 back to the full monomial basis, for certificates of both kinds.
 
-The module also carries the commutative analogue used for symbol positivity,
-which quotients out the kernel vectors forced by exact zeros of the form in
-the same way.  All constraint data is exact; float copies are derived once
-for the numeric solver.  Projections onto the affine subspace use the
-Frobenius metric of the underlying (reduced) matrices, which in variable
-coordinates is the diagonal weight W stored alongside the system.
+The module also carries the commutative analogue used for symbol positivity.
+Its rows are built unreduced over the monomial basis, and the kernel vectors
+forced by exact zeros of the form restrict them to a face exactly as a faced
+problem's are, through _compose_rows and congruence.  All constraint data is
+exact; float copies are derived once for the numeric solver.  Projections
+onto the affine subspace use the Frobenius metric of the underlying (reduced)
+matrices, which in variable coordinates is the diagonal weight W stored
+alongside the system.
 
 Only the rhs b of A g = b depends on the target.  An AffineOperator holds
 what does not: the rows selected on A alone, W^-1 and N = (A W^-1 A^T)^-1
@@ -500,88 +502,74 @@ class CommGramProblem:
     """Plain sum-of-squares feasibility for a homogeneous real polynomial.
 
     At level k the polynomial decomposed is (t_1^2+...+t_d^2)^k * form; it is
-    stored as `target`.  Verified zeros of the form force every feasible Gram
-    to annihilate the corresponding monomial evaluation vectors.  Those exact
-    rational kernel vectors are quotiented out up front (the working Gram
-    lives on a basis of their orthogonal complement), which restores a
-    relative interior and makes dyadic rounding land on boundary instances.
+    stored as `target`.  The rows are built unreduced, over the monomials w
+    of half its degree: column (p, q) meets only the row of t^(w_p + w_q).
+    Verified zeros of the form force every feasible Gram to annihilate exact
+    vectors; the rows are then restricted to the face G = Q^T G' Q as a faced
+    SdpProblem's are, which restores a relative interior and makes dyadic
+    rounding land on boundary instances, and a row is dropped when it is zero
+    where the target has no term.  Q is None when nothing is forced.
     """
 
     def __init__(self, form: CommutativePoly, kernel_points=None, level: int = 0):
         if not form.is_homogeneous():
             raise ValueError("commutative mode expects a homogeneous target")
         target = squared_norm_poly(form.nvars) ** level * form if level else form
-        deg = target.degree()
-        if deg is None:
-            deg = 0
+        deg = target.degree() or 0
         if deg % 2 != 0:
             raise OddDegreeTarget("a sum of squares has even degree")
         self.target = target
         self.level = level
         self.monomials = monomials_of_degree(target.nvars, deg // 2)
         n = len(self.monomials)
-        # reduction matrix Q: rows span the complement of the forced kernel
+        full = VariableLayout([n], complex_blocks=False)
+        row_monomials = monomials_of_degree(target.nvars, deg)
+        at = {mono: i for i, mono in enumerate(row_monomials)}
+        rows = [[Fraction(0)] * full.nvars for _ in row_monomials]
+        for (_, p, q, _), col in full.index.items():
+            mono = tuple(a + b for a, b in zip(self.monomials[p], self.monomials[q]))
+            rows[at[mono]][col] = Fraction(1 if p == q else 2)  # off-diagonal entries appear twice
         kernel_vectors = _forced_kernel_vectors(target, self.monomials, kernel_points or [])
-        self.Q = nullspace(kernel_vectors, n)
-        # working basis: polynomials b_p(t) = sum_j Q[p][j] t^{alpha_j}
-        self.basis_polys = [
-            CommutativePoly(target.nvars, {self.monomials[j]: self.Q[p][j]
-                                           for j in range(n) if self.Q[p][j]})
-            for p in range(len(self.Q))
-        ]
-        m = len(self.basis_polys)
-        self.layout = VariableLayout([m], complex_blocks=False)
-        products = {}
-        for p in range(m):
-            for q in range(p, m):
-                prod = self.basis_polys[p] * self.basis_polys[q]
-                if p != q:
-                    prod = prod.scale(2)  # off-diagonal entries appear twice
-                products[(p, q)] = prod
-        support = set(target.coeffs.keys())
-        for prod in products.values():
-            support.update(prod.coeffs.keys())
-        self.row_monomials = sorted(support, key=term_sort_key)
-        row_of = {mono: i for i, mono in enumerate(self.row_monomials)}
-        rows = [[Fraction(0)] * self.layout.nvars for _ in self.row_monomials]
-        for (p, q), prod in products.items():
-            col = self.layout.index[(0, p, q, "re")]
-            for mono, coeff in prod.coeffs.items():
-                rows[row_of[mono]][col] = coeff
+        self.Q = nullspace(kernel_vectors, n) if kernel_vectors else None
+        if self.Q is None:
+            self.layout = full
+            self.basis_polys = [CommutativePoly.monomial(target.nvars, w) for w in self.monomials]
+        else:
+            self.layout = VariableLayout([len(self.Q)], complex_blocks=False)
+            rows = _compose_rows(rows, full, self.layout, [self.Q])
+            # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}
+            self.basis_polys = [CommutativePoly(target.nvars, dict(zip(self.monomials, row)))
+                                for row in self.Q]
+        kept = [i for i, mono in enumerate(row_monomials) if any(rows[i]) or mono in target.coeffs]
+        self.row_monomials = [row_monomials[i] for i in kept]
+        self.rows = [rows[i] for i in kept]
         rhs = [target.coeffs.get(mono, Fraction(0)) for mono in self.row_monomials]
-        self.rows = rows
-        self.system = AffineSystem(rows, rhs, self.layout.weights)
+        self.system = AffineSystem(self.rows, rhs, self.layout.weights)
 
     def gram_blocks_exact(self, g):
-        """The one exact block over the *monomial* basis: Q^T G' Q from the reduced vars."""
-        return [congruence(self.Q, self.layout.gram_blocks_exact(g)[0], len(self.monomials))]
+        """The one exact block over the *monomial* basis: Q^T G' Q on a face."""
+        G, = self.layout.gram_blocks_exact(g)
+        return [G if self.Q is None else congruence(self.Q, G, len(self.monomials))]
 
     @property
     def basis(self):
         return self.monomials
 
 
+def _cleared_integers(v):
+    """v times the least common multiple of its denominators, as integers."""
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    return [int(x * den) for x in v]
+
+
 def _line_expansion(mono, t0, u, max_order: int):
-    """Coefficients of s^0..s^max_order in prod_k (t0_k + s u_k)^{e_k}."""
-    zero = Fraction(0)
-    coeffs = [Fraction(1)]
-    for k, e in enumerate(mono):
-        if not e:
-            continue
-        a, b = Fraction(t0[k]), Fraction(u[k])
-        if not a and not b:
-            return [zero] * (max_order + 1)
-        for _ in range(e):
-            nxt = [zero] * min(len(coeffs) + 1, max_order + 1)
-            for m, cm in enumerate(coeffs):
-                if not cm:
-                    continue
-                if a and m < len(nxt):
-                    nxt[m] += cm * a
-                if b and m + 1 < len(nxt):
-                    nxt[m + 1] += cm * b
-            coeffs = nxt
-    coeffs += [zero] * (max_order + 1 - len(coeffs))
+    """Coefficients of s^0..s^max_order in prod_k (t0_k + s u_k)^{e_k}, for integer t0 and u."""
+    coeffs = [1] + [0] * max_order
+    for a, b, e in zip(t0, u, mono):
+        if e:
+            row = [math.comb(e, i) * a ** (e - i) * b ** i for i in range(min(e, max_order) + 1)]
+            coeffs = [sum(coeffs[m - i] * r for i, r in enumerate(row[:m + 1]))
+                      for m in range(max_order + 1)]
     return coeffs
 
 
@@ -595,6 +583,10 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     ceil(nu/2); the directional derivative vectors of the monomial basis up to
     that order are then forced kernel vectors too.  Null directions of the
     exact Hessian at t0 are the candidates worth expanding.
+
+    t0 and u are cleared to integers first.  Every monomial has degree h, so
+    this scales each order-m vector by one factor d0^(h-m) du^m and leaves
+    nu, and the span of the vectors, unchanged.
     """
     if not kernel_points:
         return []
@@ -602,21 +594,17 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     grads = [target.differentiate(k) for k in range(nvars)]
     hessians = [[grads[j].differentiate(k) for k in range(nvars)] for j in range(nvars)]
     deg = target.degree() or 0
-    half_deg = deg // 2
-    monomial_polys = [CommutativePoly.monomial(nvars, mono) for mono in monomials]
     vectors = []
-    for t0 in kernel_points:
-        vectors.append([w.evaluate(t0) for w in monomial_polys])
+    for point in kernel_points:
+        t0 = _cleared_integers(point)
+        vectors.append([math.prod(a ** e for a, e in zip(t0, mono)) for mono in monomials])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
-        for u in nullspace(H, nvars):
+        for direction in nullspace(H, nvars):
+            u = _cleared_integers(direction)
             # exact univariate expansion of the target along t0 + s u
-            line = [Fraction(0)] * (deg + 1)
-            for mono, q in target.coeffs.items():
-                for m, cm in enumerate(_line_expansion(mono, t0, u, deg)):
-                    if cm:
-                        line[m] += q * cm
-            nu = next((m for m, cm in enumerate(line) if cm), None)
-            kappa = half_deg + 1 if nu is None else (nu + 1) // 2
+            line = [(q, _line_expansion(mono, t0, u, deg)) for mono, q in target.coeffs.items()]
+            nu = next((m for m in range(deg + 1) if sum(q * e[m] for q, e in line)), None)
+            kappa = deg // 2 + 1 if nu is None else (nu + 1) // 2
             if kappa < 2:
                 continue
             # truncation keeps the low orders exact: one expansion per monomial

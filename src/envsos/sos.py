@@ -28,6 +28,7 @@ from .certs import (
     round_and_verify,
     verify_commutative_certificate,
 )
+from .errors import nonnegative_int
 from .exactla import cmat_mul, nullspace
 from .gram import CommGramProblem, GramSkeleton
 from .numeric import NumericOutcome, SolveOptions, solve_feasibility
@@ -185,13 +186,15 @@ def commutative_sos(p: CommutativePoly, level: int = 0,
     when the Gram matrix is positive definite); sampling runs first and a
     negative point short-circuits the hierarchy.
     """
+    level = nonnegative_int(level, "level")
     if not p.is_homogeneous():
         raise ValueError("the multiplier hierarchy expects a homogeneous polynomial")
     if p.is_zero():
         # the empty Gram certifies 0; verifying it stores its (empty) LDL factor
         cert = CommutativeSosCertificate(p, level, [], [])
-        verify_commutative_certificate(cert, p)
-        return FeasibilityReport("certificate", certificate=cert)
+        if verify_commutative_certificate(cert, p):
+            return FeasibilityReport("certificate", certificate=cert)
+        return FeasibilityReport("inconclusive", detail="the zero form's empty Gram did not verify")
     if p.degree() % 2:
         return FeasibilityReport("not-positive", detail="odd degree cannot be a sum of squares")
     opts = opts or SolveOptions()

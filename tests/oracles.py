@@ -13,7 +13,10 @@ reference_star_monomial are frozen copies of the earlier straightening loops,
 each with its own generator-step loop and a memo passed in, and
 reference_skeleton_rows is the earlier Gram skeleton assembly, which took
 NF(w_q^* f w_p) as the star of NF(w_p^* f w_q) and scanned every column per
-row monomial.
+row monomial.  reference_comm_problem is the earlier commutative Gram
+construction: it expanded forced kernel vectors in Fractions
+(reference_line_expansion), multiplied every pair of reduced basis
+polynomials and wrote their coefficients into the rows.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from envsos.exactla import LdlResult, cmat_identity, cmat_is_hermitian, ldl_hermitian
-from envsos.gram import VariableLayout, monomials_up_to
+from envsos.exactla import (LdlResult, cmat_identity, cmat_is_hermitian, ldl_hermitian,
+                            nullspace)
+from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
 from envsos.lie import LieAlgebra
 from envsos.pbw import AlgebraElement, term_sort_key
 from envsos.poly import CommutativePoly, squared_norm_poly
@@ -438,3 +442,106 @@ def reference_skeleton_rows(algebra: LieAlgebra, generators, degree: int):
         rows.append(row_re)
         rows.append(row_im)
     return row_monomials, rows
+
+
+def reference_line_expansion(mono, t0, u, max_order: int):
+    """Frozen earlier Fraction expansion: s^0..s^max_order of prod_k (t0_k + s u_k)^{e_k}."""
+    zero = Fraction(0)
+    coeffs = [Fraction(1)]
+    for k, e in enumerate(mono):
+        if not e:
+            continue
+        a, b = Fraction(t0[k]), Fraction(u[k])
+        if not a and not b:
+            return [zero] * (max_order + 1)
+        for _ in range(e):
+            nxt = [zero] * min(len(coeffs) + 1, max_order + 1)
+            for m, cm in enumerate(coeffs):
+                if not cm:
+                    continue
+                if a and m < len(nxt):
+                    nxt[m] += cm * a
+                if b and m + 1 < len(nxt):
+                    nxt[m + 1] += cm * b
+            coeffs = nxt
+    coeffs += [zero] * (max_order + 1 - len(coeffs))
+    return coeffs
+
+
+def _reference_forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
+    if not kernel_points:
+        return []
+    nvars = target.nvars
+    grads = [target.differentiate(k) for k in range(nvars)]
+    hessians = [[grads[j].differentiate(k) for k in range(nvars)] for j in range(nvars)]
+    deg = target.degree() or 0
+    half_deg = deg // 2
+    monomial_polys = [CommutativePoly.monomial(nvars, mono) for mono in monomials]
+    vectors = []
+    for t0 in kernel_points:
+        vectors.append([w.evaluate(t0) for w in monomial_polys])
+        H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
+        for u in nullspace(H, nvars):
+            line = [Fraction(0)] * (deg + 1)
+            for mono, q in target.coeffs.items():
+                for m, cm in enumerate(reference_line_expansion(mono, t0, u, deg)):
+                    if cm:
+                        line[m] += q * cm
+            nu = next((m for m, cm in enumerate(line) if cm), None)
+            kappa = half_deg + 1 if nu is None else (nu + 1) // 2
+            if kappa < 2:
+                continue
+            expansions = [reference_line_expansion(mono, t0, u, kappa - 1) for mono in monomials]
+            for m in range(1, kappa):
+                vec = [coeffs[m] for coeffs in expansions]
+                if any(vec):
+                    vectors.append(vec)
+    return vectors
+
+
+class ReferenceCommProblem:
+    """Frozen copy of the earlier CommGramProblem construction (no affine system).
+
+    Q is the identity when nothing is forced; each row reads the coefficients
+    of the products b_p b_q (doubled off the diagonal) of the reduced basis.
+    """
+
+    def __init__(self, form: CommutativePoly, kernel_points=None, level: int = 0):
+        target = squared_norm_poly(form.nvars) ** level * form if level else form
+        deg = target.degree() or 0
+        self.monomials = monomials_of_degree(target.nvars, deg // 2)
+        n = len(self.monomials)
+        vectors = _reference_forced_kernel_vectors(target, self.monomials, kernel_points or [])
+        self.Q = nullspace(vectors, n)
+        self.basis_polys = [
+            CommutativePoly(target.nvars, {self.monomials[j]: self.Q[p][j]
+                                           for j in range(n) if self.Q[p][j]})
+            for p in range(len(self.Q))
+        ]
+        m = len(self.basis_polys)
+        self.layout = VariableLayout([m], complex_blocks=False)
+        products = {}
+        for p in range(m):
+            for q in range(p, m):
+                prod = self.basis_polys[p] * self.basis_polys[q]
+                products[(p, q)] = prod.scale(2) if p != q else prod
+        support = set(target.coeffs.keys())
+        for prod in products.values():
+            support.update(prod.coeffs.keys())
+        self.row_monomials = sorted(support, key=term_sort_key)
+        row_of = {mono: i for i, mono in enumerate(self.row_monomials)}
+        self.rows = [[Fraction(0)] * self.layout.nvars for _ in self.row_monomials]
+        for (p, q), prod in products.items():
+            col = self.layout.index[(0, p, q, "re")]
+            for mono, coeff in prod.coeffs.items():
+                self.rows[row_of[mono]][col] = coeff
+        self.rhs = [target.coeffs.get(mono, Fraction(0)) for mono in self.row_monomials]
+
+    def gram_blocks_exact(self, g):
+        """Q^T G' Q over the monomial basis, as (Q^T G') Q summed entry by entry."""
+        Gp, = self.layout.gram_blocks_exact(g)
+        n, m, Q = len(self.monomials), len(self.Q), self.Q
+        left = [[sum((Gp[p][q] * Q[p][j] for p in range(m)), Scalar(0)) for q in range(m)]
+                for j in range(n)]
+        return [[[sum((left[j][q] * Q[q][k] for q in range(m)), Scalar(0)) for k in range(n)]
+                 for j in range(n)]]

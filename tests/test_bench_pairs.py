@@ -100,3 +100,28 @@ def test_summarize_gives_the_no_regression_verdict():
     assert summary["worse_beyond_bound"] == {"wall_s": False, "certificates": False}
     # only one side: no verdict
     assert "no_regression" not in bench_pairs.summarize(runs[:1], end_to_end)["w"]
+
+
+def test_summarize_marks_metrics_the_parent_spread_leaves_unresolved():
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "certificates", "better": "higher", "bound": 0.05}]
+    # parent wall_s 2, 3, 5, 6: q3 - q1 = 5.25 - 2.75 = 2.5 > 0.25 * 4.0; certificates steady
+    parent = [_run(k, "parent", wall, certificates=20) for k, wall in enumerate([2, 3, 5, 6])]
+    # every change run beats every parent run: resolved despite the spread
+    faster = [_run(k, "change", wall, certificates=20)
+              for k, wall in enumerate([1.0, 1.5, 1.8, 1.9])]
+    summary = bench_pairs.summarize(parent + faster, end_to_end)["w"]
+    assert summary["unresolved"] == {"wall_s": False, "certificates": False}
+    # overlapping runs with a lower median: unresolved, and still no regression
+    overlapping = [_run(k, "change", wall, certificates=20)
+                   for k, wall in enumerate([1, 2.5, 4, 7])]
+    summary = bench_pairs.summarize(parent + overlapping, end_to_end)["w"]
+    assert summary["unresolved"] == {"wall_s": True, "certificates": False}
+    assert summary["no_regression"] is True
+    # a spread within the bound is resolved whatever the change does
+    steady = [_run(k, "parent", wall) for k, wall in enumerate([4.0, 4.1, 4.2, 4.3])]
+    summary = bench_pairs.summarize(steady + overlapping, end_to_end)["w"]
+    assert summary["unresolved"]["wall_s"] is False
+    # one run a side: no spread to read
+    assert bench_pairs.summarize(parent[:1] + faster[:1], end_to_end)["w"]["unresolved"] == {
+        "wall_s": False, "certificates": False}

@@ -1,13 +1,25 @@
-"""GramSkeleton assembly against the frozen star-based assembly in oracles."""
+"""Gram assembly against frozen earlier constructions in oracles.
+
+GramSkeleton against the star-based assembly, CommGramProblem against the
+construction that multiplied every pair of reduced basis polynomials and
+expanded forced kernel vectors in Fractions.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from envsos.gram import GramSkeleton
+from envsos.gram import CommGramProblem, GramSkeleton, _line_expansion
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement
+from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.scalar import Scalar
+from envsos.sos import sample_sign_information
 
-from oracles import reference_skeleton_rows
+from oracles import ReferenceCommProblem, reference_line_expansion, reference_skeleton_rows
 
 
 def _generators(algebra, kind):
@@ -49,3 +61,114 @@ def test_skeleton_stars_basis_monomials_only(monkeypatch):
     assert len(starred) - len(monomials) == len(f)
     assert [next(iter(e.terms)) for e in monomials] == [w for b in skeleton.bases for w in b]
     assert all(e == AlgebraElement.monomial(algebra, next(iter(e.terms))) for e in monomials)
+
+
+PSD_NOT_SOS = {
+    "motzkin": CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1}),
+    "choi-lam-S": CommutativePoly(3, {(4, 2, 0): 1, (0, 4, 2): 1, (2, 0, 4): 1, (2, 2, 2): -3}),
+    "robinson": CommutativePoly(3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1,
+                                    (2, 4, 0): -1, (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1,
+                                    (0, 2, 4): -1, (2, 2, 2): 3}),
+}
+
+
+def _planted_quartics(seed=1, count=8):
+    """The planted quartics of the sphere-forms benchmark: sums of 12 squares of quadrics."""
+    rng = random.Random(seed)
+    quadrics = sorted((m for m in itertools.product(range(3), repeat=4) if sum(m) == 2),
+                      reverse=True)
+    forms = []
+    for _ in range(count):
+        form = CommutativePoly(4)
+        for _ in range(len(quadrics) + 2):
+            q = CommutativePoly(4, {m: rng.randint(-3, 3) for m in quadrics})
+            form = form + q * q
+        forms.append(form)
+    return forms
+
+
+def _assert_matches_reference(form, zeros, level):
+    problem = CommGramProblem(form, kernel_points=zeros, level=level)
+    ref = ReferenceCommProblem(form, kernel_points=zeros, level=level)
+    assert problem.row_monomials == ref.row_monomials
+    assert problem.rows == ref.rows
+    assert all(type(x) is type(y) for r, s in zip(problem.rows, ref.rows) for x, y in zip(r, s))
+    assert problem.system.rhs == ref.rhs
+    assert all(type(x) is type(y) for x, y in zip(problem.system.rhs, ref.rhs))
+    n = len(problem.monomials)
+    if problem.Q is None:  # the reference's identity
+        assert ref.Q == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    else:
+        assert problem.Q == ref.Q
+    assert problem.layout.block_sizes == ref.layout.block_sizes
+    assert [b.coeffs for b in problem.basis_polys] == [b.coeffs for b in ref.basis_polys]
+    g = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(problem.layout.nvars)]
+    assert problem.gram_blocks_exact(g) == ref.gram_blocks_exact(g)
+    return problem
+
+
+@pytest.mark.parametrize("name", sorted(PSD_NOT_SOS))
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_comm_problem_matches_the_pairwise_product_construction(name, level):
+    form = PSD_NOT_SOS[name]
+    _, zeros = sample_sign_information(form)
+    problem = _assert_matches_reference(form, zeros, level)
+    if level == 0:  # the zeros force the whole kernel: an empty face, not "nothing forced"
+        assert problem.Q == [] and problem.layout.block_sizes == [0]
+
+
+def test_comm_problem_matches_on_the_planted_quartics():
+    for form in _planted_quartics():
+        negative, zeros = sample_sign_information(form)
+        assert negative is None
+        _assert_matches_reference(form, zeros, 0)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_comm_problem_matches_on_a_square_of_a_quadric(level):
+    # (t1^2 - t2^2)^2 vanishes to second order across the lines t1 = +-t2
+    form = CommutativePoly(2, {(4, 0): 1, (2, 2): -2, (0, 4): 1})
+    _, zeros = sample_sign_information(form)
+    assert zeros
+    _assert_matches_reference(form, zeros, level)
+
+
+def test_comm_problem_matches_with_a_given_point():
+    form = CommutativePoly(2, {(2, 0): 1, (0, 2): 1})
+    problem = _assert_matches_reference(form, [(Fraction(1), Fraction(0))], 0)
+    assert problem.Q == [[0, 1]]  # v(1, 0) over (t1, t2) is (1, 0)
+    assert _assert_matches_reference(form, [], 0).Q is None
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("nvars, point", [(2, (Fraction(1, 2), Fraction(1))),
+                                          (3, (Fraction(0), Fraction(1), Fraction(0)))],
+                         ids=["fractional-zero", "fractional-direction"])
+def test_comm_problem_matches_on_fractional_lines(nvars, point, level):
+    # (2 t1 - t_d)^2 (t1^2 + ... + t_d^2) vanishes on the hyperplane t_d = 2 t1.  In two
+    # variables the zero (1/2, 1) is cleared to (1, 2); in three the zero (0, 1, 0) has
+    # the Hessian null direction (1/2, 0, 1) in the hyperplane, cleared to (1, 0, 2)
+    line = CommutativePoly(nvars, {(1,) + (0,) * (nvars - 1): 2, (0,) * (nvars - 1) + (1,): -1})
+    form = line * line * squared_norm_poly(nvars)
+    _assert_matches_reference(form, [point], level)
+
+
+def test_integer_line_expansion_is_the_fraction_one_scaled():
+    """On cleared t0 = d0 t and u = du v, order m gains the factor d0^(h-m) du^m."""
+    rng = random.Random(14)
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        mono = tuple(rng.randint(0, 3) for _ in range(nvars))
+        h = sum(mono)
+        t, v = [rational() for _ in mono], [rational() for _ in mono]
+        d0 = math.lcm(*(x.denominator for x in t))
+        du = math.lcm(*(x.denominator for x in v))
+        max_order = rng.randint(0, h + 2)
+        got = _line_expansion(mono, [int(x * d0) for x in t], [int(x * du) for x in v], max_order)
+        expected = reference_line_expansion(mono, t, v, max_order)
+        assert all(type(c) is int for c in got)
+        assert got == [c * Fraction(d0) ** (h - m) * du ** m for m, c in enumerate(expected)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from envsos import certs, exactla, gram, lie, numeric
+from envsos import certs, exactla, gram, lie, numeric, sos
 from envsos.certs import (
     CommutativeSosCertificate,
     WeightedSosCertificate,
@@ -192,6 +192,21 @@ def test_loader_rejects_non_canonical_basis_entry(su2):
         basis[3] = entry
         with pytest.raises(CertificateFormatError):
             verify_certificate_json(data)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("target", "-x1^2 + 3"), ("target", "3 - x1*x1"), ("target", "1 + 2 - x1^2"),
+    ("target", "(3 - x1^2)"), ("target", " 3 - x1^2"),
+    ("generators", ["2 - 1"]), ("generators", ["1*1"]), ("generators", ["(1)"]),
+])
+def test_loader_rejects_non_canonical_target_and_generator_texts(su2, field, text):
+    # each text parses to the emitted element, so read loosely it would still verify
+    unit = AlgebraElement.unit(su2)
+    data = find_certificate(parse("3 - x1^2", su2), [unit], 2).certificate.to_json_dict()
+    assert (data["target"], data["generators"]) == ("3 - x1^2", ["1"])
+    assert verify_certificate_json(data)
+    with pytest.raises(CertificateFormatError, match="canonical"):
+        verify_certificate_json(dict(data, **{field: text}))
 
 
 def test_loader_rejects_unknown_schema_version(su2):
@@ -694,6 +709,24 @@ def test_non_homogeneous_rejected():
     p = CommutativePoly(2, {(2, 0): 1, (0, 0): 1})
     with pytest.raises(ValueError):
         commutative_sos(p, 0)
+
+
+@pytest.mark.parametrize("level", [-1, True, 1.5])
+@pytest.mark.parametrize("p", [CommutativePoly(2, {}), squared_norm_poly(2)],
+                         ids=["zero", "square"])
+def test_commutative_level_must_be_a_nonnegative_int(p, level):
+    with pytest.raises(ValueError, match="level"):
+        commutative_sos(p, level)
+
+
+def test_zero_form_certificate_is_returned_only_when_it_verifies(monkeypatch):
+    zero = CommutativePoly(2, {})
+    report = commutative_sos(zero, 1)
+    assert report.status == "certificate"
+    assert verify_certificate_json(report.certificate.to_json_dict())
+    monkeypatch.setattr(sos, "verify_commutative_certificate", lambda cert, target: False)
+    report = commutative_sos(zero, 1)
+    assert report.status == "inconclusive" and report.certificate is None
 
 
 def test_kernel_constraints_keep_expansion_exact():

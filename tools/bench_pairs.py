@@ -21,7 +21,10 @@ per end-to-end metric with a `bound`, whether the change's median is worse
 than the parent's by more than that bound, taken relative to the parent
 median in the direction of `better`; whether the failed share rose; and
 `no_regression`, true when neither happened and every change-side run
-reported correct output.
+reported correct output.  Per such metric it also marks `unresolved`: the
+parent's own runs spread wider than the bound (q3 - q1 above bound * |median|)
+and not every change run is better than every parent run, so the medians
+cannot tell a change from noise.  `no_regression` does not read it.
 """
 
 from __future__ import annotations
@@ -71,19 +74,30 @@ def worse_beyond_bound(metric, parent_median, change_median) -> bool:
     return worse > metric["bound"] * abs(parent_median)
 
 
+def unresolved(metric, parent_stats, parent_values, change_values) -> bool:
+    """Whether the parent's quartiles spread beyond metric's bound and the sides overlap."""
+    if metric["better"] == "lower":
+        separated = max(change_values) < min(parent_values)
+    else:
+        separated = min(change_values) > max(parent_values)
+    spread = parent_stats["q3"] - parent_stats["q1"]
+    return spread > metric["bound"] * abs(parent_stats["median"]) and not separated
+
+
 def summarize(runs, end_to_end) -> dict:
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         sides = {}
+        values = {}  # (side, metric name) -> the side's run values
         for side in ("parent", "change"):
             mine = [r for r in runs if r["workload"] == workload and r["side"] == side]
             if not mine:
                 continue
             stats = {}
             for metric in end_to_end:
-                values = [r["metrics"][metric["name"]] for r in mine]
-                q = (statistics.quantiles(values, n=4, method="inclusive")
-                     if len(values) > 1 else [values[0]] * 3)
+                vals = values[side, metric["name"]] = [r["metrics"][metric["name"]] for r in mine]
+                q = (statistics.quantiles(vals, n=4, method="inclusive")
+                     if len(vals) > 1 else [vals[0]] * 3)
                 stats[metric["name"]] = {"median": q[1], "q1": q[0], "q3": q[2]}
             passes = [r["passes"] for r in mine if r.get("passes") is not None]
             sides[side] = {
@@ -110,8 +124,11 @@ def summarize(runs, end_to_end) -> dict:
                                                    change["metrics"][m["name"]]["median"])
                      for m in end_to_end if "bound" in m}
             rose = change["failed_share"] > parent["failed_share"]
+            spread = {m["name"]: unresolved(m, parent["metrics"][m["name"]],
+                                            values["parent", m["name"]], values["change", m["name"]])
+                      for m in end_to_end if "bound" in m}
             summary[workload].update(
-                worse_beyond_bound=worse, failed_share_rose=rose,
+                worse_beyond_bound=worse, unresolved=spread, failed_share_rose=rose,
                 no_regression=change["all_correct"] and not rose and not any(worse.values()))
     return summary
 
