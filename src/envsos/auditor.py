@@ -222,7 +222,6 @@ class IdealSpan:
     """
 
     def __init__(self, ctx: OperatorAlgebraContext):
-        self.ctx = ctx
         d = ctx.algebra.dim
         n = ctx.rep.dim_rep
         self.gens = []

@@ -67,14 +67,13 @@ ROUNDING_EXPONENTS = (10, 20, 30, 40, 50, 60)
 
 
 class WeightedSosCertificate:
-    def __init__(self, algebra, degree, target, generators, bases, grams, ldl_results=None):
+    def __init__(self, algebra, degree, target, generators, bases, grams):
         self.algebra = algebra
         self.degree = degree
         self.target = target
         self.generators = list(generators)
         self.bases = [list(b) for b in bases]
         self.grams = grams
-        self.ldl_results = ldl_results
 
     def to_json_dict(self) -> dict:
         blocks = []
@@ -98,12 +97,11 @@ class WeightedSosCertificate:
 
 
 class CommutativeSosCertificate:
-    def __init__(self, target: CommutativePoly, level: int, basis, gram, ldl=None):
+    def __init__(self, target: CommutativePoly, level: int, basis, gram):
         self.target = target          # the polynomial actually decomposed
         self.level = level
         self.basis = list(basis)
         self.gram = gram
-        self.ldl = ldl
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,13 +158,14 @@ def round_and_verify(problem, g_numeric):
 
     An SdpProblem yields a WeightedSosCertificate and a CommGramProblem a
     CommutativeSosCertificate; the verifier's factors stay on it in memory.
-    Raises RoundingFailed when no denominator 2^k in the schedule produces an
-    exactly feasible PSD point.
+    The exact projection meets every row of a consistent system by
+    construction and the verifier re-decides the identity from scratch, so
+    no residual is checked in between: on an inconsistent system every
+    rounding fails at the verifier.  Raises RoundingFailed when no
+    denominator 2^k in the schedule produces an exactly feasible PSD point.
     """
     for k in ROUNDING_EXPONENTS:
         g = problem.system.project_exact(_round_vector(g_numeric, k))
-        if any(r != 0 for r in problem.system.residual_exact(g)):
-            continue  # inconsistent system cannot round (caught earlier anyway)
         blocks = problem.gram_blocks_exact(g)
         if isinstance(problem, CommGramProblem):
             cert = CommutativeSosCertificate(problem.target, problem.level, problem.basis,

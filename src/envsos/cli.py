@@ -68,6 +68,21 @@ def _exact(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+JSON_TYPES = {str: "string", list: "array", dict: "object"}
+
+
+def _json(value, expected: type, what: str):
+    """value itself when an instance file gives it the JSON type expected."""
+    if type(value) is not expected:
+        raise ValueError(f"{what} must be a JSON {JSON_TYPES[expected]}, not {value!r}")
+    return value
+
+
+def _strings(value, what: str) -> list:
+    """A JSON array of strings."""
+    return [_json(text, str, f"an entry of {what}") for text in _json(value, list, what)]
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -124,21 +139,23 @@ def cmd_sos(args) -> int:
 
 def cmd_theorem(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _json(json.load(fh), dict, "an instance file")
     algebra_field = data["algebra"]
     algebra = lie.load(algebra_field) if isinstance(algebra_field, str) else lie.from_json_dict(algebra_field)
-    aliases = data.get("aliases", {})
-    c = parse(data["c"], algebra, aliases)
-    f = [parse(t, algebra, aliases) for t in data.get("f", ["1"])]
+    aliases = _json(data.get("aliases", {}), dict, "aliases")
+    _strings(list(aliases.values()), "aliases")
+    c = parse(_json(data["c"], str, "c"), algebra, aliases)
+    f = [parse(t, algebra, aliases) for t in _strings(data.get("f", ["1"]), "f")]
     window = None
     if args.lmax is not None:
         window = Fraction(args.lmax)
     elif "l_max" in data:
         window = _exact(data["l_max"], "l_max")
     elif "window_points" in data:
-        window = [tuple(_exact(v, "a window_points coordinate") for v in point)
-                  for point in data["window_points"]]
-    solver_cfg = data.get("solver", {})
+        window = [tuple(_exact(v, "a window_points coordinate")
+                        for v in _json(point, list, "a window point"))
+                  for point in _json(data["window_points"], list, "window_points")]
+    solver_cfg = _json(data.get("solver", {}), dict, "solver")
     opts = SolveOptions(
         tol=args.tol if args.tol is not None else solver_cfg.get("tol", 1e-9),
         seed=args.seed if args.seed is not None else solver_cfg.get("seed", 0),
@@ -156,8 +173,8 @@ def cmd_theorem(args) -> int:
         d_max=args.dmax if args.dmax is not None else data.get("d_max", 8),
         level_cap=data.get("level_cap", 2),
         ore_family=(
-            [parse(t, algebra, aliases) for t in data["ore_family"]]
-            if isinstance(data.get("ore_family"), list) else None
+            [parse(t, algebra, aliases) for t in _strings(data["ore_family"], "ore_family")]
+            if "ore_family" in data else None
         ),
         window=window,
         allow_evidence=allow_evidence,

@@ -47,6 +47,8 @@ class TheoremInstance:
         self.level_cap = nonnegative_int(level_cap, "level_cap")
         self.ore_family = ore_family  # None: powers of the canonical element
         self.window = window          # su(2): max spin; abelian: list of points
+        if type(allow_evidence) is not bool:
+            raise ValueError(f"allow_evidence must be a boolean, not {allow_evidence!r}")
         self.allow_evidence = allow_evidence
         self.solver = solver or SolveOptions()
         self._validate()
@@ -154,11 +156,10 @@ def check_assumption_ii(c: AlgebraElement, level_cap: int = 2,
     for level in range(level_cap + 1):
         report = commutative_sos(symbol, level, opts=opts, presampled=(None, []))
         if report.status == "certificate":
-            strict = bool(report.certificate.ldl and report.certificate.ldl.is_positive_definite())
             return {
                 "status": "certified-positive",
                 "level": level,
-                "strict_proof": strict,
+                "strict_proof": report.certificate.ldl.is_positive_definite(),
                 "symbol": symbol.render(),
             }
     return {"status": "inconclusive", "detail": f"no certificate up to level {level_cap}"}

@@ -192,7 +192,7 @@ def cleared(values):
 
 
 class LdlResult:
-    """Outcome of the exact LDL^* factorization of a Hermitian matrix.
+    """Outcome of the exact LDL^* factorization of a Hermitian matrix; true iff PSD.
 
     When positive semidefinite: perm, diag and lower describe the factorization
     P M P^T = L D L^* (lower is built from ldl_hermitian's step records when
@@ -219,6 +219,9 @@ class LdlResult:
                 for r, (a, b) in col.items():
                     self._lower[order[r]][k] = Scalar(Fraction(a, p), Fraction(b, p))
         return self._lower
+
+    def __bool__(self):
+        return self.psd
 
     def is_positive_definite(self) -> bool:
         return self.psd and all(d > 0 for d in self.diag)

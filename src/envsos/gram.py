@@ -32,13 +32,13 @@ alongside the system.
 
 Only the rhs b of A g = b depends on the target.  An AffineOperator holds
 what does not: the rows selected on A alone, W^-1 and N = (A W^-1 A^T)^-1
-over them, and their float copies.  A GramSkeleton builds one for its
-unreduced rows and every unreduced target shares it; a faced or commutative
-problem builds its own.  The AffineSystem of one target holds its rhs and
-an exact consistency check: a row is a consequence of the selected rows on
-[A | b] exactly when it is one on A and the system is consistent, so the
-selection (and every projection and certificate) is the same as selecting
-on [A | b] per target.
+over them, integers over one denominator, and their float copies.  A
+GramSkeleton builds one for its unreduced rows and every unreduced target
+shares it; a faced or commutative problem builds its own.  AffineSystem(op,
+rhs) is one target's system: its rhs and an exact consistency check.  A row
+is a consequence of the selected rows on [A | b] exactly when it is one on A
+and the system is consistent, so the selection (and every projection and
+certificate) is the same as selecting on [A | b] per target.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotHermitean, OddDegreeTarget
+from .errors import NotHermitean, OddDegreeTarget, nonnegative_int
 from .exactla import EchelonAccumulator, invert_exact, nullspace, rref
 from .lie import LieAlgebra
 from .pbw import AlgebraElement, term_sort_key
@@ -158,10 +158,11 @@ class VariableLayout:
 class AffineOperator:
     """The target-independent half of A g = b: selected rows, W^-1 and N.
 
-    Rows are selected greedily on A alone, and N = (A_ind W^-1 A_ind^T)^-1 is
-    exact.  Each row is also kept as its nonzero columns, so every product
-    meets only shared support.  A GramSkeleton builds one for its unreduced
-    rows and shares it with every target; the rows are read, never changed.
+    Rows are selected greedily on A alone.  N = (A_ind W^-1 A_ind^T)^-1 is held
+    once, as integers N_num over one denominator N_den: N r is integer arithmetic,
+    and the float N is N_num / N_den, which int division rounds as float() would.
+    Each row is also kept as its nonzero columns, so every product meets only
+    shared support.  With no selected row N is 0 x 0 and every product empty.
     """
 
     def __init__(self, rows, weights):
@@ -173,11 +174,9 @@ class AffineOperator:
         selected = set(self.independent)
         self.dependent = [i for i in range(len(rows)) if i not in selected]
         self.winv = [1 / w for w in weights]
-        self.N = invert_exact(self._weighted_gram()) if self.independent else None
-        # N = N_num / N_den with integer N_num, so N r is integer arithmetic
-        self.N_den = math.lcm(*(x.denominator for row in self.N or () for x in row))
-        self.N_num = [[x.numerator * (self.N_den // x.denominator) for x in row]
-                      for row in self.N or ()]
+        N = invert_exact(self._weighted_gram())
+        self.N_den = math.lcm(*(x.denominator for row in N for x in row))
+        self.N_num = [[x.numerator * (self.N_den // x.denominator) for x in row] for row in N]
         self._float_cache = None
 
     def _weighted_gram(self):
@@ -223,12 +222,12 @@ class AffineOperator:
     def float_data(self):
         """A_ind, N and W^-1 as float arrays, built on first use."""
         if self._float_cache is None:
-            A = np.zeros((len(self.independent), self.nvars))
+            m = len(self.independent)
+            A = np.zeros((m, self.nvars))
             for k, i in enumerate(self.independent):
                 for j, x in self.sparse[i]:
                     A[k, j] = float(x)
-            N = (np.array([[float(v) for v in row] for row in self.N])
-                 if self.N is not None else np.zeros((0, 0)))
+            N = np.array([[x / self.N_den for x in row] for row in self.N_num]).reshape(m, m)
             winv = np.array([float(v) for v in self.winv])
             self._float_cache = (A, N, winv)
         return self._float_cache
@@ -237,32 +236,26 @@ class AffineOperator:
 class AffineSystem:
     """Exact system A g = b plus the W-metric projector onto its solutions.
 
-    The operator (row selection, N, their float copies) depends only on the
-    rows and is shared: pass `operator` when the caller holds one built from
-    these rows and weights.  What is per target is the rhs and an exact
+    The operator `op` (row selection, N, their float copies) depends only on
+    the rows and may be shared.  What is per target is the rhs and an exact
     consistency check: the system is consistent iff the min-norm point
     x0 = W^-1 A_ind^T N b_ind of the selected rows satisfies the others.
     """
 
-    def __init__(self, rows, rhs, weights, operator: AffineOperator | None = None):
-        op = AffineOperator(rows, weights) if operator is None else operator
+    def __init__(self, op: AffineOperator, rhs):
         self.operator = op
         self.rows = op.rows
         self.rhs = [Fraction(v) for v in rhs]
         self.nvars = op.nvars
         self.independent = op.independent
         self.b_ind = [self.rhs[i] for i in op.independent]
-        self.degenerate = False
-        if op.dependent:
-            x0 = op.pull_back(op.multipliers(self.b_ind)) if op.independent else [0] * op.nvars
-            self.degenerate = any(op.row_value(i, x0) != self.rhs[i] for i in op.dependent)
+        x0 = op.pull_back(op.multipliers(self.b_ind))
+        self.degenerate = any(op.row_value(i, x0) != self.rhs[i] for i in op.dependent)
         self._b_float = None
 
     def project_exact(self, g):
         """W-metric projection of an exact vector onto {A x = b}."""
         op = self.operator
-        if not op.independent:
-            return list(g)
         r = [op.row_value(i, g) - bi for i, bi in zip(op.independent, self.b_ind)]
         return [x - d for x, d in zip(g, op.pull_back(op.multipliers(r)))]
 
@@ -276,8 +269,6 @@ class AffineSystem:
         Returns None when the system is consistent.
         """
         m = len(self.rows)
-        if m == 0:
-            return None
         # row-reduce [A | b | I] and look for a row reading 0 = 1
         aug = [
             self.rows[i] + [self.rhs[i]] + [Fraction(1 if k == i else 0) for k in range(m)]
@@ -299,21 +290,15 @@ class AffineSystem:
 
     def project_float(self, g):
         A, b, N, winv = self.float_data()
-        if A.shape[0] == 0:
-            return g
         lam = N @ (A @ g - b)
         return g - winv * (A.T @ lam)
 
     def residual_float(self, g):
         A, b, _, _ = self.float_data()
-        if A.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.abs(A @ g - b)))
+        return float(np.max(np.abs(A @ g - b), initial=0.0))
 
     def min_norm_point_float(self):
         A, b, N, winv = self.float_data()
-        if A.shape[0] == 0:
-            return np.zeros(self.nvars)
         return winv * (A.T @ (N @ b))
 
 
@@ -342,15 +327,14 @@ class SdpProblem:
         if faces is None:
             self.faces = [None] * len(skeleton.bases)
             self.layout = skeleton.layout
-            self.system = AffineSystem(skeleton.rows, rhs, self.layout.weights,
-                                       skeleton.operator)
+            self.system = AffineSystem(skeleton.operator, rhs)
         else:
             self.faces = list(faces)
             self.layout = VariableLayout(
                 [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)],
                 complex_blocks=True)
             rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
-            self.system = AffineSystem(rows, rhs, self.layout.weights)
+            self.system = AffineSystem(AffineOperator(rows, self.layout.weights), rhs)
 
     def gram_blocks_exact(self, g):
         return [
@@ -508,10 +492,12 @@ class CommGramProblem:
     vectors; the rows are then restricted to the face G = Q^T G' Q as a faced
     SdpProblem's are, which restores a relative interior and makes dyadic
     rounding land on boundary instances, and a row is dropped when it is zero
-    where the target has no term.  Q is None when nothing is forced.
+    where the target has no term.  Q is None when nothing is forced.  A level
+    that is not a nonnegative int is a ValueError.
     """
 
     def __init__(self, form: CommutativePoly, kernel_points=None, level: int = 0):
+        level = nonnegative_int(level, "level")
         if not form.is_homogeneous():
             raise ValueError("commutative mode expects a homogeneous target")
         target = squared_norm_poly(form.nvars) ** level * form if level else form
@@ -544,7 +530,7 @@ class CommGramProblem:
         self.row_monomials = [row_monomials[i] for i in kept]
         self.rows = [rows[i] for i in kept]
         rhs = [target.coeffs.get(mono, Fraction(0)) for mono in self.row_monomials]
-        self.system = AffineSystem(self.rows, rhs, self.layout.weights)
+        self.system = AffineSystem(AffineOperator(self.rows, self.layout.weights), rhs)
 
     def gram_blocks_exact(self, g):
         """The one exact block over the *monomial* basis: Q^T G' Q on a face."""

@@ -157,8 +157,6 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
 def _dual_evidence(system, layout, g_aff, g_psd, iterations):
     """Build the separating functional from the stalled gap vector."""
     A, b, N, winv = system.float_data()
-    if A.shape[0] == 0:
-        return None
     gap = g_aff - g_psd  # equals -W^-1 A^T y for the multiplier below
     y = N @ (A @ g_psd - b)
     s_vec = winv * (A.T @ y)  # variable-space coordinates of S = -embed(gap)

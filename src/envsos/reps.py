@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch, ContextInvalid, NotAbelian, NotHermitean
 from .exactla import (
+    LdlResult,
     cmat_add,
     cmat_identity,
     cmat_is_zero,
@@ -130,30 +131,20 @@ class FiniteDimRep:
         """S * evaluate(e); Hermitian exactly when e is hermitean."""
         return self._metric_weighted(self.evaluate(e))
 
-    def is_positive(self, e: AlgebraElement) -> "PositivityVerdict":
+    def is_positive(self, e: AlgebraElement) -> LdlResult:
         """Decide <dU(e) phi, phi> >= 0 for all phi, with an exact witness.
 
-        H = S * pi(e) is exactly Hermitian (e is hermitean and every generator
-        image is skew-adjoint for S), so the factorization's witness_value is
-        exactly <dU(e) phi, phi> = phi^* H phi at its witness phi.
+        The result is the factorization of H = S * pi(e), true exactly when H
+        is PSD.  H is exactly Hermitian (e is hermitean and every generator
+        image is skew-adjoint for S), so its witness_value is exactly
+        <dU(e) phi, phi> = phi^* H phi at its witness phi.
         """
         if not e.is_hermitean():
             raise NotHermitean("positivity is only defined for hermitean elements")
-        ldl = ldl_hermitian(self.weighted_matrix(e))
-        return PositivityVerdict(ldl.psd, witness=ldl.witness, witness_value=ldl.witness_value)
+        return ldl_hermitian(self.weighted_matrix(e))
 
     def __repr__(self):
         return f"FiniteDimRep({self.label or 'unnamed'}, N={self.dim_rep})"
-
-
-class PositivityVerdict:
-    def __init__(self, positive: bool, witness=None, witness_value=None):
-        self.positive = positive
-        self.witness = witness
-        self.witness_value = witness_value
-
-    def __bool__(self):
-        return self.positive
 
 
 # -- constructions -------------------------------------------------------------

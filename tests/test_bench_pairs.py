@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,41 @@ def test_summarize_marks_metrics_the_parent_spread_leaves_unresolved():
     # one run a side: no spread to read
     assert bench_pairs.summarize(parent[:1] + faster[:1], end_to_end)["w"]["unresolved"] == {
         "wall_s": False, "certificates": False}
+
+
+def test_a_seed_range_that_names_no_seed_is_an_error(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "planted-batch", "--seeds", "810-801", "--out", str(out)])
+    assert info.value.code != 0
+    assert "810-801 names no seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fake_benchmark(root):
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(
+        "print('{\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {}}')\n")
+
+
+def test_run_records_the_commit_of_its_checkout(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    _fake_benchmark(plain)
+    assert bench_pairs.run_once(str(plain), "planted-batch", 1, 1.0)["commit"] is None
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _fake_benchmark(repo)
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "fake benchmark"], cwd=repo, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.run_once(str(repo), "planted-batch", 1, 1.0)["commit"] == head
+    # a directory inside a repository is not a checkout of it
+    inner = repo / "perfbench"
+    (inner / "perfbench").mkdir()
+    (inner / "perfbench" / "run.py").write_text((repo / "perfbench" / "run.py").read_text())
+    assert bench_pairs.run_once(str(inner), "planted-batch", 1, 1.0)["commit"] is None

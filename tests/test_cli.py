@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from envsos.cli import main
 from envsos.lie import builtin, to_json_dict
 
@@ -274,3 +276,76 @@ def test_algebra_file_coefficients_are_strings(tmp_path, capsys):
     code, out, err = run(capsys, "normalize", "--algebra", str(path), "--expr", "x1")
     assert (code, out) == (2, "")
     assert "coeff must be a JSON string" in err
+
+
+MISTYPED_FIELDS = [
+    ("allow_evidence", "no", "allow_evidence must be a boolean"),
+    ("allow_evidence", 0, "allow_evidence must be a boolean"),
+    ("ore_family", "x1", "ore_family must be a JSON array"),
+    ("ore_family", [1], "an entry of ore_family must be a JSON string"),
+    ("f", "1", "f must be a JSON array"),
+    ("solver", [1], "solver must be a JSON object"),
+    ("c", 3, "c must be a JSON string"),
+    ("aliases", ["H=-i*x1"], "aliases must be a JSON object"),
+    ("aliases", {"H": 1}, "an entry of aliases must be a JSON string"),
+    ("window_points", "12", "window_points must be a JSON array"),
+    ("window_points", ["12"], "a window point must be a JSON array"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", MISTYPED_FIELDS,
+                         ids=[f"{f}={json.dumps(v)}" for f, v, _ in MISTYPED_FIELDS])
+def test_theorem_reads_each_instance_field_as_its_json_type(tmp_path, capsys, field, value,
+                                                             message):
+    path = write_instance(tmp_path, **{field: value})
+    code, out, err = run(capsys, "theorem", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_theorem_instance_file_is_a_json_object(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps([PROVABLE]))
+    code, out, err = run(capsys, "theorem", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert "an instance file must be a JSON object" in err
+
+
+def test_scan_and_audit_read_abelian_points(capsys):
+    code, out, _ = run(capsys, "scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + i*x1",
+                       "--points", "0,0", "--points", "2,1", "--points=-1,0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["window"] == ["(0, 0)", "(2, 1)", "(-1, 0)"]
+    assert data["members"] == ["(0, 0)", "(-1, 0)"]
+    assert data["witnesses"]["(2, 1)"]["value"] == "-1"
+    code, out, _ = run(capsys, "audit", "--algebra", "abelian(2)",
+                       "--points", "1,2", "--points", "0,0")
+    assert code == 0
+    contexts = json.loads(out)["contexts"]
+    assert [c["label"] for c in contexts] == ["point (1, 2)", "point (0, 0)"]
+    assert all(rel["status"] == "pass" for c in contexts for rel in c["relations"].values())
+
+
+def test_theorem_allow_evidence_no_refuses_a_margin_left_at_evidence(tmp_path, capsys):
+    # with no iterations the margin proof ends inconclusive, leaving the window evidence
+    path = write_instance(tmp_path, solver={"max_iters": 0})
+    code, out, _ = run(capsys, "theorem", "--instance", str(path), "--allow-evidence", "no")
+    data = json.loads(out)
+    assert code == 1 and data["status"] == "assumption-failed"
+    assert data["assumption_i"]["label"] == "evidence"
+    assert data["config"]["allow_evidence"] is False
+
+
+def test_theorem_epsilon_flag_overrides_the_file(tmp_path, capsys):
+    path = write_instance(tmp_path, epsilon="1")
+    code, out, _ = run(capsys, "theorem", "--instance", str(path), "--epsilon", "1/2")
+    assert code == 0 and json.loads(out)["config"]["epsilon"] == "1/2"
+
+
+def test_sos_echoes_its_seed_when_no_certificate_is_found(capsys):
+    code, out, _ = run(capsys, "sos", "--algebra", "su2", "--expr", "-1", "--degree", "0",
+                       "--seed", "5")
+    data = json.loads(out)
+    assert code == 1 and "certificate" not in data
+    assert data["config"]["seed"] == 5

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +16,9 @@ from envsos.exactla import (
     nullspace,
     rref,
 )
+from envsos.certs import RoundingFailed, round_and_verify
 from envsos.driver import window_members
-from envsos.gram import AffineSystem, CommGramProblem, GramSkeleton
+from envsos.gram import AffineOperator, AffineSystem, CommGramProblem, GramSkeleton
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement, canonical_a
 from envsos.poly import CommutativePoly
@@ -55,10 +57,10 @@ def random_psd(rng, n, rank=None):
 
 def test_exact_linear_infeasibility():
     A = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    conflict = AffineSystem(A, [3, 7], [1, 1])
+    conflict = AffineSystem(AffineOperator(A, [1, 1]), [3, 7])
     assert conflict.degenerate
     assert conflict.exact_infeasibility_combination() == [-2, 1]
-    consistent = AffineSystem(A, [3, 6], [1, 1])
+    consistent = AffineSystem(AffineOperator(A, [1, 1]), [3, 6])
     assert not consistent.degenerate
     assert consistent.independent == [0]
     assert consistent.exact_infeasibility_combination() is None
@@ -117,7 +119,8 @@ def _assert_matches_reference(system, rows, rhs, weights, rng):
         assert len(independent) == len(system.independent) + 1
         return
     assert system.independent == independent
-    assert system.operator.N == N
+    op = system.operator
+    assert [[Fraction(x, op.N_den) for x in row] for row in op.N_num] == N
     point = [rand_frac(rng) for _ in weights]
     assert system.project_exact(point) == project(point)
 
@@ -131,13 +134,13 @@ def test_shared_operator_matches_per_target_construction():
     weights = skeleton.layout.weights
     for _ in range(3):
         rhs = _consistent_rhs(skeleton.rows, rng, skeleton.layout)
-        system = AffineSystem(skeleton.rows, rhs, weights, skeleton.operator)
+        system = AffineSystem(skeleton.operator, rhs)
         _assert_matches_reference(system, skeleton.rows, rhs, weights, rng)
         # a conflicting rhs on a row that the others determine, and on a selected row
         for i in (skeleton.operator.dependent[-1], skeleton.operator.independent[-1]):
             bad = list(rhs)
             bad[i] += Fraction(1, 3)
-            conflict = AffineSystem(skeleton.rows, bad, weights, skeleton.operator)
+            conflict = AffineSystem(skeleton.operator, bad)
             _assert_matches_reference(conflict, skeleton.rows, bad, weights, rng)
     assert len(skeleton.operator.independent) == 35
 
@@ -160,8 +163,73 @@ def test_faced_and_commutative_operators_match_per_target_construction():
         _assert_matches_reference(system, system.rows, system.rhs, weights, rng)
         bad = list(system.rhs)
         bad[system.operator.dependent[0]] += 1
-        conflict = AffineSystem(system.rows, bad, weights)
+        conflict = AffineSystem(AffineOperator(system.rows, weights), bad)
         _assert_matches_reference(conflict, system.rows, bad, weights, rng)
+
+
+MOTZKIN = CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
+
+
+def _motzkin_problem(level):
+    _, zeros = sample_sign_information(MOTZKIN)
+    return CommGramProblem(MOTZKIN, kernel_points=zeros, level=level)
+
+
+def test_float_views_are_float_of_the_exact_operator():
+    """float_data() reads float() of A_ind and of N formed densely in Fractions, bit for bit."""
+    su2 = builtin("su2")
+    unit = AlgebraElement.unit(su2)
+    f = [unit, unit.scale(2) + AlgebraElement.monomial(su2, (1, 0, 0), Scalar(0, 1))]
+    skeleton = GramSkeleton(su2, f, 4)
+    margin = canonical_a(su2) * canonical_a(su2) - unit
+    unit_skeleton = GramSkeleton(su2, [unit], 4)
+    members = window_members(su2, [unit], Fraction(3)).values()
+    forced, = forced_face_vectors(margin, [unit], unit_skeleton.bases, members)
+    faced = unit_skeleton.problem_for(margin, [nullspace(forced, len(unit_skeleton.bases[0]))])
+    cases = [(skeleton.operator, skeleton.layout.weights),
+             (faced.system.operator, faced.layout.weights)]
+    cases += [(p.system.operator, p.layout.weights) for p in map(_motzkin_problem, (0, 1))]
+    shapes = []
+    for op, weights in cases:
+        m = len(op.independent)
+        A = [op.rows[i] for i in op.independent]
+        gram = [[sum(x * y / w for x, y, w in zip(ra, rb, weights) if x and y) for rb in A]
+                for ra in A]
+        A_float, N_float, _ = op.float_data()
+        assert np.array_equal(A_float, np.array([[float(x) for x in row] for row in A])
+                              .reshape(m, op.nvars))
+        assert np.array_equal(N_float, np.array([[float(x) for x in row]
+                                                 for row in invert_exact(gram)]).reshape(m, m))
+        shapes.append(N_float.shape)
+    assert shapes[0] == (35, 35) and (0, 0) in shapes
+
+
+def test_an_operator_with_no_selected_row_needs_no_special_case():
+    zero = Fraction(0)
+    for rows in ([], [[zero, zero]]):
+        op = AffineOperator(rows, [Fraction(2), Fraction(4)])
+        assert op.independent == [] and op.float_data()[1].shape == (0, 0)
+        g = [Fraction(1, 3), Fraction(-2)]
+        for rhs, degenerate in (([0] * len(rows), False), ([3] * len(rows), bool(rows))):
+            system = AffineSystem(op, rhs)
+            assert system.degenerate == degenerate
+            assert system.project_exact(g) == g
+            assert system.residual_float(np.array([1.0, -1.0])) == 0.0
+            assert np.array_equal(system.min_norm_point_float(), np.zeros(2))
+            assert np.array_equal(system.project_float(np.array([1.5, 2.0])), [1.5, 2.0])
+            expected = [Fraction(1, 3)] if degenerate else None
+            assert system.exact_infeasibility_combination() == expected
+
+
+def test_rounding_a_degenerate_problem_fails():
+    motzkin = _motzkin_problem(0)  # every monomial killed: a 0 x 0 operator, four rows
+    # a face that drops t2^2 leaves the t2^4 term of t1^4 + t2^4 unreachable
+    quartic = CommGramProblem(CommutativePoly(2, {(4, 0): 1, (0, 4): 1}), kernel_points=[(0, 1)])
+    for problem in (motzkin, quartic):
+        assert problem.system.degenerate
+        with pytest.raises(RoundingFailed):
+            round_and_verify(problem, np.ones(problem.layout.nvars))
+    assert not motzkin.system.independent and quartic.system.independent
 
 
 def test_invert_exact_roundtrip():

@@ -172,3 +172,10 @@ def test_integer_line_expansion_is_the_fraction_one_scaled():
         expected = reference_line_expansion(mono, t, v, max_order)
         assert all(type(c) is int for c in got)
         assert got == [c * Fraction(d0) ** (h - m) * du ** m for m, c in enumerate(expected)]
+
+
+@pytest.mark.parametrize("level", [-1, True, 1.5])
+def test_comm_problem_rejects_a_level_that_is_not_a_nonnegative_int(level):
+    form = CommutativePoly(2, {(2, 0): 1, (0, 2): 1})
+    with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+        CommGramProblem(form, level=level)

@@ -8,13 +8,16 @@
 two sides run `perfbench/run.py --trace 0` one after the other, each in its
 own process; the side that goes first alternates from pair to pair, so a
 drift in machine speed does not favour one side.  Every run is appended to
---out (created when missing) with its workload, seed, side, order, every
-end-to-end metric, its failed count and the number of passes that fit in the
-window (the run's `# passes=N` line).  The summary is then rebuilt from all
-runs in the file: per workload and side, the median and quartiles of each
-metric, the failed share and the median number of passes, and per metric the
-number of pairs the change won.  The pass count matters because a run keeps
-every pass alive until its checks, so peak_rss_mb grows with it.
+--out (created when missing) with its workload, seed, side, order, the
+commit its checkout is at (`git rev-parse HEAD`, null outside a git
+repository), every end-to-end metric, its failed count and the number of
+passes that fit in the window (the run's `# passes=N` line).  A --seeds
+range that names no seed, such as 810-801, is an error.  The summary is
+then rebuilt from all runs in the file: per workload and side, the median
+and quartiles of each metric, the failed share and the median number of
+passes, and per metric the number of pairs the change won.  The pass count
+matters because a run keeps every pass alive until its checks, so
+peak_rss_mb grows with it.
 
 When both sides have runs, the summary also gives the no-regression verdict:
 per end-to-end metric with a `bound`, whether the change's median is worse
@@ -45,8 +48,21 @@ def parse_seeds(text: str):
     return [int(s) for s in text.split(",")]
 
 
+def checkout_commit(checkout: str):
+    """The commit at HEAD of checkout; None when checkout is not the root of a git repository."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) != 2 or not os.path.samefile(lines[0], checkout):
+        return None
+    return lines[1]
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One run's end-to-end metrics and passes; stops the script when the run printed no result.
+    """One run's commit, metrics and passes; stops the script when the run printed no result.
 
     passes is None when the run printed no `# passes=N` line.
     """
@@ -61,8 +77,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     passes = next((int(line.split()[1].split("=")[1]) for line in lines
                    if line.startswith("# passes=")), None)
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"], "passes": passes,
+    return {"commit": checkout_commit(checkout), "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"], "passes": passes,
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
@@ -142,6 +158,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    if not seeds:
+        parser.error(f"--seeds {args.seeds} names no seed")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
@@ -149,7 +168,7 @@ def main(argv=None) -> int:
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
-    for i, seed in enumerate(parse_seeds(args.seeds)):
+    for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
             checkout = args.parent if side == "parent" else args.change
