@@ -173,7 +173,7 @@ class AffineOperator:
         self.independent = [i for i, row in enumerate(rows) if acc.insert(row)]
         selected = set(self.independent)
         self.dependent = [i for i in range(len(rows)) if i not in selected]
-        self.winv = [1 / w for w in weights]
+        self.winv = [1 / Fraction(w) for w in weights]
         N = invert_exact(self._weighted_gram())
         self.N_den = math.lcm(*(x.denominator for row in N for x in row))
         self.N_num = [[x.numerator * (self.N_den // x.denominator) for x in row] for row in N]

@@ -221,6 +221,12 @@ def test_an_operator_with_no_selected_row_needs_no_special_case():
             assert system.exact_infeasibility_combination() == expected
 
 
+def test_integer_weights_keep_the_projection_exact():
+    rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]]
+    system = AffineSystem(AffineOperator(rows, [1, 1]), [1, 1])
+    assert system.project_exact([Fraction(0), Fraction(0)]) == [Fraction(1, 5), Fraction(2, 5)]
+
+
 def test_rounding_a_degenerate_problem_fails():
     motzkin = _motzkin_problem(0)  # every monomial killed: a 0 x 0 operator, four rows
     # a face that drops t2^2 leaves the t2^4 term of t1^4 + t2^4 unreachable
