@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from envsos.certs import RoundingFailed, round_and_verify
 from envsos.exactla import (
     EchelonAccumulator,
     cmat_identity,
@@ -16,7 +17,6 @@ from envsos.exactla import (
     nullspace,
     rref,
 )
-from envsos.certs import RoundingFailed, round_and_verify
 from envsos.driver import window_members
 from envsos.gram import AffineOperator, AffineSystem, CommGramProblem, GramSkeleton
 from envsos.lie import builtin
