@@ -83,6 +83,19 @@ def _strings(value, what: str) -> list:
     return [_json(text, str, f"an entry of {what}") for text in _json(value, list, what)]
 
 
+INSTANCE_KEYS = {"algebra", "aliases", "c", "f", "epsilon", "n_max", "d_max", "level_cap",
+                 "ore_family", "l_max", "window_points", "allow_evidence", "solver"}
+SOLVER_KEYS = {"tol", "seed", "max_iters"}
+
+
+def _object(value, keys, what: str) -> dict:
+    """A JSON object whose keys are all among keys."""
+    unknown = sorted(set(_json(value, dict, what)) - keys)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
+    return value
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -139,7 +152,9 @@ def cmd_sos(args) -> int:
 
 def cmd_theorem(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
-        data = _json(json.load(fh), dict, "an instance file")
+        data = _object(json.load(fh), INSTANCE_KEYS, "an instance file")
+    if "l_max" in data and "window_points" in data:
+        raise ValueError("an instance file gives l_max or window_points, not both")
     algebra_field = data["algebra"]
     algebra = lie.load(algebra_field) if isinstance(algebra_field, str) else lie.from_json_dict(algebra_field)
     aliases = _json(data.get("aliases", {}), dict, "aliases")
@@ -155,7 +170,7 @@ def cmd_theorem(args) -> int:
         window = [tuple(_exact(v, "a window_points coordinate")
                         for v in _json(point, list, "a window point"))
                   for point in _json(data["window_points"], list, "window_points")]
-    solver_cfg = _json(data.get("solver", {}), dict, "solver")
+    solver_cfg = _object(data.get("solver", {}), SOLVER_KEYS, "solver")
     opts = SolveOptions(
         tol=args.tol if args.tol is not None else solver_cfg.get("tol", 1e-9),
         seed=args.seed if args.seed is not None else solver_cfg.get("seed", 0),

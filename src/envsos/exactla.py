@@ -6,80 +6,124 @@ arbitrary-precision; these routines back the certificate verifier, the
 representation positivity decision, the affine projector of the SDP layer and
 the operator audits.
 
-EchelonAccumulator is the one elimination loop: rref, nullspace and
-invert_exact are built on it, and callers that only need span membership use
-it directly.  It takes Fraction or Scalar entries (ints are read as
-Fractions), and results keep the entry type of the input.  The exact LDL^*
-decision, the one Hermitian PSD routine, is separate: a fraction-free
-(Bareiss) symmetric factorization over Gaussian integers of its input
-cleared by `cleared`, the helper the certificate re-expansion shares.  It
-trusts its input to be exactly Hermitian (see ldl_hermitian).
+Rationals are cleared to integers by one helper, `clear` (and `cleared` for
+Gaussian rationals on top of it), and both kernels run in integers.
+EchelonAccumulator is the one row-reduction loop: fraction-free over Z,
+rows kept sparse and primitive, complex rows realified into (re, im) column
+pairs.  rref, nullspace and invert_exact are built on it and convert back to
+Fractions, or Scalars for complex input, only at the end; callers that only
+need span membership use it directly.  The exact LDL^* decision, the one
+Hermitian PSD routine, is a fraction-free (Bareiss) symmetric factorization
+over Gaussian integers.  It trusts its input to be exactly Hermitian (see
+ldl_hermitian).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .scalar import Scalar
 
 
-class EchelonAccumulator:
-    """Incremental row echelon form over Q or Q(i).
+def clear(values):
+    """Rationals (ints or Fractions) as integers over their least common denominator: (ints, den)."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
-    Rows are inserted one at a time: insert() reduces the row against the
-    stored rows and, when something is left, scales its leftmost nonzero entry
-    to 1 and stores it, reporting whether the row enlarged the span.  A stored
-    row is zero left of its pivot and in the pivot columns of earlier rows,
-    which is all insert and contains need; reduced() back-substitutes only
-    when a reduced form is asked for.
+
+class EchelonAccumulator:
+    """Incremental row echelon form over Q or Q(i), kept in integers.
+
+    A row of ints, Fractions or Scalars is cleared once to integers, {column:
+    int}, and reduced against the stored rows by cross-multiplication; what
+    is left is stored primitive (content divided out, pivot entry positive)
+    as a (pivot, row) pair.  A stored row is zero left of its pivot and in the
+    pivot columns of earlier rows, which is all insert and contains need;
+    reduced() back-substitutes only when a reduced form is asked for.
+    Complex rows are realified: column j becomes columns 2j (real part) and
+    2j + 1 (imaginary part), and a row r is stored with i r.  The first Scalar
+    entry moves the rows stored so far to those columns, each with its i r.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list] = []  # stored rows, in insertion order
-        self.pivot_cols: list[int] = []
+        self.complex = False
+        self.rows: list[tuple[int, dict]] = []  # (pivot, row), in insertion order
 
-    def reduce(self, vec):
-        v = [x if isinstance(x, (Fraction, Scalar)) else Fraction(x) for x in vec]
-        for row, pc in zip(self.rows, self.pivot_cols):
-            if v[pc]:
-                f = v[pc]
-                for j in range(pc, self.ncols):
-                    if row[j]:
-                        v[j] -= f * row[j]
-        return v
+    def _integer_row(self, vec) -> dict:
+        """vec cleared to integers, over the realified columns once any Scalar was read."""
+        parts = [(j, x) for j, x in enumerate(vec) if x]
+        if not self.complex and any(isinstance(x, Scalar) for _, x in parts):
+            self.complex = True
+            self.rows = [(2 * pc + k, {2 * j + k: x for j, x in row.items()})
+                         for pc, row in self.rows for k in (0, 1)]
+        if self.complex:
+            parts = [(2 * j + k, y) for j, x in parts
+                     for k, y in enumerate((x.re, x.im) if isinstance(x, Scalar) else (x, 0)) if y]
+        ints, _ = clear([x for _, x in parts])
+        return dict(zip([j for j, _ in parts], ints))
 
     def insert(self, vec) -> bool:
-        v = self.reduce(vec)
-        for c in range(self.ncols):
-            if v[c]:
-                inv = 1 / v[c]
-                v = [x * inv for x in v]
-                self.rows.append(v)
-                self.pivot_cols.append(c)
-                return True
-        return False
+        v = self._integer_row(vec)
+        if not _append(v, self.rows):
+            return False
+        if self.complex:  # i v: (re, im) -> (-im, re) in each column pair
+            _append({j ^ 1: -x if j & 1 else x for j, x in v.items()}, self.rows)
+        return True
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not _reduce(self._integer_row(vec), self.rows)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.rows) // 2 if self.complex else len(self.rows)
 
     def reduced(self):
         """(R, pivots): the reduced row echelon form of the span, pivots ascending.
 
         Rows are taken by descending pivot and each is reduced against the
         finished rows of larger pivot; a row is already zero left of its own
-        pivot, so every other pivot column ends up clear.
+        pivot, so every other pivot column ends up clear.  Entries are
+        Fractions, or Scalars from the realified form's rows of even pivot.
         """
-        done = EchelonAccumulator(self.ncols)
-        for i in sorted(range(self.rank), key=self.pivot_cols.__getitem__, reverse=True):
-            done.rows.append(done.reduce(self.rows[i]))
-            done.pivot_cols.append(self.pivot_cols[i])
-        return done.rows[::-1], done.pivot_cols[::-1]
+        done = []
+        for _, row in sorted(self.rows, key=lambda pr: -pr[0]):
+            _append(dict(row), done)
+        step, zero = (2 if self.complex else 1), Fraction(0)
+        kept = [(pc, v) for pc, v in reversed(done) if pc % step == 0]
+        R = [[Fraction(v[j], v[pc]) if j in v else zero for j in range(step * self.ncols)]
+             for pc, v in kept]
+        if self.complex:
+            R = [[Scalar(a, b) for a, b in zip(row[::2], row[1::2])] for row in R]
+        return R, [pc // step for pc, _ in kept]
+
+
+def _reduce(v: dict, rows) -> dict:
+    """v reduced in place against rows in order: v <- (a v - b row) / gcd(a, b) at each pivot."""
+    for pc, row in rows:
+        b = v.get(pc)
+        if b:
+            g = gcd(row[pc], b)
+            a, b = row[pc] // g, b // g
+            if a != 1:
+                for j in v:
+                    v[j] *= a
+            for j, x in row.items():
+                v[j] = v.get(j, 0) - b * x
+                if not v[j]:
+                    del v[j]
+    return v
+
+
+def _append(v: dict, rows) -> bool:
+    """Reduce v against rows and store what is left, primitive; False when nothing is."""
+    if not _reduce(v, rows):
+        return False
+    pc = min(v)
+    content = gcd(*v.values()) if v[pc] > 0 else -gcd(*v.values())
+    rows.append((pc, {j: x // content for j, x in v.items()}))
+    return True
 
 
 def _entry_type(matrix):
@@ -123,8 +167,7 @@ def nullspace(rows, ncols: int):
 def invert_exact(A):
     """Inverse of a nonsingular matrix, from the reduced form of [A | I]."""
     n = len(A)
-    field = _entry_type(A)
-    aug = [list(A[i]) + [field(1) if i == j else field(0) for j in range(n)] for i in range(n)]
+    aug = [list(A[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     R, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -186,9 +229,8 @@ def cmat_is_hermitian(A) -> bool:
 
 def cleared(values):
     """Gaussian rationals as integer pairs [(re, im), ...] over their least common denominator."""
-    den = lcm(*{x.denominator for s in values for x in (s.re, s.im)})
-    return [(s.re.numerator * (den // s.re.denominator), s.im.numerator * (den // s.im.denominator))
-            for s in values], den
+    ints, den = clear([x for s in values for x in (s.re, s.im)])
+    return list(zip(ints[::2], ints[1::2])), den
 
 
 class LdlResult:
@@ -300,15 +342,3 @@ def ldl_hermitian(M) -> LdlResult:
     result._steps = steps
     return result
 
-
-def hermitian_form(M, v):
-    """v^* M v as a Scalar (real for Hermitian M)."""
-    n = len(M)
-    total = Scalar(0)
-    for i in range(n):
-        if not v[i]:
-            continue
-        for j in range(n):
-            if v[j]:
-                total = total + v[i].conj() * M[i][j] * v[j]
-    return total

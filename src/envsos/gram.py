@@ -50,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotHermitean, OddDegreeTarget, nonnegative_int
-from .exactla import EchelonAccumulator, invert_exact, nullspace, rref
+from .exactla import EchelonAccumulator, clear, invert_exact, nullspace, rref
 from .lie import LieAlgebra
 from .pbw import AlgebraElement, term_sort_key
 from .poly import CommutativePoly, squared_norm_poly
@@ -174,9 +174,9 @@ class AffineOperator:
         selected = set(self.independent)
         self.dependent = [i for i in range(len(rows)) if i not in selected]
         self.winv = [1 / Fraction(w) for w in weights]
-        N = invert_exact(self._weighted_gram())
-        self.N_den = math.lcm(*(x.denominator for row in N for x in row))
-        self.N_num = [[x.numerator * (self.N_den // x.denominator) for x in row] for row in N]
+        m = len(self.independent)
+        N, self.N_den = clear([x for row in invert_exact(self._weighted_gram()) for x in row])
+        self.N_num = [N[k * m:(k + 1) * m] for k in range(m)]
         self._float_cache = None
 
     def _weighted_gram(self):
@@ -214,10 +214,9 @@ class AffineOperator:
 
     def multipliers(self, r):
         """N r for a rational vector r over the selected rows."""
-        den = math.lcm(*(Fraction(x).denominator for x in r))
-        r_num = [x.numerator * (den // x.denominator) if x else 0 for x in map(Fraction, r)]
-        den *= self.N_den
-        return [Fraction(sum(n * x for n, x in zip(row, r_num) if x), den) for row in self.N_num]
+        r_num, den = clear(r)
+        return [Fraction(sum(n * x for n, x in zip(row, r_num) if x), den * self.N_den)
+                for row in self.N_num]
 
     def float_data(self):
         """A_ind, N and W^-1 as float arrays, built on first use."""
@@ -258,10 +257,6 @@ class AffineSystem:
         op = self.operator
         r = [op.row_value(i, g) - bi for i, bi in zip(op.independent, self.b_ind)]
         return [x - d for x, d in zip(g, op.pull_back(op.multipliers(r)))]
-
-    def residual_exact(self, g):
-        """Exact residuals of the *full* row set at g."""
-        return [self.operator.row_value(i, g) - bi for i, bi in enumerate(self.rhs)]
 
     def exact_infeasibility_combination(self):
         """A rational y with y^T A = 0 and y^T b = 1, when the rows conflict.
@@ -542,12 +537,6 @@ class CommGramProblem:
         return self.monomials
 
 
-def _cleared_integers(v):
-    """v times the least common multiple of its denominators, as integers."""
-    den = math.lcm(*(Fraction(x).denominator for x in v))
-    return [int(x * den) for x in v]
-
-
 def _line_expansion(mono, t0, u, max_order: int):
     """Coefficients of s^0..s^max_order in prod_k (t0_k + s u_k)^{e_k}, for integer t0 and u."""
     coeffs = [1] + [0] * max_order
@@ -582,11 +571,11 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     deg = target.degree() or 0
     vectors = []
     for point in kernel_points:
-        t0 = _cleared_integers(point)
+        t0, _ = clear(point)
         vectors.append([math.prod(a ** e for a, e in zip(t0, mono)) for mono in monomials])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
         for direction in nullspace(H, nvars):
-            u = _cleared_integers(direction)
+            u, _ = clear(direction)
             # exact univariate expansion of the target along t0 + s u
             line = [(q, _line_expansion(mono, t0, u, deg)) for mono, q in target.coeffs.items()]
             nu = next((m for m in range(deg + 1) if sum(q * e[m] for q, e in line)), None)

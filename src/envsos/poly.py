@@ -19,7 +19,8 @@ so the sign of p at the point is the sign of the integer S.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+
+from .exactla import clear
 
 
 class CommutativePoly:
@@ -156,21 +157,18 @@ class CommutativePoly:
     def _integer_value(self, point):
         """(S, L * d^deg): the value at point is S / (L * d^deg), the denominator positive."""
         if self._integer_form is None:
-            common = lcm(*(q.denominator for q in self.coeffs.values()))
+            nums, common = clear(list(self.coeffs.values()))
             deg = self.degree() or 0
             terms = [
-                (q.numerator * (common // q.denominator),
-                 [(i, e) for i, e in enumerate(m) if e], deg - sum(m))
-                for m, q in self.coeffs.items()
+                (c, [(i, e) for i, e in enumerate(m) if e], deg - sum(m))
+                for m, c in zip(self.coeffs, nums)
             ]
             top = [max((m[i] for m in self.coeffs), default=0) for i in range(self.nvars)]
             self._integer_form = (common, deg, terms, top)
         common, deg, terms, top = self._integer_form
-        point = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
-        d = lcm(*(x.denominator for x in point))
+        ns, d = clear([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point])
         powers = []
-        for x, e_max in zip(point, top):
-            n = x.numerator * (d // x.denominator)
+        for n, e_max in zip(ns, top):
             row = [1]
             for _ in range(e_max):
                 row.append(row[-1] * n)

@@ -8,6 +8,10 @@ an earlier LDL^* implementation, and reference_verify_certificate and
 reference_verify_commutative_certificate are frozen copies of the earlier
 verifiers, which re-expanded a certificate term by term in AlgebraElement and
 Fraction arithmetic; they are the references for differential tests.
+ReferenceEchelonAccumulator is a frozen copy of the earlier row echelon
+accumulator, which eliminated in Fraction and Scalar arithmetic.
+hermitian_form and residual_exact evaluate v^* M v and the residuals of an
+affine system's full row set, for checks only.
 reference_mul_monomial_gen, reference_mul_monomials and
 reference_star_monomial are frozen copies of the earlier straightening loops,
 each with its own generator-step loop and a memo passed in, and
@@ -497,6 +501,82 @@ def _reference_forced_kernel_vectors(target: CommutativePoly, monomials, kernel_
                 if any(vec):
                     vectors.append(vec)
     return vectors
+
+
+class ReferenceEchelonAccumulator:
+    """Incremental row echelon form over Q or Q(i).
+
+    Rows are inserted one at a time: insert() reduces the row against the
+    stored rows and, when something is left, scales its leftmost nonzero entry
+    to 1 and stores it, reporting whether the row enlarged the span.  A stored
+    row is zero left of its pivot and in the pivot columns of earlier rows,
+    which is all insert and contains need; reduced() back-substitutes only
+    when a reduced form is asked for.
+    """
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows: list[list] = []  # stored rows, in insertion order
+        self.pivot_cols: list[int] = []
+
+    def reduce(self, vec):
+        v = [x if isinstance(x, (Fraction, Scalar)) else Fraction(x) for x in vec]
+        for row, pc in zip(self.rows, self.pivot_cols):
+            if v[pc]:
+                f = v[pc]
+                for j in range(pc, self.ncols):
+                    if row[j]:
+                        v[j] -= f * row[j]
+        return v
+
+    def insert(self, vec) -> bool:
+        v = self.reduce(vec)
+        for c in range(self.ncols):
+            if v[c]:
+                inv = 1 / v[c]
+                v = [x * inv for x in v]
+                self.rows.append(v)
+                self.pivot_cols.append(c)
+                return True
+        return False
+
+    def contains(self, vec) -> bool:
+        return all(x == 0 for x in self.reduce(vec))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduced(self):
+        """(R, pivots): the reduced row echelon form of the span, pivots ascending.
+
+        Rows are taken by descending pivot and each is reduced against the
+        finished rows of larger pivot; a row is already zero left of its own
+        pivot, so every other pivot column ends up clear.
+        """
+        done = ReferenceEchelonAccumulator(self.ncols)
+        for i in sorted(range(self.rank), key=self.pivot_cols.__getitem__, reverse=True):
+            done.rows.append(done.reduce(self.rows[i]))
+            done.pivot_cols.append(self.pivot_cols[i])
+        return done.rows[::-1], done.pivot_cols[::-1]
+
+
+def hermitian_form(M, v):
+    """v^* M v as a Scalar (real for Hermitian M)."""
+    n = len(M)
+    total = Scalar(0)
+    for i in range(n):
+        if not v[i]:
+            continue
+        for j in range(n):
+            if v[j]:
+                total = total + v[i].conj() * M[i][j] * v[j]
+    return total
+
+
+def residual_exact(system, g):
+    """Exact residuals of the *full* row set of an AffineSystem at g."""
+    return [system.operator.row_value(i, g) - bi for i, bi in enumerate(system.rhs)]
 
 
 class ReferenceCommProblem:

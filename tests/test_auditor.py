@@ -11,11 +11,13 @@ from envsos.auditor import (
     audit_r_relations,
     full_audit,
 )
-from envsos.exactla import EchelonAccumulator, cmat_mul
+from envsos.exactla import cmat_mul
 from envsos.exprs import parse
 from envsos.lie import builtin
 from envsos.reps import FiniteDimRep, direct_sum, make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
+
+from oracles import ReferenceEchelonAccumulator
 
 ALL = ["su2", "abelian(3)", "heisenberg3", "affine_line", "sl2r"]
 
@@ -121,7 +123,7 @@ def test_ideal_span_matches_brute_force_enumeration(rep):
         [cmat_mul(g, v) for g in gens for v in family],
         [cmat_mul(cmat_mul(u, g), v) for u in family for g in gens for v in family],
     ]
-    brute = EchelonAccumulator(2 * n * n)
+    brute = ReferenceEchelonAccumulator(2 * n * n)
     span = IdealSpan(ctx)
     for level, products in enumerate(levels):
         for M in products:

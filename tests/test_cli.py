@@ -311,6 +311,18 @@ def test_theorem_instance_file_is_a_json_object(tmp_path, capsys):
     assert "an instance file must be a JSON object" in err
 
 
+def test_theorem_rejects_unknown_keys_and_a_second_window(tmp_path, capsys):
+    # "nmax" used to run silently with n_max 2, and window_points beside l_max was ignored
+    cases = [({"nmax": 0}, "an instance file has unknown keys: nmax"),
+             ({"solver": {"tol": 1e-9, "maxiters": 5}}, "solver has unknown keys: maxiters"),
+             ({"l_max": "1", "window_points": [["1/2"]]}, "l_max or window_points, not both")]
+    for changes, message in cases:
+        path = write_instance(tmp_path, **changes)
+        code, out, err = run(capsys, "theorem", "--instance", str(path))
+        assert (code, out) == (2, ""), changes
+        assert message in err
+
+
 def test_scan_and_audit_read_abelian_points(capsys):
     code, out, _ = run(capsys, "scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + i*x1",
                        "--points", "0,0", "--points", "2,1", "--points=-1,0")

@@ -11,7 +11,6 @@ from envsos.exactla import (
     cmat_identity,
     cmat_mul,
     cmat_zero,
-    hermitian_form,
     invert_exact,
     ldl_hermitian,
     nullspace,
@@ -26,7 +25,14 @@ from envsos.reps import make_spin_rep
 from envsos.scalar import Scalar
 from envsos.sos import commutative_sos, forced_face_vectors, sample_sign_information
 
-from oracles import planted_gram_vector, psd_by_char_poly, random_hermitean, reference_ldl_hermitian
+from oracles import (
+    ReferenceEchelonAccumulator,
+    hermitian_form,
+    planted_gram_vector,
+    psd_by_char_poly,
+    random_hermitean,
+    reference_ldl_hermitian,
+)
 
 
 def rand_frac(rng, lo=-4, hi=4):
@@ -75,19 +81,24 @@ def test_exact_linear_infeasibility():
 
 def _per_target_reference(rows, rhs, weights):
     """The construction the shared operator replaced, rebuilt for every rhs:
-    greedy selection on [A | b], a dense A W^-1 A^T and its exact inverse."""
+    greedy selection on [A | b], a dense A W^-1 A^T and its exact inverse, both
+    by the frozen Fraction echelon."""
     nvars = len(weights)
     rhs = [Fraction(v) for v in rhs]
-    acc = EchelonAccumulator(nvars + 1)
+    acc = ReferenceEchelonAccumulator(nvars + 1)
     independent = [i for i, row in enumerate(rows) if acc.insert(list(row) + [rhs[i]])]
     winv = [1 / Fraction(w) for w in weights]
     A = [rows[i] for i in independent]
     gram = [[sum(ra[j] * rb[j] * winv[j] for j in range(nvars) if ra[j] and rb[j]) for rb in A]
             for ra in A]
-    try:
-        N = invert_exact(gram) if A else None
-    except ValueError:
+    m = len(A)
+    inverse = ReferenceEchelonAccumulator(2 * m)
+    for k, row in enumerate(gram):
+        inverse.insert(row + [Fraction(int(k == l)) for l in range(m)])
+    R, pivots = inverse.reduced()
+    if pivots != list(range(m)):
         return independent, None, True, None
+    N = [row[m:] for row in R] if A else None
     b = [rhs[i] for i in independent]
 
     def project(g):
@@ -299,13 +310,15 @@ def reference_nullspace(rows, ncols):
     return basis
 
 
+# small entries make dependent rows common; 70-bit ones exercise content division
 fractions = st.one_of(st.just(Fraction(0)),
-                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                      st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70)))
 gaussian = st.builds(Scalar, fractions, fractions)
 
 
 @st.composite
-def matrices(draw, entries, max_rows=4, max_cols=5, square=False):
+def matrices(draw, entries, max_rows=4, max_cols=9, square=False):
     """Small matrices; some rows are combinations of earlier ones, so ranks vary."""
     nrows = draw(st.integers(1, max_rows))
     ncols = nrows if square else draw(st.integers(1, max_cols))
@@ -359,13 +372,14 @@ def test_invert_exact_against_reference(A):
 @settings(deadline=None)
 @given(st.one_of(matrices(fractions, max_rows=6), matrices(gaussian, max_rows=6)))
 def test_echelon_insert_tracks_reference_rank(M):
-    acc = EchelonAccumulator(len(M[0]))
-    for k, row in enumerate(M):
-        before = len(reference_rref(M[:k])[1]) if k else 0
-        grows = len(reference_rref(M[:k + 1])[1]) > before
+    """The integer accumulator against the frozen Fraction one, row by row."""
+    acc, ref = EchelonAccumulator(len(M[0])), ReferenceEchelonAccumulator(len(M[0]))
+    for row in M:
+        grows = not ref.contains(row)
         assert acc.contains(row) == (not grows)
-        assert acc.insert(row) == grows
-        assert acc.rank == before + grows
+        assert acc.insert(row) == ref.insert(row) == grows
+        assert acc.rank == ref.rank
+    assert acc.reduced() == ref.reduced()
 
 
 def test_kernel_accepts_ints():
