@@ -27,7 +27,7 @@ from .scalar import Scalar
 
 
 def clear(values):
-    """Rationals (ints or Fractions) as integers over their least common denominator: (ints, den)."""
+    """(ints, den): ints or Fractions as integers over their least common denominator."""
     den = lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
 
@@ -100,7 +100,10 @@ class EchelonAccumulator:
 
 
 def _reduce(v: dict, rows) -> dict:
-    """v reduced in place against rows in order: v <- (a v - b row) / gcd(a, b) at each pivot."""
+    """v reduced in place against rows in order.
+
+    At a row's pivot pc, v <- a v - b row with a / b = row[pc] / v[pc] in lowest terms.
+    """
     for pc, row in rows:
         b = v.get(pc)
         if b:
