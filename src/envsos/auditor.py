@@ -196,11 +196,13 @@ class OperatorAlgebraContext:
 
 
 def _vec(M):
-    out = []
-    for row in M:
-        for v in row:
-            out.append(v.re)
-            out.append(v.im)
+    """M's entries row by row as {column: value}: real part at 2k, imaginary at 2k + 1, no zeros."""
+    out = {}
+    for k, v in enumerate(v for row in M for v in row):
+        if v.re:
+            out[2 * k] = v.re
+        if v.im:
+            out[2 * k + 1] = v.im
     return out
 
 

@@ -168,14 +168,15 @@ def round_and_verify(problem, g_numeric):
         g = problem.system.project_exact(_round_vector(g_numeric, k))
         blocks = problem.gram_blocks_exact(g)
         if isinstance(problem, CommGramProblem):
-            cert = CommutativeSosCertificate(problem.target, problem.level, problem.basis,
+            cert = CommutativeSosCertificate(problem.target, problem.level, problem.monomials,
                                              blocks[0])
             if verify_commutative_certificate(cert, problem.target):
                 return cert
         else:
-            cert = WeightedSosCertificate(problem.algebra, problem.degree, problem.target,
-                                          problem.generators, problem.skeleton.bases, blocks)
-            if verify_certificate(cert, problem.target, problem.generators):
+            sk = problem.skeleton
+            cert = WeightedSosCertificate(sk.algebra, sk.degree, problem.target, sk.generators,
+                                          sk.bases, blocks)
+            if verify_certificate(cert, problem.target, sk.generators):
                 return cert
     raise RoundingFailed("no dyadic rounding produced an exact PSD solution")
 

@@ -10,9 +10,10 @@ Rationals are cleared to integers by one helper, `clear` (and `cleared` for
 Gaussian rationals on top of it), and both kernels run in integers.
 EchelonAccumulator is the one row-reduction loop: fraction-free over Z,
 rows kept sparse and primitive, complex rows realified into (re, im) column
-pairs.  rref, nullspace and invert_exact are built on it and convert back to
-Fractions, or Scalars for complex input, only at the end; callers that only
-need span membership use it directly.  The exact LDL^* decision, the one
+pairs; it reads a row as {column: value} of its nonzeros.  rref, nullspace
+and invert_exact are built on it and convert back to Fractions, or Scalars
+for complex input, only at the end; callers that only need span membership
+use it directly.  The exact LDL^* decision, the one
 Hermitian PSD routine, is a fraction-free (Bareiss) symmetric factorization
 over Gaussian integers.  It trusts its input to be exactly Hermitian (see
 ldl_hermitian).
@@ -35,7 +36,8 @@ def clear(values):
 class EchelonAccumulator:
     """Incremental row echelon form over Q or Q(i), kept in integers.
 
-    A row of ints, Fractions or Scalars is cleared once to integers, {column:
+    A row is a mapping {column: value} of its nonzero int, Fraction or Scalar
+    entries; it is never changed.  It is cleared once to integers, {column:
     int}, and reduced against the stored rows by cross-multiplication; what
     is left is stored primitive (content divided out, pivot entry positive)
     as a (pivot, row) pair.  A stored row is zero left of its pivot and in the
@@ -53,16 +55,15 @@ class EchelonAccumulator:
 
     def _integer_row(self, vec) -> dict:
         """vec cleared to integers, over the realified columns once any Scalar was read."""
-        parts = [(j, x) for j, x in enumerate(vec) if x]
-        if not self.complex and any(isinstance(x, Scalar) for _, x in parts):
+        if not self.complex and any(isinstance(x, Scalar) for x in vec.values()):
             self.complex = True
             self.rows = [(2 * pc + k, {2 * j + k: x for j, x in row.items()})
                          for pc, row in self.rows for k in (0, 1)]
-        if self.complex:
-            parts = [(2 * j + k, y) for j, x in parts
-                     for k, y in enumerate((x.re, x.im) if isinstance(x, Scalar) else (x, 0)) if y]
-        ints, _ = clear([x for _, x in parts])
-        return dict(zip([j for j, _ in parts], ints))
+        if self.complex:  # a new mapping: the caller's is never changed
+            vec = {2 * j + k: y for j, x in vec.items()
+                   for k, y in enumerate((x.re, x.im) if isinstance(x, Scalar) else (x, 0)) if y}
+        ints, _ = clear(list(vec.values()))
+        return dict(zip(vec, ints))
 
     def insert(self, vec) -> bool:
         v = self._integer_row(vec)
@@ -143,7 +144,7 @@ def rref(matrix):
     ncols = len(matrix[0]) if matrix else 0
     acc = EchelonAccumulator(ncols)
     for row in matrix:
-        acc.insert(row)
+        acc.insert({j: x for j, x in enumerate(row) if x})
     R, pivots = acc.reduced()
     return R + [[field(0)] * ncols for _ in range(len(matrix) - len(R))], pivots
 
@@ -180,9 +181,8 @@ def invert_exact(A):
 # -- Gaussian-rational (complex) matrices ----------------------------------------
 
 
-def cmat_zero(n, m=None):
-    m = n if m is None else m
-    return [[Scalar(0) for _ in range(m)] for _ in range(n)]
+def cmat_zero(n):
+    return [[Scalar(0) for _ in range(n)] for _ in range(n)]
 
 
 def cmat_identity(n):

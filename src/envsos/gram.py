@@ -9,7 +9,8 @@ where W_l collects the normal-form monomials w with 2 deg(w) + deg(f_l) <= D.
 Coefficient matching, with each NF(w_p^* f_l w_q) formed as the product
 (w_p^* f_l) w_q for every ordered pair (p, q), yields an exact rational linear
 system over the real variable vector (diagonal entries, then re/im parts of
-off-diagonal entries).
+off-diagonal entries).  Every constraint row is a dict {column: Fraction} of
+its nonzeros, int columns ascending, from where it is built to elimination.
 
 Facial reduction.  When exact vectors are known that every feasible G_l
 must annihilate (sos.forced_face_vectors derives them from representations
@@ -50,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotHermitean, OddDegreeTarget, nonnegative_int
-from .exactla import EchelonAccumulator, clear, invert_exact, nullspace, rref
+from .exactla import EchelonAccumulator, clear, invert_exact, nullspace
 from .lie import LieAlgebra
 from .pbw import AlgebraElement, term_sort_key
 from .poly import CommutativePoly, squared_norm_poly
@@ -161,14 +162,13 @@ class AffineOperator:
     Rows are selected greedily on A alone.  N = (A_ind W^-1 A_ind^T)^-1 is held
     once, as integers N_num over one denominator N_den: N r is integer arithmetic,
     and the float N is N_num / N_den, which int division rounds as float() would.
-    Each row is also kept as its nonzero columns, so every product meets only
+    Rows are {column: value} of their nonzeros, so every product meets only
     shared support.  With no selected row N is 0 x 0 and every product empty.
     """
 
     def __init__(self, rows, weights):
         self.rows = rows
         self.nvars = len(weights)
-        self.sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
         acc = EchelonAccumulator(self.nvars)
         self.independent = [i for i, row in enumerate(rows) if acc.insert(row)]
         selected = set(self.independent)
@@ -184,7 +184,7 @@ class AffineOperator:
         m = len(self.independent)
         by_column = {}  # column -> [(selected row, entry)], rows ascending
         for k, i in enumerate(self.independent):
-            for j, x in self.sparse[i]:
+            for j, x in self.rows[i].items():
                 by_column.setdefault(j, []).append((k, x))
         gram = [[Fraction(0)] * m for _ in range(m)]
         for j, entries in by_column.items():
@@ -201,14 +201,14 @@ class AffineOperator:
 
     def row_value(self, i, g):
         """Row i of A applied to g."""
-        return sum(x * g[j] for j, x in self.sparse[i])
+        return sum(x * g[j] for j, x in self.rows[i].items())
 
     def pull_back(self, lam):
         """W^-1 A_ind^T lam, dense."""
         out = [0] * self.nvars
         for i, li in zip(self.independent, lam):
             if li:
-                for j, x in self.sparse[i]:
+                for j, x in self.rows[i].items():
                     out[j] += x * li
         return [w * v if v else v for w, v in zip(self.winv, out)]
 
@@ -224,7 +224,7 @@ class AffineOperator:
             m = len(self.independent)
             A = np.zeros((m, self.nvars))
             for k, i in enumerate(self.independent):
-                for j, x in self.sparse[i]:
+                for j, x in self.rows[i].items():
                     A[k, j] = float(x)
             N = np.array([[x / self.N_den for x in row] for row in self.N_num]).reshape(m, m)
             winv = np.array([float(v) for v in self.winv])
@@ -243,9 +243,7 @@ class AffineSystem:
 
     def __init__(self, op: AffineOperator, rhs):
         self.operator = op
-        self.rows = op.rows
         self.rhs = [Fraction(v) for v in rhs]
-        self.nvars = op.nvars
         self.independent = op.independent
         self.b_ind = [self.rhs[i] for i in op.independent]
         x0 = op.pull_back(op.multipliers(self.b_ind))
@@ -263,17 +261,13 @@ class AffineSystem:
 
         Returns None when the system is consistent.
         """
-        m = len(self.rows)
-        # row-reduce [A | b | I] and look for a row reading 0 = 1
-        aug = [
-            self.rows[i] + [self.rhs[i]] + [Fraction(1 if k == i else 0) for k in range(m)]
-            for i in range(m)
-        ]
-        R, pivots = rref(aug)
-        for r, c in enumerate(pivots):
-            if c == self.nvars:  # pivot in the rhs column: inconsistent
-                return R[r][self.nvars + 1 :]
-        return None
+        rows, n = self.operator.rows, self.operator.nvars
+        # row-reduce the sparse rows of [A | b | I]; a pivot in the rhs column reads 0 = 1
+        acc = EchelonAccumulator(n + 1 + len(rows))
+        for i, (row, b) in enumerate(zip(rows, self.rhs)):
+            acc.insert({**row, n: b, n + 1 + i: 1} if b else {**row, n + 1 + i: 1})
+        R, pivots = acc.reduced()
+        return R[pivots.index(n)][n + 1:] if n in pivots else None
 
     # -- float views -----------------------------------------------------------
 
@@ -298,7 +292,7 @@ class AffineSystem:
 
 
 class SdpProblem:
-    """Exact Gram feasibility problem for one target and generator list.
+    """Exact Gram feasibility problem for one target on a skeleton (algebra, generators, D).
 
     `faces` optionally restricts block l to G_l = Q_l^H G'_l Q_l (None keeps
     a block whole).  The system is then written in the coordinates of the
@@ -307,12 +301,8 @@ class SdpProblem:
     monomial bases.
     """
 
-    def __init__(self, algebra: LieAlgebra, target: AlgebraElement,
-                 generators, degree: int, skeleton: "GramSkeleton", faces=None):
-        self.algebra = algebra
+    def __init__(self, target: AlgebraElement, skeleton: "GramSkeleton", faces=None):
         self.target = target
-        self.generators = list(generators)
-        self.degree = degree
         self.skeleton = skeleton
         rhs = []
         for mono in skeleton.row_monomials:
@@ -361,7 +351,8 @@ def _compose_rows(rows, full: VariableLayout, reduced: VariableLayout, faces):
     """Rows over the full coordinates composed with G'_l -> Q_l^H G'_l Q_l.
 
     Each reduced coordinate is pushed through the map once, giving the full
-    coordinates it moves; a composed row then reads only its own nonzeros.
+    coordinates it moves; a composed row then reads only its own nonzeros and
+    keeps no entry that cancels to zero.
     """
     moved_by = {}  # full column -> [(reduced column, coefficient)]
     for (b, p, q, part), col in reduced.index.items():
@@ -377,12 +368,11 @@ def _compose_rows(rows, full: VariableLayout, reduced: VariableLayout, faces):
             moved_by.setdefault(c, []).append((col, v))
     out = []
     for row in rows:
-        composed = [Fraction(0)] * reduced.nvars
-        for c, x in enumerate(row):
-            if x:
-                for col, v in moved_by.get(c, ()):
-                    composed[col] += x * v
-        out.append(composed)
+        composed = {}
+        for c, x in row.items():
+            for col, v in moved_by.get(c, ()):
+                composed[col] = composed.get(col, 0) + x * v
+        out.append({col: composed[col] for col in sorted(composed) if composed[col]})
     return out
 
 
@@ -437,18 +427,21 @@ class GramSkeleton:
                 for q in range(p + 1, len(basis)):
                     columns.append((index[(b, p, q, "re")], nf_p[q] + nf[q][p], False))
                     columns.append((index[(b, p, q, "im")], nf_p[q] - nf[q][p], True))
-        # one row pair (real part, imaginary part) per monomial; each column is scattered once
+        # one row pair (real part, imaginary part) per monomial; each column is
+        # scattered once, in ascending order
         support = set(monomials_up_to(algebra.dim, degree))
         for _, e, _ in columns:
             support.update(e.terms)
         self.row_monomials = sorted(support, key=term_sort_key)
         at = {m: 2 * i for i, m in enumerate(self.row_monomials)}
-        self.rows = [[Fraction(0)] * self.layout.nvars for _ in range(2 * len(at))]
+        self.rows = [{} for _ in range(2 * len(at))]
         for col, e, times_i in columns:
             for m, s in e.terms.items():
                 re, im = (-s.im, s.re) if times_i else (s.re, s.im)
-                self.rows[at[m]][col] = re
-                self.rows[at[m] + 1][col] = im
+                if re:
+                    self.rows[at[m]][col] = re
+                if im:
+                    self.rows[at[m] + 1][col] = im
 
     @functools.cached_property
     def operator(self) -> AffineOperator:
@@ -463,7 +456,7 @@ class GramSkeleton:
             raise ValueError("target degree exceeds the window")
         if not target.is_hermitean():
             raise NotHermitean("target must be hermitean")
-        return SdpProblem(self.algebra, target, self.generators, self.degree, self, faces)
+        return SdpProblem(target, self, faces)
 
 
 def build_gram_problem(c: AlgebraElement, f, degree: int,
@@ -506,8 +499,8 @@ class CommGramProblem:
         full = VariableLayout([n], complex_blocks=False)
         row_monomials = monomials_of_degree(target.nvars, deg)
         at = {mono: i for i, mono in enumerate(row_monomials)}
-        rows = [[Fraction(0)] * full.nvars for _ in row_monomials]
-        for (_, p, q, _), col in full.index.items():
+        rows = [{} for _ in row_monomials]
+        for (_, p, q, _), col in full.index.items():  # ascending columns
             mono = tuple(a + b for a, b in zip(self.monomials[p], self.monomials[q]))
             rows[at[mono]][col] = Fraction(1 if p == q else 2)  # off-diagonal entries appear twice
         kernel_vectors = _forced_kernel_vectors(target, self.monomials, kernel_points or [])
@@ -521,20 +514,16 @@ class CommGramProblem:
             # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}
             self.basis_polys = [CommutativePoly(target.nvars, dict(zip(self.monomials, row)))
                                 for row in self.Q]
-        kept = [i for i, mono in enumerate(row_monomials) if any(rows[i]) or mono in target.coeffs]
+        kept = [i for i, mono in enumerate(row_monomials) if rows[i] or mono in target.coeffs]
         self.row_monomials = [row_monomials[i] for i in kept]
-        self.rows = [rows[i] for i in kept]
         rhs = [target.coeffs.get(mono, Fraction(0)) for mono in self.row_monomials]
-        self.system = AffineSystem(AffineOperator(self.rows, self.layout.weights), rhs)
+        op = AffineOperator([rows[i] for i in kept], self.layout.weights)
+        self.system = AffineSystem(op, rhs)
 
     def gram_blocks_exact(self, g):
         """The one exact block over the *monomial* basis: Q^T G' Q on a face."""
         G, = self.layout.gram_blocks_exact(g)
         return [G if self.Q is None else congruence(self.Q, G, len(self.monomials))]
-
-    @property
-    def basis(self):
-        return self.monomials
 
 
 def _line_expansion(mono, t0, u, max_order: int):
@@ -561,7 +550,9 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
 
     t0 and u are cleared to integers first.  Every monomial has degree h, so
     this scales each order-m vector by one factor d0^(h-m) du^m and leaves
-    nu, and the span of the vectors, unchanged.
+    nu, and the span of the vectors, unchanged.  As the target is homogeneous,
+    lambda t0 gives t0's vectors times lambda^(h-m), so a zero on the line of
+    one expanded before (same primitive integer direction up to sign) is skipped.
     """
     if not kernel_points:
         return []
@@ -569,9 +560,14 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     grads = [target.differentiate(k) for k in range(nvars)]
     hessians = [[grads[j].differentiate(k) for k in range(nvars)] for j in range(nvars)]
     deg = target.degree() or 0
-    vectors = []
+    vectors, expanded = [], set()
     for point in kernel_points:
         t0, _ = clear(point)
+        g = math.gcd(*t0) or 1
+        ray = max(tuple(a // g for a in t0), tuple(-a // g for a in t0))  # first nonzero > 0
+        if ray in expanded:
+            continue
+        expanded.add(ray)
         vectors.append([math.prod(a ** e for a, e in zip(t0, mono)) for mono in monomials])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
         for direction in nullspace(H, nvars):

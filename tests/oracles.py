@@ -156,7 +156,7 @@ def planted_gram_vector(layout, rng: random.Random):
 def planted_target(skeleton, rng: random.Random) -> AlgebraElement:
     """A target with a positive definite Gram on the skeleton: its rows applied to one."""
     g = planted_gram_vector(skeleton.layout, rng)
-    values = [sum(x * y for x, y in zip(row, g) if x) for row in skeleton.rows]
+    values = [sum(x * g[j] for j, x in row.items()) for row in skeleton.rows]
     return AlgebraElement(skeleton.algebra, {
         mono: Scalar(re, im)
         for mono, re, im in zip(skeleton.row_monomials, values[::2], values[1::2])})

@@ -18,3 +18,25 @@ def test_emitted_digests_of_one_theorem_pass():
     assert ops[0]["label"] == "theorem a^2" and ops[0]["texts"] == 1
     assert all(re.fullmatch("[0-9a-f]{64}", op["sha256"]) for op in ops)
     assert check == {"workload": "theorem-su2", "seed": 1, "check": []}
+
+
+# every case of the --cli table, in order, with its exit code
+CLI_EXITS = {"normalize": 0, "scan": 0, "sos": 0, "verify": 0, "sos-infeasible": 1,
+             "theorem": 0, "audit-su2": 0, "audit-abelian": 0}
+
+
+def test_emitted_digests_of_the_cli_cases():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "emitted_digests.py"),
+                           "--checkout", str(ROOT), "--cli"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(line["case"], line["exit"]) for line in lines] == list(CLI_EXITS.items())
+    for line in lines:
+        assert list(line) == ["case", "exit", "stdout_sha256", "out_sha256"]
+        assert re.fullmatch("[0-9a-f]{64}", line["stdout_sha256"])
+        # only "sos" writes --out; its certificate then goes to the file, not to stdout
+        if line["case"] == "sos":
+            assert re.fullmatch("[0-9a-f]{64}", line["out_sha256"])
+        else:
+            assert line["out_sha256"] is None

@@ -12,7 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from envsos.gram import CommGramProblem, GramSkeleton, _line_expansion
+from envsos.gram import (
+    CommGramProblem,
+    GramSkeleton,
+    _forced_kernel_vectors,
+    _line_expansion,
+    monomials_of_degree,
+)
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement
 from envsos.poly import CommutativePoly, squared_norm_poly
@@ -20,6 +26,15 @@ from envsos.scalar import Scalar
 from envsos.sos import sample_sign_information
 
 from oracles import ReferenceCommProblem, reference_line_expansion, reference_skeleton_rows
+
+
+def _dense(rows, nvars):
+    """Dense Fraction rows, once every row is {column: value} with ascending
+    int columns below nvars and no zero value."""
+    for row in rows:
+        assert type(row) is dict and list(row) == sorted(row)
+        assert all(type(j) is int and 0 <= j < nvars and x for j, x in row.items())
+    return [[row.get(j, Fraction(0)) for j in range(nvars)] for row in rows]
 
 
 def _generators(algebra, kind):
@@ -40,8 +55,9 @@ def test_skeleton_rows_match_the_star_based_assembly(name, kind, degree):
     skeleton = GramSkeleton(algebra, f, degree)
     row_monomials, rows = reference_skeleton_rows(algebra, f, degree)
     assert skeleton.row_monomials == row_monomials
-    assert skeleton.rows == rows
-    assert all(type(x) is type(y) for r, s in zip(skeleton.rows, rows) for x, y in zip(r, s))
+    dense = _dense(skeleton.rows, skeleton.layout.nvars)
+    assert dense == rows
+    assert all(type(x) is type(y) for r, s in zip(dense, rows) for x, y in zip(r, s))
 
 
 def test_skeleton_stars_basis_monomials_only(monkeypatch):
@@ -91,8 +107,9 @@ def _assert_matches_reference(form, zeros, level):
     problem = CommGramProblem(form, kernel_points=zeros, level=level)
     ref = ReferenceCommProblem(form, kernel_points=zeros, level=level)
     assert problem.row_monomials == ref.row_monomials
-    assert problem.rows == ref.rows
-    assert all(type(x) is type(y) for r, s in zip(problem.rows, ref.rows) for x, y in zip(r, s))
+    dense = _dense(problem.system.operator.rows, problem.layout.nvars)
+    assert dense == ref.rows
+    assert all(type(x) is type(y) for r, s in zip(dense, ref.rows) for x, y in zip(r, s))
     assert problem.system.rhs == ref.rhs
     assert all(type(x) is type(y) for x, y in zip(problem.system.rhs, ref.rhs))
     n = len(problem.monomials)
@@ -115,6 +132,14 @@ def test_comm_problem_matches_the_pairwise_product_construction(name, level):
     problem = _assert_matches_reference(form, zeros, level)
     if level == 0:  # the zeros force the whole kernel: an empty face, not "nothing forced"
         assert problem.Q == [] and problem.layout.block_sizes == [0]
+
+
+def test_forced_kernel_vectors_expand_each_zero_line_once():
+    # the sampled zeros of the Motzkin form include multiples of one another;
+    # each line through the origin is expanded once (the face is checked above)
+    form = PSD_NOT_SOS["motzkin"]
+    _, zeros = sample_sign_information(form)
+    assert len(_forced_kernel_vectors(form, monomials_of_degree(3, 3), zeros)) == 28
 
 
 def test_comm_problem_matches_on_the_planted_quartics():

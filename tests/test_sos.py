@@ -99,10 +99,7 @@ def test_constraints_match_brute_force_expansion(builtins):
             g = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(layout.nvars)]
             blocks = layout.gram_blocks_exact(g)
             expansion = brute_force_expansion(skeleton, blocks)
-            residual = [
-                sum(row[j] * g[j] for j in range(layout.nvars))
-                for row in skeleton.rows
-            ]
+            residual = [sum(x * g[j] for j, x in row.items()) for row in skeleton.rows]
             # A g reproduces the coefficients of the brute-force expansion
             for mono, re_im in zip(skeleton.row_monomials, zip(residual[::2], residual[1::2])):
                 coeff = expansion.coefficient(mono)
@@ -355,7 +352,7 @@ def test_planted_targets_share_one_affine_operator(su2, monkeypatch):
     monkeypatch.setattr(gram, "invert_exact", counting_invert)
     monkeypatch.setattr(gram, "EchelonAccumulator", CountingAccumulator)
     f, skeleton = _planted_skeleton(su2)
-    rows = [list(row) for row in skeleton.rows]
+    rows = [dict(row) for row in skeleton.rows]
     rng = random.Random(85)
     for _ in range(40):
         report = find_certificate(planted_target(skeleton, rng), f, 4, skeleton=skeleton)

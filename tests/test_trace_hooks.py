@@ -17,7 +17,7 @@ from envsos import auditor
 tracer = spans.Tracer()
 spans.install(tracer)
 acc = auditor.EchelonAccumulator(2)
-assert acc.insert([1, 2]) and acc.contains([2, 4]) and not acc.insert([3, 6])
+assert acc.insert({0: 1, 1: 2}) and acc.contains({0: 2, 1: 4}) and not acc.insert({0: 3, 1: 6})
 assert [s[1] for s in tracer.spans] == ["exactla.echelon"] * 3
 """
 

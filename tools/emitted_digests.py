@@ -3,6 +3,7 @@
 
     python3 tools/emitted_digests.py --checkout ../parent --workload theorem-su2 --seeds 1-2
     python3 tools/emitted_digests.py --checkout . --workload audit-su2 --workload sphere-forms
+    python3 tools/emitted_digests.py --checkout ../parent --cli
 
 --checkout is a checkout of the repository.  Its perfbench/workloads.py and
 its src/ are imported read-only: no bytecode is written, and BLAS/OpenMP
@@ -17,6 +18,16 @@ with the workload's own check of that pass, empty when every output is right.
 Two checkouts emitted the same certificates, transcripts and reports exactly
 when their outputs are equal line for line.  The exit code is 1 when a check
 list is not empty.
+
+--cli runs the fixed table CLI_CASES of `python -m envsos` commands instead
+(or after the workloads), against --checkout's src/, one after the other in
+a temporary directory that holds the instance file they read.  Each case
+prints one JSON line
+
+    {"case": name, "exit": exit code, "stdout_sha256": digest of stdout,
+     "out_sha256": digest of the file the case writes with --out, null when none}
+
+Stderr, which carries only progress notes, is left out.
 """
 
 from __future__ import annotations
@@ -25,21 +36,61 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
+import tempfile
 
 from bench_pairs import parse_seeds
+
+
+# (name, arguments of `python -m envsos`); "verify" reads the file "sos" wrote
+CLI_CASES = [
+    ("normalize", ["normalize", "--algebra", "su2", "--expr", "x2*x1"]),
+    ("scan", ["scan", "--algebra", "su2", "--exprs", "1", "2 - H", "--alias", "H=-i*x1",
+              "--lmax", "1"]),
+    ("sos", ["sos", "--algebra", "su2", "--expr", "1 - x1^2 - x2^2 - x3^2", "--degree", "2",
+             "--out", "cert.json"]),
+    ("verify", ["verify", "--certificate", "cert.json"]),
+    ("sos-infeasible", ["sos", "--algebra", "su2", "--expr=-1", "--degree", "0"]),
+    ("theorem", ["theorem", "--instance", "instance.json"]),
+    ("audit-su2", ["audit", "--algebra", "su2", "--spins", "1/2"]),
+    ("audit-abelian", ["audit", "--algebra", "abelian(2)", "--points", "1,2"]),
+]
+INSTANCE = {"algebra": "su2", "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1"], "epsilon": "1",
+            "n_max": 0, "d_max": 4}
 
 
 def digest(texts) -> str:
     return hashlib.sha256(json.dumps(list(texts)).encode()).hexdigest()
 
 
+def cli_lines(checkout: str):
+    """One line per case of CLI_CASES, run by the interpreter running this script."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "instance.json"), "w", encoding="utf-8") as fh:
+            json.dump(INSTANCE, fh)
+        for name, argv in CLI_CASES:
+            proc = subprocess.run([sys.executable, "-m", "envsos", *argv], cwd=tmp, env=env,
+                                  capture_output=True, timeout=600, check=False)
+            out = None
+            path = os.path.join(tmp, argv[argv.index("--out") + 1]) if "--out" in argv else ""
+            if os.path.isfile(path):
+                with open(path, "rb") as fh:
+                    out = hashlib.sha256(fh.read()).hexdigest()
+            yield {"case": name, "exit": proc.returncode,
+                   "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(), "out_sha256": out}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", required=True)
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--seeds", default="1")
+    parser.add_argument("--cli", action="store_true", help="also run the CLI_CASES table")
     args = parser.parse_args(argv)
+    if not (args.workload or args.cli):
+        parser.error("give --workload or --cli")
     seeds = parse_seeds(args.seeds)
     if not seeds:
         parser.error(f"--seeds {args.seeds} names no seed")
@@ -67,6 +118,9 @@ def main(argv=None) -> int:
             errors = [list(error) for error in workload.check(inputs, ops)]
             print(json.dumps({"workload": name, "seed": seed, "check": errors}), flush=True)
             status |= bool(errors)
+    if args.cli:
+        for line in cli_lines(checkout):
+            print(json.dumps(line), flush=True)
     return status
 
 
