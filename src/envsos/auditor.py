@@ -24,22 +24,18 @@ to a basis once, and the two-sided level uses the exact identity
 
 so the span at each level, and with it every membership verdict, is the one
 the full enumeration of products gives.
+
+A context clears its matrices once from the representation's Scalars into
+exactla.GaussMatrix, Gaussian-integer rows over one denominator; every
+product, sum and zero test of the audit runs on those integers, and a span
+test reads a matrix's integer numerators alone.  Scalars come back only
+through GaussMatrix.scalars.
 """
 
 from __future__ import annotations
 
 from .errors import ContextInvalid
-from .exactla import (
-    EchelonAccumulator,
-    cmat_add,
-    cmat_identity,
-    cmat_is_zero,
-    cmat_mul,
-    cmat_scale,
-    cmat_sub,
-    cmat_zero,
-    invert_exact,
-)
+from .exactla import EchelonAccumulator, GaussMatrix, invert_exact
 from .exprs import render
 from .lie import LieAlgebra, b_constants
 from .pbw import AlgebraElement, canonical_a
@@ -155,6 +151,7 @@ class OperatorAlgebraContext:
     Supplies the operator family X_0 = i I, X_1..X_d, Y = A^{-1} and
     Y_{kl} = X_k X_l Y together with their adjoint partners Y X_l X_k; the
     adjoint exchange rule between the two families is checked on construction.
+    Every matrix is a GaussMatrix, cleared once from the representation's Scalars.
     """
 
     def __init__(self, rep: FiniteDimRep):
@@ -163,23 +160,23 @@ class OperatorAlgebraContext:
         self.algebra = algebra
         d = algebra.dim
         n = rep.dim_rep
-        self.A = rep.evaluate(canonical_a(algebra))
+        A = rep.evaluate(canonical_a(algebra))
         try:
-            self.Y = invert_exact(self.A)
+            Y = invert_exact(A)
         except ValueError as exc:
             raise ContextInvalid("canonical element is not invertible in this context") from exc
-        if not cmat_is_zero(cmat_sub(cmat_mul(self.A, self.Y), cmat_identity(n))):
+        self.A, self.Y = GaussMatrix.from_scalars(A), GaussMatrix.from_scalars(Y)
+        if not (self.A @ self.Y - GaussMatrix.identity(n)).is_zero():
             raise ContextInvalid("inverse sanity check failed")
-        self.X = [cmat_scale(Scalar(0, 1), cmat_identity(n))]
-        self.X.extend(rep.mats)
+        self.X = [GaussMatrix.identity(n).scale(Scalar(0, 1))]
+        self.X.extend(GaussMatrix.from_scalars(mat) for mat in rep.mats)
         # left[k][l] = X_k X_l Y ; right[l][k] = Y X_l X_k (the negative indices)
-        self.left = [[cmat_mul(cmat_mul(self.X[k], self.X[l]), self.Y)
-                      for l in range(d + 1)] for k in range(d + 1)]
-        self.right = [[cmat_mul(self.Y, cmat_mul(self.X[l], self.X[k]))
-                       for k in range(d + 1)] for l in range(d + 1)]
+        self.left = [[self.X[k] @ self.X[l] @ self.Y for l in range(d + 1)] for k in range(d + 1)]
+        self.right = [[self.Y @ (self.X[l] @ self.X[k]) for k in range(d + 1)]
+                      for l in range(d + 1)]
         for k in range(d + 1):
             for l in range(d + 1):
-                if not cmat_is_zero(cmat_sub(rep.adjoint(self.left[k][l]), self.right[l][k])):
+                if not (self.left[k][l].adjoint(rep.metric) - self.right[l][k]).is_zero():
                     raise ContextInvalid(
                         f"adjoint exchange rule fails for indices ({k},{l})"
                     )
@@ -187,7 +184,7 @@ class OperatorAlgebraContext:
     def family_elements(self):
         """Identity plus both Y-operator families; spans the small products."""
         d = self.algebra.dim
-        out = [cmat_identity(self.rep.dim_rep)]
+        out = [GaussMatrix.identity(self.rep.dim_rep)]
         for k in range(d + 1):
             for l in range(d + 1):
                 out.append(self.left[k][l])
@@ -195,14 +192,17 @@ class OperatorAlgebraContext:
         return out
 
 
-def _vec(M):
-    """M's entries row by row as {column: value}: real part at 2k, imaginary at 2k + 1, no zeros."""
+def _vec(M: GaussMatrix):
+    """M's numerators row by row as {column: int}: real part at 2k, imaginary at 2k + 1, no zeros.
+
+    M's denominator only scales the row, which leaves its span unchanged.
+    """
     out = {}
-    for k, v in enumerate(v for row in M for v in row):
-        if v.re:
-            out[2 * k] = v.re
-        if v.im:
-            out[2 * k + 1] = v.im
+    for k, (a, b) in enumerate(M.numerators()):
+        if a:
+            out[2 * k] = a
+        if b:
+            out[2 * k + 1] = b
     return out
 
 
@@ -250,19 +250,19 @@ class IdealSpan:
             elif self.level == 1:
                 for u in self.family:
                     for g in self.gens:
-                        self._insert(cmat_mul(u, g))
+                        self._insert(u @ g)
             elif self.level == 2:
                 right = EchelonAccumulator(self.acc.ncols)
                 for g in self.gens:
                     for v in self.family:
-                        gv = cmat_mul(g, v)
+                        gv = g @ v
                         self._insert(gv)
                         if right.insert(_vec(gv)):
                             self.right_basis.append(gv)
             elif self.level == 3:
                 for u in self.family:
                     for w in self.right_basis:
-                        self._insert(cmat_mul(u, w))
+                        self._insert(u @ w)
 
     def contains(self, M) -> bool:
         """Membership of M in the span, growing it level by level up to level 3."""
@@ -291,29 +291,23 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     report: dict = {}
 
     # r1: sum_k Y*_{k0} Y_{k0} = Y
-    acc = cmat_zero(n)
+    acc = GaussMatrix.zero(n)
     for k in range(d + 1):
-        yk0 = ctx.left[k][0]
-        acc = cmat_add(acc, cmat_mul(ctx.right[0][k], yk0))
-    report["r1"] = _relation_entry(cmat_sub(acc, ctx.Y))
+        acc = acc + ctx.right[0][k] @ ctx.left[k][0]
+    report["r1"] = _relation_entry(acc - ctx.Y)
 
     # r2: Y*_{k0} Y_{l0} - Y*_{l0} Y_{k0} = -i sum_j c^j_{lk} Y Y_{j0}
     worst = None
     ok = True
     for k in range(1, d + 1):
         for l in range(1, d + 1):
-            lhs = cmat_sub(
-                cmat_mul(ctx.right[0][k], ctx.left[l][0]),
-                cmat_mul(ctx.right[0][l], ctx.left[k][0]),
-            )
-            rhs = cmat_zero(n)
+            lhs = ctx.right[0][k] @ ctx.left[l][0] - ctx.right[0][l] @ ctx.left[k][0]
+            rhs = GaussMatrix.zero(n)
             for j in range(1, d + 1):
                 coeff = algebra.c[l - 1][k - 1][j - 1]
                 if coeff:
-                    rhs = cmat_add(rhs, cmat_scale(Scalar(0, -coeff),
-                                                   cmat_mul(ctx.Y, ctx.left[j][0])))
-            res = cmat_sub(lhs, rhs)
-            if not cmat_is_zero(res):
+                    rhs = rhs + (ctx.Y @ ctx.left[j][0]).scale(Scalar(0, -coeff))
+            if not (lhs - rhs).is_zero():
                 ok = False
                 worst = (k, l)
     report["r2"] = {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else f"indices {worst}"}
@@ -322,39 +316,35 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     ok = True
     worst = None
     for k in range(1, d + 1):
-        lhs = cmat_sub(ctx.right[0][k], ctx.left[k][0])
-        rhs = cmat_zero(n)
+        lhs = ctx.right[0][k] - ctx.left[k][0]
+        rhs = GaussMatrix.zero(n)
         for j in range(1, d + 1):
             for l in range(1, d + 1):
                 coeff = b[k - 1][l - 1][j - 1]
                 if coeff:
-                    rhs = cmat_add(rhs, cmat_scale(Scalar(0, coeff),
-                                                   cmat_mul(ctx.right[0][j], ctx.left[l][0])))
-        res = cmat_sub(lhs, rhs)
-        if not cmat_is_zero(res):
+                    rhs = rhs + (ctx.right[0][j] @ ctx.left[l][0]).scale(Scalar(0, coeff))
+        if not (lhs - rhs).is_zero():
             ok = False
             worst = k
     report["r3"] = {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else f"index {worst}"}
 
     # r4: sum_{k,l=0}^d Y*_{kl} Y_{kl} = I + i sum b^l_{jk} Y*_{j0} Y_{kl}
     #                                  = I - i sum b^l_{jk} Y*_{kl} Y_{j0}
-    e1 = cmat_zero(n)
+    e1 = GaussMatrix.zero(n)
     for k in range(d + 1):
         for l in range(d + 1):
-            e1 = cmat_add(e1, cmat_mul(ctx.right[l][k], ctx.left[k][l]))
-    e2 = cmat_identity(n)
-    e3 = cmat_identity(n)
+            e1 = e1 + ctx.right[l][k] @ ctx.left[k][l]
+    e2 = GaussMatrix.identity(n)
+    e3 = GaussMatrix.identity(n)
     for j in range(1, d + 1):
         for k in range(1, d + 1):
             for l in range(1, d + 1):
                 coeff = b[j - 1][k - 1][l - 1]
                 if coeff:
-                    e2 = cmat_add(e2, cmat_scale(Scalar(0, coeff),
-                                                 cmat_mul(ctx.right[0][j], ctx.left[k][l])))
-                    e3 = cmat_add(e3, cmat_scale(Scalar(0, -coeff),
-                                                 cmat_mul(ctx.right[l][k], ctx.left[j][0])))
-    r4_first = cmat_is_zero(cmat_sub(e1, e2))
-    r4_second = cmat_is_zero(cmat_sub(e1, e3))
+                    e2 = e2 + (ctx.right[0][j] @ ctx.left[k][l]).scale(Scalar(0, coeff))
+                    e3 = e3 + (ctx.right[l][k] @ ctx.left[j][0]).scale(Scalar(0, -coeff))
+    r4_first = (e1 - e2).is_zero()
+    r4_second = (e1 - e3).is_zero()
     report["r4"] = {
         "status": "pass" if (r4_first and r4_second) else "fail",
         "residual_norm": "0" if (r4_first and r4_second) else "nonzero",
@@ -367,16 +357,16 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     span.ensure_level(0)
 
     def member(M):
-        if cmat_is_zero(M):
+        if M.is_zero():
             return True
         return span.contains(M)
 
     ok5 = True
     for k in range(d + 1):
         for l in range(d + 1):
-            if not member(cmat_sub(ctx.left[k][l], ctx.right[l][k])):
+            if not member(ctx.left[k][l] - ctx.right[l][k]):
                 ok5 = False
-            if not member(cmat_sub(ctx.left[k][l], ctx.left[l][k])):
+            if not member(ctx.left[k][l] - ctx.left[l][k]):
                 ok5 = False
     report["r5"] = {"status": "pass" if ok5 else "unresolved",
                     "residual_norm": "0" if ok5 else "not reduced to the ideal"}
@@ -386,31 +376,30 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     y_ideal = EchelonAccumulator(2 * n * n)
     ideal_y = EchelonAccumulator(2 * n * n)
     for M in span.basis_matrices:
-        y_ideal.insert(_vec(cmat_mul(ctx.Y, M)))
-        ideal_y.insert(_vec(cmat_mul(M, ctx.Y)))
+        y_ideal.insert(_vec(ctx.Y @ M))
+        ideal_y.insert(_vec(M @ ctx.Y))
     ok6 = True
     # the residual is linear in x, so the family basis decides as the family would
     for x in span.family:
-        res = cmat_sub(cmat_mul(ctx.Y, x), cmat_mul(x, ctx.Y))
-        vec = _vec(res)
+        vec = _vec(ctx.Y @ x - x @ ctx.Y)
         if not (y_ideal.contains(vec) and ideal_y.contains(vec)):
             ok6 = False
-    spans_equal = all(ideal_y.contains(_vec(cmat_mul(ctx.Y, M))) for M in span.basis_matrices) and \
-        all(y_ideal.contains(_vec(cmat_mul(M, ctx.Y))) for M in span.basis_matrices)
+    spans_equal = all(ideal_y.contains(_vec(ctx.Y @ M)) for M in span.basis_matrices) and \
+        all(y_ideal.contains(_vec(M @ ctx.Y)) for M in span.basis_matrices)
     report["r6"] = {"status": "pass" if ok6 else "unresolved",
                     "residual_norm": "0" if ok6 else "not reduced to the ideal",
                     "spans_equal": spans_equal}
 
     # every Y_{kl} Y_{ij} with indices 1..d, formed once for both relations
-    prod = {(k, l, i, j): cmat_mul(ctx.left[k][l], ctx.left[i][j])
+    prod = {(k, l, i, j): ctx.left[k][l] @ ctx.left[i][j]
             for k in range(1, d + 1) for l in range(1, d + 1)
             for i in range(1, d + 1) for j in range(1, d + 1)}
     ok7 = True
     ok8 = True
     for (k, l, i, j), P in prod.items():
-        if not member(cmat_sub(P, prod[i, j, k, l])):
+        if not member(P - prod[i, j, k, l]):
             ok7 = False
-        if not member(cmat_sub(P, prod[k, i, l, j])):
+        if not member(P - prod[k, i, l, j]):
             ok8 = False
     report["r7"] = {"status": "pass" if ok7 else "unresolved",
                     "residual_norm": "0" if ok7 else "not reduced to the ideal"}
@@ -420,7 +409,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
 
 
 def _relation_entry(residual):
-    ok = cmat_is_zero(residual)
+    ok = residual.is_zero()
     return {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else "nonzero"}
 
 

@@ -17,11 +17,18 @@ use it directly.  The exact LDL^* decision, the one
 Hermitian PSD routine, is a fraction-free (Bareiss) symmetric factorization
 over Gaussian integers.  It trusts its input to be exactly Hermitian (see
 ldl_hermitian).
+
+GaussMatrix is the one Gaussian-integer matrix form: integer re and im rows
+over one positive denominator, in lowest terms.  Its product is the one
+complex matrix product loop; cmat_mul, the product of Scalar matrices, is a
+boundary over it that clears both factors and returns Scalars.  The operator
+audits hold every matrix in this form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .scalar import Scalar
@@ -31,6 +38,12 @@ def clear(values):
     """(ints, den): ints or Fractions as integers over their least common denominator."""
     den = lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def cleared(values):
+    """Gaussian rationals as integer pairs [(re, im), ...] over their least common denominator."""
+    ints, den = clear([x for s in values for x in (s.re, s.im)])
+    return list(zip(ints[::2], ints[1::2])), den
 
 
 class EchelonAccumulator:
@@ -181,6 +194,110 @@ def invert_exact(A):
 # -- Gaussian-rational (complex) matrices ----------------------------------------
 
 
+class GaussMatrix:
+    """A Gaussian-rational matrix held as Gaussian-integer rows over one denominator.
+
+    The matrix is (re + i im) / den: re and im are lists of int rows and den
+    is a positive int, kept in lowest terms (gcd(den, every numerator) = 1),
+    so the zero matrix is the one whose numerators are all 0.  Products,
+    sums, scaling and the metric adjoint run on Python ints; from_scalars and
+    scalars are the boundary with Scalar matrices.
+    """
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im, den: int = 1):
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g > 1:
+            re = [[x // g for x in row] for row in re]
+            im = [[x // g for x in row] for row in im]
+        self.re, self.im, self.den = re, im, den // g
+
+    @classmethod
+    def from_scalars(cls, M) -> "GaussMatrix":
+        """M (rows of Scalar, Fraction or int entries) cleared to one denominator."""
+        pairs, den = cleared([Scalar.coerce(x) for row in M for x in row])
+        m = len(M[0]) if M else 0
+        rows = [pairs[i * m:(i + 1) * m] for i in range(len(M))]
+        return cls([[a for a, _ in row] for row in rows], [[b for _, b in row] for row in rows], den)
+
+    @classmethod
+    def zero(cls, n: int) -> "GaussMatrix":
+        return cls([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
+
+    @classmethod
+    def identity(cls, n: int) -> "GaussMatrix":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)])
+
+    def scalars(self):
+        """The matrix as rows of Scalars."""
+        d = self.den
+        return [[Scalar(Fraction(a, d), Fraction(b, d)) for a, b in zip(ra, ia)]
+                for ra, ia in zip(self.re, self.im)]
+
+    def numerators(self):
+        """(re, im) integer numerators of the entries, row by row."""
+        return zip(chain.from_iterable(self.re), chain.from_iterable(self.im))
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.re)) and not any(map(any, self.im))
+
+    def __matmul__(self, other: "GaussMatrix") -> "GaussMatrix":
+        """The product; each nonzero entry of self meets only the nonzero entries of a row of other."""
+        m = len(other.re[0]) if other.re else 0
+        rows = [[(j, c, d) for j, (c, d) in enumerate(zip(br, bi)) if c or d]
+                for br, bi in zip(other.re, other.im)]
+        re, im = [], []
+        for ar, ai in zip(self.re, self.im):
+            rr, ri = [0] * m, [0] * m
+            for a, b, row in zip(ar, ai, rows):
+                if a or b:
+                    for j, c, d in row:
+                        rr[j] += a * c - b * d
+                        ri[j] += a * d + b * c
+            re.append(rr)
+            im.append(ri)
+        return GaussMatrix(re, im, self.den * other.den)
+
+    def _combine(self, other: "GaussMatrix", sign: int) -> "GaussMatrix":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+
+        def combined(A, B):
+            return [[f * x + g * y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+        return GaussMatrix(combined(self.re, other.re), combined(self.im, other.im), den)
+
+    def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "GaussMatrix") -> "GaussMatrix":
+        return self._combine(other, -1)
+
+    def scale(self, s) -> "GaussMatrix":
+        """s * self for a Gaussian rational (or Fraction, or int) s."""
+        [(p, q)], r = cleared([Scalar.coerce(s)])
+        return GaussMatrix([[p * a - q * b for a, b in zip(ra, ia)] for ra, ia in zip(self.re, self.im)],
+                           [[p * b + q * a for a, b in zip(ra, ia)] for ra, ia in zip(self.re, self.im)],
+                           self.den * r)
+
+    def adjoint(self, metric) -> "GaussMatrix":
+        """S^-1 M^H S for the positive diagonal metric S = diag(metric).
+
+        Entry (p, q) is s_q conj(M_qp) / s_p, with the metric cleared to
+        integers s (their common denominator cancels) and every 1 / s_p
+        written as (L / s_p) / L, L = lcm(s).
+        """
+        s, _ = clear(metric)
+        L = lcm(*s)
+        w = [L // x for x in s]
+        n = len(s)
+        return GaussMatrix([[s[q] * w[p] * self.re[q][p] for q in range(n)] for p in range(n)],
+                           [[-s[q] * w[p] * self.im[q][p] for q in range(n)] for p in range(n)],
+                           self.den * L)
+
+
 def cmat_zero(n):
     return [[Scalar(0) for _ in range(n)] for _ in range(n)]
 
@@ -203,19 +320,8 @@ def cmat_scale(s, A):
 
 
 def cmat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[Scalar(0)] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    if Bt[j]:
-                        Oi[j] = Oi[j] + a * Bt[j]
-    return out
+    """The product of two Scalar (or Fraction) matrices as Scalars, through GaussMatrix."""
+    return (GaussMatrix.from_scalars(A) @ GaussMatrix.from_scalars(B)).scalars()
 
 
 def cmat_is_zero(A) -> bool:
@@ -228,12 +334,6 @@ def cmat_is_hermitian(A) -> bool:
 
 
 # -- Hermitian PSD decision -------------------------------------------------------
-
-
-def cleared(values):
-    """Gaussian rationals as integer pairs [(re, im), ...] over their least common denominator."""
-    ints, den = clear([x for s in values for x in (s.re, s.im)])
-    return list(zip(ints[::2], ints[1::2])), den
 
 
 class LdlResult:

@@ -53,6 +53,7 @@ import numpy as np
 from .errors import NotHermitean, OddDegreeTarget, nonnegative_int
 from .exactla import EchelonAccumulator, clear, invert_exact, nullspace
 from .lie import LieAlgebra
+from .numeric import check_block_cap
 from .pbw import AlgebraElement, term_sort_key
 from .poly import CommutativePoly, squared_norm_poly
 from .scalar import Scalar
@@ -312,12 +313,14 @@ class SdpProblem:
         if faces is None:
             self.faces = [None] * len(skeleton.bases)
             self.layout = skeleton.layout
+            check_block_cap(self.layout.block_sizes)
             self.system = AffineSystem(skeleton.operator, rhs)
         else:
             self.faces = list(faces)
             self.layout = VariableLayout(
                 [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)],
                 complex_blocks=True)
+            check_block_cap(self.layout.block_sizes)
             rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
             self.system = AffineSystem(AffineOperator(rows, self.layout.weights), rhs)
 
@@ -514,6 +517,7 @@ class CommGramProblem:
             # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}
             self.basis_polys = [CommutativePoly(target.nvars, dict(zip(self.monomials, row)))
                                 for row in self.Q]
+        check_block_cap(self.layout.block_sizes)
         kept = [i for i, mono in enumerate(row_monomials) if rows[i] or mono in target.coeffs]
         self.row_monomials = [row_monomials[i] for i in kept]
         rhs = [target.coeffs.get(mono, Fraction(0)) for mono in self.row_monomials]

@@ -72,6 +72,16 @@ class NumericOutcome:
         return out
 
 
+def check_block_cap(block_sizes):
+    """ValueError when a Gram block is larger than BLOCK_CAP.
+
+    The Gram problems call it before they build their exact affine operator,
+    so an oversized block is rejected before that work is done.
+    """
+    if block_sizes and max(block_sizes) > BLOCK_CAP:
+        raise ValueError(f"a Gram block of size {max(block_sizes)} exceeds the cap {BLOCK_CAP}")
+
+
 def _project_psd(mats, floor: float):
     """Clip each Hermitian block's eigenvalues at `floor`."""
     return [(Q * np.maximum(w, floor)) @ Q.conj().T for w, Q in map(np.linalg.eigh, mats)]
@@ -90,10 +100,7 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
     opts = opts or SolveOptions()
     system = problem.system
     layout = problem.layout
-    if layout.block_sizes and max(layout.block_sizes) > BLOCK_CAP:
-        raise ValueError(
-            f"a Gram block of size {max(layout.block_sizes)} exceeds the cap {BLOCK_CAP}"
-        )
+    check_block_cap(layout.block_sizes)
 
     # exact linear infeasibility needs no numerics at all
     if system.degenerate:

@@ -85,14 +85,6 @@ class FiniteDimRep:
         return [[Scalar(self.metric[p]) * M[p][q] for q in range(self.dim_rep)]
                 for p in range(self.dim_rep)]
 
-    def adjoint(self, M):
-        """Adjoint with respect to the metric inner product: S^-1 M^H S."""
-        n = self.dim_rep
-        return [
-            [Scalar(self.metric[q]) * M[q][p].conj() / Scalar(self.metric[p]) for q in range(n)]
-            for p in range(n)
-        ]
-
     # -- evaluation -----------------------------------------------------------
 
     def _monomial_matrix(self, mono):

@@ -11,7 +11,9 @@ Fraction arithmetic; they are the references for differential tests.
 ReferenceEchelonAccumulator is a frozen copy of the earlier row echelon
 accumulator, which eliminated in Fraction and Scalar arithmetic.
 hermitian_form and residual_exact evaluate v^* M v and the residuals of an
-affine system's full row set, for checks only.
+affine system's full row set, for checks only.  reference_cmat_mul and
+reference_metric_adjoint are frozen copies of the earlier complex matrix
+product and metric adjoint, which ran in Scalar arithmetic.
 reference_mul_monomial_gen, reference_mul_monomials and
 reference_star_monomial are frozen copies of the earlier straightening loops,
 each with its own generator-step loop and a memo passed in, and
@@ -572,6 +574,31 @@ def hermitian_form(M, v):
             if v[j]:
                 total = total + v[i].conj() * M[i][j] * v[j]
     return total
+
+
+def reference_cmat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    out = [[Scalar(0)] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        Oi = out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(m):
+                    if Bt[j]:
+                        Oi[j] = Oi[j] + a * Bt[j]
+    return out
+
+
+def reference_metric_adjoint(metric, M):
+    """Adjoint with respect to the metric inner product: S^-1 M^H S."""
+    n = len(metric)
+    return [
+        [Scalar(metric[q]) * M[q][p].conj() / Scalar(metric[p]) for q in range(n)]
+        for p in range(n)
+    ]
 
 
 def residual_exact(system, g):

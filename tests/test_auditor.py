@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from envsos import exactla
+from envsos import auditor, exactla
 from envsos.auditor import (
     IdealSpan,
     OperatorAlgebraContext,
@@ -11,10 +11,11 @@ from envsos.auditor import (
     audit_r_relations,
     full_audit,
 )
-from envsos.exactla import cmat_mul
+from envsos.errors import ContextInvalid
+from envsos.exactla import GaussMatrix, cmat_mul
 from envsos.exprs import parse
 from envsos.lie import builtin
-from envsos.reps import FiniteDimRep, direct_sum, make_point_rep, make_spin_rep
+from envsos.reps import direct_sum, make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
 
 from oracles import ReferenceEchelonAccumulator
@@ -64,8 +65,9 @@ def test_abelian_everything_degenerates_to_zero():
 def test_su2_context_relations():
     ctx = OperatorAlgebraContext(direct_sum(make_spin_rep(Fraction(1, 2)), make_spin_rep(1)))
     # the inverse is block scalar: 4/7 on the spin-1/2 block, 1/3 on spin-1
-    assert ctx.Y[0][0] == Scalar(Fraction(4, 7))
-    assert ctx.Y[4][4] == Scalar(Fraction(1, 3))
+    Y = ctx.Y.scalars()
+    assert Y[0][0] == Scalar(Fraction(4, 7))
+    assert Y[4][4] == Scalar(Fraction(1, 3))
     report = audit_r_relations(ctx)
     assert all(entry["status"] == "pass" for entry in report.values())
     assert report["r4"]["first_form"] and report["r4"]["second_form"]
@@ -75,7 +77,7 @@ def test_su2_context_relations():
 def test_abelian_point_context_relations():
     ab = builtin("abelian(2)")
     ctx = OperatorAlgebraContext(make_point_rep(ab, [1, 2]))
-    assert ctx.Y[0][0] == Scalar(Fraction(1, 6))
+    assert ctx.Y.scalars()[0][0] == Scalar(Fraction(1, 6))
     report = audit_r_relations(ctx)
     assert all(entry["status"] == "pass" for entry in report.values())
 
@@ -115,8 +117,9 @@ def test_ideal_span_matches_brute_force_enumeration(rep):
     # every product u*g, g*v and u*g*v over the whole family, level by level
     ctx = OperatorAlgebraContext(rep)
     n = rep.dim_rep
-    gens = [M for k in range(ctx.algebra.dim + 1) for M in (ctx.left[k][0], ctx.right[0][k])]
-    family = ctx.family_elements()
+    gens = [M.scalars() for k in range(ctx.algebra.dim + 1)
+            for M in (ctx.left[k][0], ctx.right[0][k])]
+    family = [u.scalars() for u in ctx.family_elements()]
     levels = [
         gens,
         [cmat_mul(u, g) for u in family for g in gens],
@@ -130,7 +133,7 @@ def test_ideal_span_matches_brute_force_enumeration(rep):
             brute.insert(_flat(M))
         span.ensure_level(level)
         assert span.acc.rank == brute.rank, level
-        assert all(brute.contains(_flat(M)) for M in span.basis_matrices), level
+        assert all(brute.contains(_flat(M.scalars())) for M in span.basis_matrices), level
         assert all(span.acc.contains({j: x for j, x in enumerate(row) if x})
                    for row in brute.rows), level
 
@@ -156,16 +159,42 @@ def test_r_relations_read_the_stored_adjoints(monkeypatch):
     # the context checks adjoint(left[k][l]) == right[l][k] once per pair; the
     # audit reads right[l][k] and recomputes no adjoint
     calls = []
-    adjoint = FiniteDimRep.adjoint
+    adjoint = GaussMatrix.adjoint
 
-    def counting_adjoint(self, M):
-        calls.append(len(M))
-        return adjoint(self, M)
+    def counting_adjoint(self, metric):
+        calls.append(len(metric))
+        return adjoint(self, metric)
 
-    monkeypatch.setattr(FiniteDimRep, "adjoint", counting_adjoint)
+    monkeypatch.setattr(GaussMatrix, "adjoint", counting_adjoint)
     ctx = OperatorAlgebraContext(_spin_sum(Fraction(1, 2), 1))
     pairs = (ctx.algebra.dim + 1) ** 2
     assert len(calls) == pairs
     report = audit_r_relations(ctx)
     assert all(entry["status"] == "pass" for entry in report.values())
     assert len(calls) == pairs
+
+
+def test_context_fails_closed_on_a_singular_canonical_image(monkeypatch):
+    def singular(A):
+        raise ValueError("matrix is singular")
+
+    monkeypatch.setattr(auditor, "invert_exact", singular)
+    with pytest.raises(ContextInvalid, match="not invertible"):
+        OperatorAlgebraContext(make_spin_rep(1))
+
+
+def test_context_fails_closed_when_the_inverse_check_fails(monkeypatch):
+    invert_exact = auditor.invert_exact
+    monkeypatch.setattr(auditor, "invert_exact",
+                        lambda A: [[2 * x for x in row] for row in invert_exact(A)])
+    with pytest.raises(ContextInvalid, match="inverse sanity check failed"):
+        OperatorAlgebraContext(_spin_sum(Fraction(1, 2), 1))
+
+
+def test_context_fails_closed_when_the_adjoint_exchange_rule_fails():
+    # spin 1 has metric (1, 1/2, 1); for the flat metric X_2 and X_3 are not
+    # skew-adjoint, so the first pair that meets them breaks the rule
+    rep = make_spin_rep(1)
+    rep.metric = [Fraction(1)] * rep.dim_rep
+    with pytest.raises(ContextInvalid, match=r"adjoint exchange rule fails for indices \(0,2\)"):
+        OperatorAlgebraContext(rep)

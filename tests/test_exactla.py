@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from envsos.certs import RoundingFailed, round_and_verify
 from envsos.exactla import (
     EchelonAccumulator,
+    GaussMatrix,
+    cmat_add,
     cmat_identity,
     cmat_mul,
+    cmat_scale,
+    cmat_sub,
     cmat_zero,
     invert_exact,
     ldl_hermitian,
@@ -31,7 +36,9 @@ from oracles import (
     planted_gram_vector,
     psd_by_char_poly,
     random_hermitean,
+    reference_cmat_mul,
     reference_ldl_hermitian,
+    reference_metric_adjoint,
 )
 
 
@@ -389,6 +396,65 @@ def test_echelon_insert_tracks_reference_rank(M):
         assert acc.insert(_sparse(row)) == ref.insert(row) == grows
         assert acc.rank == ref.rank
     assert acc.reduced() == ref.reduced()
+
+
+# -- GaussMatrix against the frozen Scalar product and adjoint ----------------------
+
+
+def assert_lowest_terms(G: GaussMatrix):
+    assert G.den > 0
+    assert gcd(G.den, *(x for pair in G.numerators() for x in pair)) == 1
+
+
+@st.composite
+def gaussian_matrix(draw, rows, cols):
+    return [[draw(gaussian) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """(A, B, C, s): A n x k, B k x m, C n x k and a scale s, entries up to 70 bits."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    return (draw(gaussian_matrix(n, k)), draw(gaussian_matrix(k, m)),
+            draw(gaussian_matrix(n, k)), draw(gaussian))
+
+
+@settings(deadline=None)
+@given(gaussian_matrices())
+def test_gauss_matrix_matches_scalar_arithmetic(case):
+    A, B, C, s = case
+    GA, GB, GC = (GaussMatrix.from_scalars(M) for M in (A, B, C))
+    results = {
+        "round trip": (GA, A),
+        "product": (GA @ GB, reference_cmat_mul(A, B)),
+        "sum": (GA + GC, cmat_add(A, C)),
+        "difference": (GA - GC, cmat_sub(A, C)),
+        "scale": (GA.scale(s), cmat_scale(s, A)),
+    }
+    for name, (G, expected) in results.items():
+        assert_lowest_terms(G)
+        assert G.scalars() == expected, name
+        assert G.is_zero() == all(not x for row in expected for x in row), name
+    assert (GA - GA).is_zero() and (GA - GA).den == 1
+    assert cmat_mul(A, B) == reference_cmat_mul(A, B)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    gaussian_matrix(n, n),
+    st.lists(st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70)),
+             min_size=n, max_size=n))))
+def test_gauss_matrix_adjoint_matches_the_scalar_adjoint(case):
+    M, metric = case
+    G = GaussMatrix.from_scalars(M).adjoint(metric)
+    assert_lowest_terms(G)
+    assert G.scalars() == reference_metric_adjoint(metric, M)
+
+
+def test_gauss_matrix_identity_and_zero():
+    assert GaussMatrix.identity(3).scalars() == cmat_identity(3)
+    assert GaussMatrix.zero(3).scalars() == cmat_zero(3)
+    assert GaussMatrix.zero(3).is_zero() and not GaussMatrix.identity(3).is_zero()
 
 
 def test_kernel_accepts_ints():

@@ -863,3 +863,24 @@ def test_sign_scan_reports_zeros_seen_before_the_first_negative_point():
     assert zeros == [(F(0), F(1)), (F(0), F(-1)), (F(0), F(1, 2)), (F(0), F(-1, 2)),
                      (F(0), F(2)), (F(0), F(-2)), (F(1), F(0))]
     assert (negative, zeros) == _reference_scan(p, 0)
+
+
+def _su2_a():
+    su2 = builtin("su2")
+    return canonical_a(su2), [AlgebraElement.unit(su2)]
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: find_certificate(*_su2_a(), 2), 4),
+    (lambda: GramSkeleton(builtin("su2"), _su2_a()[1], 2).problem_for(
+        _su2_a()[0], faces=[[[1, 0, 0, 0], [0, 1, 0, 0]]]), 2),
+    (lambda: commutative_sos(CommutativePoly(2, {(2, 0): 1, (0, 2): 1}), 0), 2),
+], ids=["unreduced", "faced", "commutative"])
+def test_block_cap_is_checked_before_the_affine_operator_is_built(monkeypatch, build, size):
+    def never_built(self, rows, weights):
+        raise AssertionError("the affine operator was built")
+
+    monkeypatch.setattr(numeric, "BLOCK_CAP", 1)
+    monkeypatch.setattr(gram.AffineOperator, "__init__", never_built)
+    with pytest.raises(ValueError, match=rf"^a Gram block of size {size} exceeds the cap 1$"):
+        build()

@@ -55,6 +55,10 @@ CLI_CASES = [
     ("theorem", ["theorem", "--instance", "instance.json"]),
     ("audit-su2", ["audit", "--algebra", "su2", "--spins", "1/2"]),
     ("audit-abelian", ["audit", "--algebra", "abelian(2)", "--points", "1,2"]),
+    # the two audit commands of the README
+    ("audit-su2-sums", ["audit", "--algebra", "su2", "--spins", "1/2+1", "--spins", "1+2"]),
+    ("audit-abelian-points", ["audit", "--algebra", "abelian(2)", "--points", "1,2",
+                              "--points", "0,0"]),
 ]
 INSTANCE = {"algebra": "su2", "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1"], "epsilon": "1",
             "n_max": 0, "d_max": 4}
