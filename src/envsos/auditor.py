@@ -25,11 +25,11 @@ to a basis once, and the two-sided level uses the exact identity
 so the span at each level, and with it every membership verdict, is the one
 the full enumeration of products gives.
 
-A context clears its matrices once from the representation's Scalars into
-exactla.GaussMatrix, Gaussian-integer rows over one denominator; every
+A context takes the representation's matrices as they are, each an
+exactla.GaussMatrix of Gaussian-integer rows over one denominator; every
 product, sum and zero test of the audit runs on those integers, and a span
-test reads a matrix's integer numerators alone.  Scalars come back only
-through GaussMatrix.scalars.
+test reads a matrix's integer numerators alone.  Scalars appear only for the
+exact inverse Y and through GaussMatrix.scalars.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class OperatorAlgebraContext:
     Supplies the operator family X_0 = i I, X_1..X_d, Y = A^{-1} and
     Y_{kl} = X_k X_l Y together with their adjoint partners Y X_l X_k; the
     adjoint exchange rule between the two families is checked on construction.
-    Every matrix is a GaussMatrix, cleared once from the representation's Scalars.
+    Every matrix is a GaussMatrix; the X_k are the representation's own.
     """
 
     def __init__(self, rep: FiniteDimRep):
@@ -160,16 +160,14 @@ class OperatorAlgebraContext:
         self.algebra = algebra
         d = algebra.dim
         n = rep.dim_rep
-        A = rep.evaluate(canonical_a(algebra))
+        self.A = rep.image(canonical_a(algebra))
         try:
-            Y = invert_exact(A)
+            self.Y = GaussMatrix.from_scalars(invert_exact(self.A.scalars()))
         except ValueError as exc:
             raise ContextInvalid("canonical element is not invertible in this context") from exc
-        self.A, self.Y = GaussMatrix.from_scalars(A), GaussMatrix.from_scalars(Y)
         if not (self.A @ self.Y - GaussMatrix.identity(n)).is_zero():
             raise ContextInvalid("inverse sanity check failed")
-        self.X = [GaussMatrix.identity(n).scale(Scalar(0, 1))]
-        self.X.extend(GaussMatrix.from_scalars(mat) for mat in rep.mats)
+        self.X = [GaussMatrix.identity(n).scale(Scalar(0, 1)), *rep.mats]
         # left[k][l] = X_k X_l Y ; right[l][k] = Y X_l X_k (the negative indices)
         self.left = [[self.X[k] @ self.X[l] @ self.Y for l in range(d + 1)] for k in range(d + 1)]
         self.right = [[self.Y @ (self.X[l] @ self.X[k]) for k in range(d + 1)]

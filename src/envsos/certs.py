@@ -15,7 +15,7 @@ The two verifiers share one block check (square shapes, Hermitian entries,
 then an exact LDL of every block before any re-expansion), which always
 factors the certificate's current Gram blocks, and one integer re-expansion
 kernel, both in integers cleared by one helper, exactla.cleared: the LDL
-eliminates fraction-free on the block cleared to Gaussian integers, and the
+eliminates fraction-free on the block cleared once to a GaussMatrix, and the
 kernel clears the block, and its rows NF(w_p^* f_l), to Gaussian integers
 over one denominator each, multiplies by w_q through the normal-form
 straightening (exponent addition for a commutative certificate), accumulates
@@ -53,7 +53,7 @@ from math import lcm
 
 from . import lie
 from .errors import CertificateFormatError, nonnegative_int
-from .exactla import cleared, cmat_is_hermitian, ldl_hermitian
+from .exactla import GaussMatrix, cleared, ldl_hermitian
 from .exprs import _render_monomial, parse, render
 from .gram import CommGramProblem
 from .pbw import AlgebraElement, _mul_monomials, _mul_terms, _star_monomial
@@ -187,19 +187,22 @@ def round_and_verify(problem, g_numeric):
 def _block_factors(grams, sizes):
     """Exact LDL factors of every block, or None when a block is malformed or not PSD.
 
-    Checks square shapes and Hermitian entries first, then factors each
-    block from scratch.
+    Checks square shapes first, then clears each block once and checks it
+    is Hermitian, then factors each block from scratch.
     """
     if len(grams) != len(sizes):
         return None
+    blocks = []
     for gram, n in zip(grams, sizes):
         if len(gram) != n or any(len(row) != n for row in gram):
             return None
-        if not cmat_is_hermitian(gram):
+        block = GaussMatrix.from_scalars(gram)
+        if not block.is_hermitian():
             return None
+        blocks.append(block)
     factors = []
-    for gram in grams:
-        res = ldl_hermitian(gram)
+    for block in blocks:
+        res = ldl_hermitian(block)
         if not res.psd:
             return None
         factors.append(res)

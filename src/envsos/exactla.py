@@ -1,10 +1,10 @@
 """Exact linear algebra over rationals and Gaussian rationals.
 
-Matrices are plain lists of lists (Fraction entries for real matrices,
-Scalar entries for complex Hermitian work).  Everything here is
-arbitrary-precision; these routines back the certificate verifier, the
-representation positivity decision, the affine projector of the SDP layer and
-the operator audits.
+Real matrices, and the complex ones of the row-reduction helpers, are plain
+lists of lists (Fraction or Scalar entries); every other complex matrix is a
+GaussMatrix.  Everything here is arbitrary-precision; these routines back the
+certificate verifier, the representation positivity decision, the affine
+projector of the SDP layer and the operator audits.
 
 Rationals are cleared to integers by one helper, `clear` (and `cleared` for
 Gaussian rationals on top of it), and both kernels run in integers.
@@ -18,11 +18,11 @@ Hermitian PSD routine, is a fraction-free (Bareiss) symmetric factorization
 over Gaussian integers.  It trusts its input to be exactly Hermitian (see
 ldl_hermitian).
 
-GaussMatrix is the one Gaussian-integer matrix form: integer re and im rows
-over one positive denominator, in lowest terms.  Its product is the one
-complex matrix product loop; cmat_mul, the product of Scalar matrices, is a
-boundary over it that clears both factors and returns Scalars.  The operator
-audits hold every matrix in this form.
+GaussMatrix is the one complex matrix form: integer re and im rows over one
+positive denominator, in lowest terms.  Its product is the one complex matrix
+product loop.  Representations, the operator audits, certificate blocks and
+the LDL^* decision all hold their complex matrices in this form; Scalar
+matrices appear only at the boundary, through from_scalars and scalars.
 """
 
 from __future__ import annotations
@@ -242,6 +242,12 @@ class GaussMatrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.re)) and not any(map(any, self.im))
 
+    def is_hermitian(self) -> bool:
+        """True when the (square) matrix equals its conjugate transpose."""
+        re, im = self.re, self.im
+        return all(re[i][j] == re[j][i] and im[i][j] == -im[j][i]
+                   for i in range(len(re)) for j in range(i, len(re)))
+
     def __matmul__(self, other: "GaussMatrix") -> "GaussMatrix":
         """The product; each nonzero entry of self meets only the nonzero entries of a row of other."""
         m = len(other.re[0]) if other.re else 0
@@ -298,39 +304,8 @@ class GaussMatrix:
                            self.den * L)
 
 
-def cmat_zero(n):
-    return [[Scalar(0) for _ in range(n)] for _ in range(n)]
-
-
 def cmat_identity(n):
     return [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
-
-
-def cmat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def cmat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def cmat_scale(s, A):
-    s = Scalar.coerce(s)
-    return [[s * a for a in row] for row in A]
-
-
-def cmat_mul(A, B):
-    """The product of two Scalar (or Fraction) matrices as Scalars, through GaussMatrix."""
-    return (GaussMatrix.from_scalars(A) @ GaussMatrix.from_scalars(B)).scalars()
-
-
-def cmat_is_zero(A) -> bool:
-    return all(not a for row in A for a in row)
-
-
-def cmat_is_hermitian(A) -> bool:
-    n = len(A)
-    return all(A[i][j] == A[j][i].conj() for i in range(n) for j in range(i, n))
 
 
 # -- Hermitian PSD decision -------------------------------------------------------
@@ -372,15 +347,15 @@ class LdlResult:
         return self.psd and all(d > 0 for d in self.diag)
 
 
-def ldl_hermitian(M) -> LdlResult:
+def ldl_hermitian(M: GaussMatrix) -> LdlResult:
     """Exact LDL^* by fraction-free (Bareiss) elimination over Gaussian integers.
 
     M must be exactly Hermitian; only its diagonal is checked.  Callers
-    guarantee the rest: certs._block_factors runs cmat_is_hermitian first,
-    and FiniteDimRep.is_positive factors S * pi(e) for a hermitean e, which
-    the representation's exact skew-adjointness check makes Hermitian.
+    guarantee the rest: certs._block_factors runs GaussMatrix.is_hermitian
+    first, and FiniteDimRep.is_positive factors S * pi(e) for a hermitean e,
+    which the representation's exact skew-adjointness check makes Hermitian.
 
-    M is cleared once to integers over one denominator den.  A nonzero pivot
+    M's integers over its one denominator den are copied once.  A nonzero pivot
     p turns the whole active upper triangle into (p A_rs - A_r,pivot
     conj(A_s,pivot)) // prev, exact division by the previous nonzero pivot,
     so it stays the true Schur complement times prev * den > 0.  The pivot
@@ -389,11 +364,10 @@ def ldl_hermitian(M) -> LdlResult:
     certifies indefiniteness.  A step is recorded once as (pivot index,
     scaled pivot, integer column); rationals are built for diag and a witness.
     """
-    n = len(M)
-    if not all(M[i][i].is_real() for i in range(n)):
+    n, den = len(M.re), M.den
+    if any(M.im[i][i] for i in range(n)):
         raise ValueError("matrix is not Hermitian: complex diagonal")
-    pairs, den = cleared([s for row in M for s in row])
-    re, im = ([[pair[k] for pair in pairs[i * n:(i + 1) * n]] for i in range(n)] for k in (0, 1))
+    re, im = [row[:] for row in M.re], [row[:] for row in M.im]
     active, steps, diag, prev = list(range(n)), [], [], 1
 
     def indefinite(v, vden, value):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import cache
 
 from .errors import AntisymmetryViolation, JacobiViolation, UnknownAlgebra
 from .scalar import format_fraction, parse_fraction
@@ -138,8 +139,16 @@ def _set_bracket(c, i, j, terms):
 
 
 def builtin(name: str) -> LieAlgebra:
-    """Catalog: abelian(d), su2, heisenberg3, affine_line, sl2r."""
-    name = name.strip()
+    """Catalog: abelian(d), su2, heisenberg3, affine_line, sl2r.
+
+    One shared instance per catalog name: an algebra is immutable, and its
+    straightening memo only ever holds normal forms.
+    """
+    return _builtin(name.strip())
+
+
+@cache
+def _builtin(name: str) -> LieAlgebra:
     if name.startswith("abelian(") and name.endswith(")"):
         try:
             d = int(name[len("abelian(") : -1])

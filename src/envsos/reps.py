@@ -1,10 +1,13 @@
 """Finite-dimensional exact star-representations.
 
-A representation stores one Scalar matrix per basis generator together with a
-positive diagonal rational metric S; the inner product is
-<phi, psi> = sum_n S_n phi_n conj(psi_n).  Construction checks, exactly, that
-the matrices satisfy the algebra's commutation relations and that every
-generator image is skew-adjoint for the metric.
+A representation stores one generator matrix per basis generator together
+with a positive diagonal rational metric S; the inner product is
+<phi, psi> = sum_n S_n phi_n conj(psi_n).  Each generator matrix is cleared
+once to an exactla.GaussMatrix, Gaussian-integer rows over one denominator,
+after its shape is checked.  Construction then checks, exactly and on those
+integers, that the matrices satisfy the algebra's commutation relations and
+that every generator image is skew-adjoint for the metric.  Images of
+elements are formed in the same form; evaluate is their Scalar view.
 
 The rational weight basis keeps spin representation entries in Q(i); the
 metric absorbs the usual square roots.
@@ -15,17 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, ContextInvalid, NotAbelian, NotHermitean
-from .exactla import (
-    LdlResult,
-    cmat_add,
-    cmat_identity,
-    cmat_is_zero,
-    cmat_mul,
-    cmat_scale,
-    cmat_sub,
-    cmat_zero,
-    ldl_hermitian,
-)
+from .exactla import GaussMatrix, LdlResult, clear, ldl_hermitian
 from .lie import LieAlgebra, builtin
 from .pbw import AlgebraElement
 from .scalar import Scalar, format_fraction, format_scalar
@@ -37,91 +30,75 @@ class FiniteDimRep:
     def __init__(self, algebra: LieAlgebra, mats, metric, label: str = ""):
         self.algebra = algebra
         self.dim_rep = len(metric)
-        self.mats = [
-            [[Scalar.coerce(v) for v in row] for row in mat] for mat in mats
-        ]
         self.metric = [Fraction(s) for s in metric]
         self.label = label
         self._eval_cache: dict = {}
+        n = self.dim_rep
+        if len(mats) != algebra.dim:
+            raise ContextInvalid("need one matrix per generator")
+        for mat in mats:
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ContextInvalid("matrix shape does not match the metric length")
+        self.mats = [GaussMatrix.from_scalars(mat) for mat in mats]
         self._validate()
 
     def _validate(self):
-        n = self.dim_rep
-        if len(self.mats) != self.algebra.dim:
-            raise ContextInvalid("need one matrix per generator")
-        for mat in self.mats:
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ContextInvalid("matrix shape does not match the metric length")
         if any(s <= 0 for s in self.metric):
             raise ContextInvalid("metric entries must be positive")
         # bracket compatibility: [X_i, X_j] = sum_k c^k_ij X_k, exactly
-        d = self.algebra.dim
+        X, d = self.mats, self.algebra.dim
         for i in range(d):
             for j in range(i + 1, d):
-                lhs = cmat_sub(
-                    cmat_mul(self.mats[i], self.mats[j]),
-                    cmat_mul(self.mats[j], self.mats[i]),
-                )
-                rhs = cmat_zero(n)
+                residual = X[i] @ X[j] - X[j] @ X[i]
                 for k in range(d):
                     ck = self.algebra.c[i][j][k]
                     if ck:
-                        rhs = cmat_add(rhs, cmat_scale(ck, self.mats[k]))
-                if not cmat_is_zero(cmat_sub(lhs, rhs)):
+                        residual = residual - X[k].scale(ck)
+                if not residual.is_zero():
                     raise ContextInvalid(
                         f"commutator of generators {i+1},{j+1} violates the structure constants"
                     )
-        # metric skew-adjointness: S X_k = -(S X_k)^H
+        # metric skew-adjointness: X_k^adj = S^-1 X_k^H S = -X_k
         for k in range(d):
-            sx = self._metric_weighted(self.mats[k])
-            for p in range(n):
-                for q in range(n):
-                    if sx[p][q] != -(sx[q][p].conj()):
-                        raise ContextInvalid(
-                            f"generator {k+1} is not skew-adjoint for the metric"
-                        )
-
-    def _metric_weighted(self, M):
-        return [[Scalar(self.metric[p]) * M[p][q] for q in range(self.dim_rep)]
-                for p in range(self.dim_rep)]
+            if not (X[k] + X[k].adjoint(self.metric)).is_zero():
+                raise ContextInvalid(f"generator {k+1} is not skew-adjoint for the metric")
 
     # -- evaluation -----------------------------------------------------------
 
-    def _monomial_matrix(self, mono):
+    def _monomial_matrix(self, mono) -> GaussMatrix:
         cached = self._eval_cache.get(mono)
         if cached is not None:
             return cached
-        n = self.dim_rep
         if not any(mono):
-            out = cmat_identity(n)
+            out = GaussMatrix.identity(self.dim_rep)
         else:
             # peel the last generator to reuse cached prefixes
             last = max(i for i, e in enumerate(mono) if e)
             prefix = list(mono)
             prefix[last] -= 1
-            out = cmat_mul(self._monomial_matrix(tuple(prefix)), self.mats[last])
+            out = self._monomial_matrix(tuple(prefix)) @ self.mats[last]
         self._eval_cache[mono] = out
         return out
 
-    def evaluate(self, e: AlgebraElement):
-        """Matrix of an element; an algebra homomorphism by construction."""
+    def image(self, e: AlgebraElement) -> GaussMatrix:
+        """pi(e), an algebra homomorphism by construction."""
         if e.algebra != self.algebra:
             raise AlgebraMismatch("element and representation algebras differ")
-        n = self.dim_rep
-        out = cmat_zero(n)
+        out = GaussMatrix.zero(self.dim_rep)
         for mono, coeff in e.terms.items():
-            mat = self._monomial_matrix(mono)
-            for p in range(n):
-                row = mat[p]
-                orow = out[p]
-                for q in range(n):
-                    if row[q]:
-                        orow[q] = orow[q] + coeff * row[q]
+            out = out + self._monomial_matrix(mono).scale(coeff)
         return out
 
-    def weighted_matrix(self, e: AlgebraElement):
-        """S * evaluate(e); Hermitian exactly when e is hermitean."""
-        return self._metric_weighted(self.evaluate(e))
+    def evaluate(self, e: AlgebraElement):
+        """pi(e) as rows of Scalars."""
+        return self.image(e).scalars()
+
+    def weighted_matrix(self, e: AlgebraElement) -> GaussMatrix:
+        """S * pi(e); Hermitian exactly when e is hermitean."""
+        M = self.image(e)
+        s, sden = clear(self.metric)
+        return GaussMatrix([[w * x for x in row] for w, row in zip(s, M.re)],
+                           [[w * x for x in row] for w, row in zip(s, M.im)], M.den * sden)
 
     def is_positive(self, e: AlgebraElement) -> LdlResult:
         """Decide <dU(e) phi, phi> >= 0 for all phi, with an exact witness.
@@ -158,9 +135,7 @@ def make_spin_rep(l: Fraction | int, algebra: LieAlgebra | None = None) -> Finit
     algebra = algebra or builtin("su2")
     n = int(2 * l) + 1
     js = [(-l + k) for k in range(n)]
-    X1 = cmat_zero(n)
-    X2 = cmat_zero(n)
-    X3 = cmat_zero(n)
+    X1, X2, X3 = ([[Scalar(0)] * n for _ in range(n)] for _ in range(3))
     for idx, j in enumerate(js):
         X1[idx][idx] = Scalar(0, j)
         if idx + 1 < n:
@@ -206,14 +181,12 @@ def direct_sum(*reps: FiniteDimRep) -> FiniteDimRep:
     total = sum(r.dim_rep for r in reps)
     mats = []
     for k in range(algebra.dim):
-        mat = cmat_zero(total)
+        mat = [[Scalar(0)] * total for _ in range(total)]
         offset = 0
         for rep in reps:
-            n = rep.dim_rep
-            for p in range(n):
-                for q in range(n):
-                    mat[offset + p][offset + q] = rep.mats[k][p][q]
-            offset += n
+            for p, row in enumerate(rep.mats[k].scalars()):
+                mat[offset + p][offset:offset + len(row)] = row
+            offset += rep.dim_rep
         mats.append(mat)
     metric = [s for rep in reps for s in rep.metric]
     label = " + ".join(r.label or "?" for r in reps)

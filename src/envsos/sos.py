@@ -29,7 +29,7 @@ from .certs import (
     verify_commutative_certificate,
 )
 from .errors import nonnegative_int
-from .exactla import cmat_mul, nullspace
+from .exactla import GaussMatrix, nullspace
 from .gram import CommGramProblem, GramSkeleton
 from .numeric import NumericOutcome, SolveOptions, solve_feasibility
 from .pbw import AlgebraElement
@@ -109,11 +109,12 @@ def forced_face_vectors(c: AlgebraElement, f, bases, reps):
             continue
         for gen, basis, vectors in zip(f, bases, forced):
             H = rep.weighted_matrix(gen)
-            images = [rep.evaluate(AlgebraElement.monomial(c.algebra, w)) for w in basis]
+            HW = [H @ rep.image(AlgebraElement.monomial(c.algebra, w)) for w in basis]
             for v in kernel:
-                columns = [cmat_mul(image, [[x] for x in v]) for image in images]
-                U = [[col[j][0] for col in columns] for j in range(rep.dim_rep)]
-                vectors.extend(z for z in cmat_mul(H, U) if any(z))
+                v = GaussMatrix.from_scalars([[x] for x in v])
+                columns = [(M @ v).scalars() for M in HW]  # column q of H_l U_l
+                HU = ([col[j][0] for col in columns] for j in range(rep.dim_rep))
+                vectors.extend(z for z in HU if any(z))
     return forced
 
 

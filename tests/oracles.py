@@ -13,7 +13,11 @@ accumulator, which eliminated in Fraction and Scalar arithmetic.
 hermitian_form and residual_exact evaluate v^* M v and the residuals of an
 affine system's full row set, for checks only.  reference_cmat_mul and
 reference_metric_adjoint are frozen copies of the earlier complex matrix
-product and metric adjoint, which ran in Scalar arithmetic.
+product and metric adjoint, which ran in Scalar arithmetic, and cmat_zero,
+cmat_add, cmat_sub, cmat_scale, cmat_is_zero and cmat_is_hermitian are the
+earlier Scalar matrix helpers.  ReferenceRep is a frozen copy of the earlier
+representation checks and evaluation, which held the generator matrices as
+Scalars.
 reference_mul_monomial_gen, reference_mul_monomials and
 reference_star_monomial are frozen copies of the earlier straightening loops,
 each with its own generator-step loop and a memo passed in, and
@@ -30,8 +34,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from envsos.exactla import (LdlResult, cmat_identity, cmat_is_hermitian, ldl_hermitian,
-                            nullspace)
+from envsos.errors import AlgebraMismatch, ContextInvalid
+from envsos.exactla import GaussMatrix, LdlResult, cmat_identity, ldl_hermitian, nullspace
 from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
 from envsos.lie import LieAlgebra
 from envsos.pbw import AlgebraElement, term_sort_key
@@ -271,7 +275,7 @@ def _reference_block_factors(grams, sizes):
             return None
     factors = []
     for gram in grams:
-        res = ldl_hermitian(gram)
+        res = ldl_hermitian(GaussMatrix.from_scalars(gram))
         if not res.psd:
             return None
         factors.append(res)
@@ -599,6 +603,112 @@ def reference_metric_adjoint(metric, M):
         [Scalar(metric[q]) * M[q][p].conj() / Scalar(metric[p]) for q in range(n)]
         for p in range(n)
     ]
+
+
+def cmat_zero(n):
+    return [[Scalar(0) for _ in range(n)] for _ in range(n)]
+
+
+def cmat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def cmat_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def cmat_scale(s, A):
+    s = Scalar.coerce(s)
+    return [[s * a for a in row] for row in A]
+
+
+def cmat_is_zero(A) -> bool:
+    return all(not a for row in A for a in row)
+
+
+def cmat_is_hermitian(A) -> bool:
+    n = len(A)
+    return all(A[i][j] == A[j][i].conj() for i in range(n) for j in range(i, n))
+
+
+class ReferenceRep:
+    """Frozen copy of the earlier FiniteDimRep checks and evaluation, in Scalar arithmetic."""
+
+    def __init__(self, algebra, mats, metric):
+        self.algebra = algebra
+        self.dim_rep = len(metric)
+        self.mats = [[[Scalar.coerce(v) for v in row] for row in mat] for mat in mats]
+        self.metric = [Fraction(s) for s in metric]
+        self._eval_cache: dict = {}
+        self._validate()
+
+    def _validate(self):
+        n = self.dim_rep
+        if len(self.mats) != self.algebra.dim:
+            raise ContextInvalid("need one matrix per generator")
+        for mat in self.mats:
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ContextInvalid("matrix shape does not match the metric length")
+        if any(s <= 0 for s in self.metric):
+            raise ContextInvalid("metric entries must be positive")
+        d = self.algebra.dim
+        for i in range(d):
+            for j in range(i + 1, d):
+                lhs = cmat_sub(reference_cmat_mul(self.mats[i], self.mats[j]),
+                               reference_cmat_mul(self.mats[j], self.mats[i]))
+                rhs = cmat_zero(n)
+                for k in range(d):
+                    ck = self.algebra.c[i][j][k]
+                    if ck:
+                        rhs = cmat_add(rhs, cmat_scale(ck, self.mats[k]))
+                if not cmat_is_zero(cmat_sub(lhs, rhs)):
+                    raise ContextInvalid(
+                        f"commutator of generators {i+1},{j+1} violates the structure constants"
+                    )
+        for k in range(d):
+            sx = self._metric_weighted(self.mats[k])
+            for p in range(n):
+                for q in range(n):
+                    if sx[p][q] != -(sx[q][p].conj()):
+                        raise ContextInvalid(
+                            f"generator {k+1} is not skew-adjoint for the metric"
+                        )
+
+    def _metric_weighted(self, M):
+        return [[Scalar(self.metric[p]) * M[p][q] for q in range(self.dim_rep)]
+                for p in range(self.dim_rep)]
+
+    def _monomial_matrix(self, mono):
+        cached = self._eval_cache.get(mono)
+        if cached is not None:
+            return cached
+        if not any(mono):
+            out = cmat_identity(self.dim_rep)
+        else:
+            last = max(i for i, e in enumerate(mono) if e)
+            prefix = list(mono)
+            prefix[last] -= 1
+            out = reference_cmat_mul(self._monomial_matrix(tuple(prefix)), self.mats[last])
+        self._eval_cache[mono] = out
+        return out
+
+    def evaluate(self, e: AlgebraElement):
+        if e.algebra != self.algebra:
+            raise AlgebraMismatch("element and representation algebras differ")
+        n = self.dim_rep
+        out = cmat_zero(n)
+        for mono, coeff in e.terms.items():
+            mat = self._monomial_matrix(mono)
+            for p in range(n):
+                row = mat[p]
+                orow = out[p]
+                for q in range(n):
+                    if row[q]:
+                        orow[q] = orow[q] + coeff * row[q]
+        return out
+
+    def weighted_matrix(self, e: AlgebraElement):
+        return self._metric_weighted(self.evaluate(e))
 
 
 def residual_exact(system, g):

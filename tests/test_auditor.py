@@ -12,13 +12,13 @@ from envsos.auditor import (
     full_audit,
 )
 from envsos.errors import ContextInvalid
-from envsos.exactla import GaussMatrix, cmat_mul
+from envsos.exactla import GaussMatrix
 from envsos.exprs import parse
 from envsos.lie import builtin
 from envsos.reps import direct_sum, make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
 
-from oracles import ReferenceEchelonAccumulator
+from oracles import ReferenceEchelonAccumulator, reference_cmat_mul
 
 ALL = ["su2", "abelian(3)", "heisenberg3", "affine_line", "sl2r"]
 
@@ -122,9 +122,10 @@ def test_ideal_span_matches_brute_force_enumeration(rep):
     family = [u.scalars() for u in ctx.family_elements()]
     levels = [
         gens,
-        [cmat_mul(u, g) for u in family for g in gens],
-        [cmat_mul(g, v) for g in gens for v in family],
-        [cmat_mul(cmat_mul(u, g), v) for u in family for g in gens for v in family],
+        [reference_cmat_mul(u, g) for u in family for g in gens],
+        [reference_cmat_mul(g, v) for g in gens for v in family],
+        [reference_cmat_mul(reference_cmat_mul(u, g), v)
+         for u in family for g in gens for v in family],
     ]
     brute = ReferenceEchelonAccumulator(2 * n * n)
     span = IdealSpan(ctx)
@@ -157,7 +158,9 @@ def test_ideal_span_on_spins_one_and_two_is_built_from_bases(monkeypatch):
 
 def test_r_relations_read_the_stored_adjoints(monkeypatch):
     # the context checks adjoint(left[k][l]) == right[l][k] once per pair; the
-    # audit reads right[l][k] and recomputes no adjoint
+    # audit reads right[l][k] and recomputes no adjoint.  The representation is
+    # built first: its own skew-adjointness check takes adjoints too.
+    rep = _spin_sum(Fraction(1, 2), 1)
     calls = []
     adjoint = GaussMatrix.adjoint
 
@@ -166,7 +169,7 @@ def test_r_relations_read_the_stored_adjoints(monkeypatch):
         return adjoint(self, metric)
 
     monkeypatch.setattr(GaussMatrix, "adjoint", counting_adjoint)
-    ctx = OperatorAlgebraContext(_spin_sum(Fraction(1, 2), 1))
+    ctx = OperatorAlgebraContext(rep)
     pairs = (ctx.algebra.dim + 1) ** 2
     assert len(calls) == pairs
     report = audit_r_relations(ctx)

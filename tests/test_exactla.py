@@ -10,12 +10,7 @@ from envsos.certs import RoundingFailed, round_and_verify
 from envsos.exactla import (
     EchelonAccumulator,
     GaussMatrix,
-    cmat_add,
     cmat_identity,
-    cmat_mul,
-    cmat_scale,
-    cmat_sub,
-    cmat_zero,
     invert_exact,
     ldl_hermitian,
     nullspace,
@@ -32,6 +27,10 @@ from envsos.sos import commutative_sos, forced_face_vectors, sample_sign_informa
 
 from oracles import (
     ReferenceEchelonAccumulator,
+    cmat_add,
+    cmat_scale,
+    cmat_sub,
+    cmat_zero,
     hermitian_form,
     planted_gram_vector,
     psd_by_char_poly,
@@ -377,7 +376,7 @@ def test_invert_exact_against_reference(A):
     Ainv = invert_exact(A)
     if isinstance(A[0][0], Scalar):
         assert all_of_type(Ainv, Scalar)
-        assert cmat_mul(Ainv, A) == cmat_identity(n)
+        assert reference_cmat_mul(Ainv, A) == cmat_identity(n)
     else:
         assert all_of_type(Ainv, Fraction)
     I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -436,7 +435,6 @@ def test_gauss_matrix_matches_scalar_arithmetic(case):
         assert G.scalars() == expected, name
         assert G.is_zero() == all(not x for row in expected for x in row), name
     assert (GA - GA).is_zero() and (GA - GA).den == 1
-    assert cmat_mul(A, B) == reference_cmat_mul(A, B)
 
 
 @settings(deadline=None)
@@ -480,10 +478,10 @@ def test_ldl_agrees_with_char_poly_oracle():
     for n in range(1, 7):
         for _ in range(8):
             M = random_hermitian(rng, n)
-            assert ldl_hermitian(M).psd == psd_by_char_poly(M)
+            assert ldl_hermitian(GaussMatrix.from_scalars(M)).psd == psd_by_char_poly(M)
         for _ in range(4):
             M = random_psd(rng, n, rank=max(1, n - 1))
-            res = ldl_hermitian(M)
+            res = ldl_hermitian(GaussMatrix.from_scalars(M))
             assert res.psd
             assert psd_by_char_poly(M)
 
@@ -494,7 +492,7 @@ def test_ldl_witness_is_exact_negative_direction():
     for n in range(2, 6):
         for _ in range(10):
             M = random_hermitian(rng, n)
-            res = ldl_hermitian(M)
+            res = ldl_hermitian(GaussMatrix.from_scalars(M))
             if not res.psd:
                 found += 1
                 val = hermitian_form(M, res.witness)
@@ -506,35 +504,35 @@ def test_ldl_witness_is_exact_negative_direction():
 def test_ldl_zero_pivot_rule():
     # [[0, 1], [1, 0]] is indefinite even though the diagonal vanishes
     M = [[Scalar(0), Scalar(1)], [Scalar(1), Scalar(0)]]
-    res = ldl_hermitian(M)
+    res = ldl_hermitian(GaussMatrix.from_scalars(M))
     assert not res.psd
     val = hermitian_form(M, res.witness)
     assert val.re < 0
     # genuinely zero row is fine
     Z = [[Scalar(0), Scalar(0)], [Scalar(0), Scalar(1)]]
-    assert ldl_hermitian(Z).psd
+    assert ldl_hermitian(GaussMatrix.from_scalars(Z)).psd
 
 
 def test_ldl_factorization_reconstructs():
     rng = random.Random(13)
     for n in (2, 3, 5):
         M = random_psd(rng, n)
-        res = ldl_hermitian(M)
+        res = ldl_hermitian(GaussMatrix.from_scalars(M))
         assert res.psd
         # P M P^T = L D L^*
         perm = res.perm
         PMPT = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         D = [[Scalar(res.diag[i]) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
         Lh = [[res.lower[j][i].conj() for j in range(n)] for i in range(n)]
-        recon = cmat_mul(cmat_mul(res.lower, D), Lh)
+        recon = reference_cmat_mul(reference_cmat_mul(res.lower, D), Lh)
         assert recon == PMPT
 
 
 def test_positive_definite_flag():
     I2 = cmat_identity(2)
-    assert ldl_hermitian(I2).is_positive_definite()
+    assert ldl_hermitian(GaussMatrix.from_scalars(I2)).is_positive_definite()
     sing = [[Scalar(1), Scalar(1)], [Scalar(1), Scalar(1)]]
-    res = ldl_hermitian(sing)
+    res = ldl_hermitian(GaussMatrix.from_scalars(sing))
     assert res.psd and not res.is_positive_definite()
 
 
@@ -542,7 +540,7 @@ def test_positive_definite_flag():
 
 
 def assert_same_ldl(M):
-    new, ref = ldl_hermitian(M), reference_ldl_hermitian(M)
+    new, ref = ldl_hermitian(GaussMatrix.from_scalars(M)), reference_ldl_hermitian(M)
     assert (new.psd, new.perm, new.diag, new.lower) == (ref.psd, ref.perm, ref.diag, ref.lower)
     assert (new.witness, new.witness_value) == (ref.witness, ref.witness_value)
     if not new.psd:
@@ -562,7 +560,7 @@ def with_schur_complement(rng, m, tail):
         P[i][i] = P[i][i] + 50
     B = [[Scalar(rand_frac(rng), rand_frac(rng)) for _ in range(k)] for _ in range(m)]
     Bh = [[B[i][j].conj() for i in range(m)] for j in range(k)]
-    Z = cmat_mul(cmat_mul(Bh, invert_exact(P)), B)
+    Z = reference_cmat_mul(reference_cmat_mul(Bh, invert_exact(P)), B)
     n = m + k
     M = cmat_zero(n)
     for i in range(n):
@@ -635,7 +633,7 @@ def test_is_positive_witness_value_is_the_form_at_the_witness():
         for _ in range(6):
             e = random_hermitean(su2, rng, max_degree=2)
             verdict = rep.is_positive(e)
-            H = rep.weighted_matrix(e)
+            H = rep.weighted_matrix(e).scalars()
             assert_same_ldl(H)
             if not verdict:
                 found += 1
@@ -729,6 +727,7 @@ def test_ldl_matches_reference_on_edge_blocks():
 
 def test_ldl_builds_no_scalar_unless_lower_is_read(monkeypatch):
     M = random_psd(random.Random(26), 10)
+    G = GaussMatrix.from_scalars(M)
     built = []
     init = Scalar.__init__
 
@@ -737,7 +736,7 @@ def test_ldl_builds_no_scalar_unless_lower_is_read(monkeypatch):
         init(self, re, im)
 
     monkeypatch.setattr(Scalar, "__init__", counting_init)
-    res = ldl_hermitian(M)
+    res = ldl_hermitian(G)
     assert res.is_positive_definite() and len(res.perm) == 10
     assert built == []
     lower = res.lower

@@ -46,6 +46,12 @@ def test_all_builtins_validate(builtins):
         assert alg.dim >= 2
 
 
+def test_builtin_shares_one_instance_per_stripped_name():
+    assert builtin(" su2") is builtin("su2")
+    assert builtin("abelian(2) ") is builtin("abelian(2)")
+    assert builtin("su2") is not builtin("sl2r")
+
+
 def test_unknown_algebra():
     with pytest.raises(UnknownAlgebra):
         builtin("so(8)")

@@ -303,7 +303,11 @@ def _affine_half():
 
 
 def _fresh(name):
-    return _affine_half() if name == "affine_half" else builtin(name)
+    """A new algebra, so its straightening memo starts empty (builtin's instance is shared)."""
+    if name == "affine_half":
+        return _affine_half()
+    a = builtin(name)
+    return validate(a.dim, a.names, a.c)
 
 
 @pytest.mark.parametrize(

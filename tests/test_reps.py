@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from envsos.errors import ContextInvalid, NotAbelian, NotHermitean
-from envsos.exactla import cmat_identity, cmat_mul, cmat_sub, cmat_is_zero
+from envsos.exactla import cmat_identity
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement, canonical_a
 from envsos.reps import (
@@ -17,7 +17,16 @@ from envsos.reps import (
 )
 from envsos.scalar import Scalar
 
-from oracles import psd_by_char_poly, random_element, random_hermitean
+from oracles import (
+    ReferenceRep,
+    cmat_is_zero,
+    cmat_sub,
+    psd_by_char_poly,
+    random_element,
+    random_hermitean,
+    reference_cmat_mul,
+    reference_ldl_hermitian,
+)
 
 
 def half(n):
@@ -45,7 +54,7 @@ def test_spin_half_is_two_dimensional():
 def test_spin_zero_trivial():
     rep = make_spin_rep(0)
     assert rep.dim_rep == 1
-    assert all(not rep.mats[k][0][0] for k in range(3))
+    assert all(rep.mats[k].is_zero() for k in range(3))
     assert rep.metric == [Fraction(1)]
 
 
@@ -65,16 +74,106 @@ def test_spin_weight_operator_diagonal(su2):
 
 def test_constructor_rejects_broken_bracket(su2):
     rep = make_spin_rep(1)
-    bad = [row[:] for row in rep.mats[0]]
+    bad = rep.mats[0].scalars()
     bad[0][0] = bad[0][0] + Scalar(1)
     with pytest.raises(ContextInvalid):
-        FiniteDimRep(su2, [bad, rep.mats[1], rep.mats[2]], rep.metric)
+        FiniteDimRep(su2, [bad, rep.mats[1].scalars(), rep.mats[2].scalars()], rep.metric)
 
 
 def test_constructor_rejects_bad_metric(su2):
     rep = make_spin_rep(1)
     with pytest.raises(ContextInvalid):
-        FiniteDimRep(su2, rep.mats, [Fraction(1), Fraction(2), Fraction(1)])
+        FiniteDimRep(su2, [M.scalars() for M in rep.mats], [1, 2, 1])
+
+
+def _spin_one_mats():
+    return [M.scalars() for M in make_spin_rep(1).mats]
+
+
+def _short_row(mats):
+    mats[2] = [mats[2][0], mats[2][1][:2], mats[2][2]]
+    return mats
+
+
+def _ragged_rows(mats):
+    # rows of 2, 4 and 3 entries: nine in all, as many as a 3 x 3 matrix has
+    row0, row1, row2 = mats[1]
+    mats[1] = [row0[:2], row1 + [row0[2]], row2]
+    return mats
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda mats: mats[:2], "need one matrix per generator"),
+    (lambda mats: mats + [mats[0]], "need one matrix per generator"),
+    (lambda mats: [mats[0][:2]] + mats[1:], "matrix shape does not match the metric length"),
+    (lambda mats: [[row[:2] for row in mats[0][:2]]] + mats[1:],
+     "matrix shape does not match the metric length"),
+    (_short_row, "matrix shape does not match the metric length"),
+    (_ragged_rows, "matrix shape does not match the metric length"),
+], ids=["too few", "too many", "too few rows", "too small", "short row", "ragged rows"])
+def test_constructor_rejects_wrong_shapes(su2, change, message):
+    metric = make_spin_rep(1).metric
+    with pytest.raises(ContextInvalid, match=f"^{message}$"):
+        FiniteDimRep(su2, change(_spin_one_mats()), metric)
+
+
+def _reference_cases(rng):
+    """(algebra, mats, metric): spins 0..5/2, direct sums, abelian points and perturbed copies.
+
+    Each representation also comes with one generator entry changed and with
+    one metric entry scaled (by 2, 1/3, 0 or -1).
+    """
+    spins = [make_spin_rep(half(k)) for k in range(6)]
+    reps = spins + [direct_sum(spins[1], spins[2]), direct_sum(spins[0], spins[3], spins[1])]
+    for d in (1, 2, 3):
+        algebra = builtin(f"abelian({d})")
+        for _ in range(2):
+            reps.append(make_point_rep(
+                algebra, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]))
+    cases = []
+    for rep in reps:
+        mats, n = [M.scalars() for M in rep.mats], rep.dim_rep
+        cases.append((rep.algebra, mats, rep.metric))
+        bent = [[row[:] for row in M] for M in mats]
+        k, p, q = rng.randrange(len(bent)), rng.randrange(n), rng.randrange(n)
+        bent[k][p][q] = bent[k][p][q] + rng.choice([Scalar(1), Scalar(0, -2), Scalar(1, 1)])
+        cases.append((rep.algebra, bent, rep.metric))
+        metric = list(rep.metric)
+        metric[rng.randrange(n)] *= rng.choice([2, Fraction(1, 3), 0, -1])
+        cases.append((rep.algebra, mats, metric))
+    return cases
+
+
+def test_integer_representations_match_the_frozen_scalar_reference():
+    rng = random.Random(47)
+    cases, accepted, messages = _reference_cases(rng), 0, set()
+    for algebra, mats, metric in cases:
+        verdicts = []
+        for cls in (FiniteDimRep, ReferenceRep):
+            try:
+                verdicts.append((cls(algebra, mats, metric), None))
+            except ContextInvalid as exc:
+                verdicts.append((None, str(exc)))
+        (rep, message), (ref, ref_message) = verdicts
+        assert message == ref_message
+        if message is not None:
+            messages.add(message.split(" ")[0])
+            continue
+        accepted += 1
+        elements = [AlgebraElement.zero(algebra), AlgebraElement.unit(algebra),
+                    canonical_a(algebra)]
+        elements += [random_element(algebra, rng, max_degree=3) for _ in range(3)]
+        for e in elements:
+            assert rep.evaluate(e) == ref.evaluate(e)
+            assert rep.weighted_matrix(e).scalars() == ref.weighted_matrix(e)
+        for _ in range(4):
+            h = random_hermitean(algebra, rng, max_degree=2)
+            got, want = rep.is_positive(h), reference_ldl_hermitian(ref.weighted_matrix(h))
+            assert (got.psd, got.perm, got.diag) == (want.psd, want.perm, want.diag)
+            assert (got.witness, got.witness_value) == (want.witness, want.witness_value)
+    # every unperturbed representation is accepted, and most perturbed copies are not
+    assert 14 <= accepted <= len(cases) - 14
+    assert messages == {"commutator", "generator", "metric"}
 
 
 def test_point_rep_values():
@@ -109,7 +208,7 @@ def test_evaluate_is_homomorphism(builtins, su2):
             u = random_element(alg, rng, max_degree=2)
             v = random_element(alg, rng, max_degree=2)
             left = rep.evaluate(u * v)
-            right = cmat_mul(rep.evaluate(u), rep.evaluate(v))
+            right = reference_cmat_mul(rep.evaluate(u), rep.evaluate(v))
             assert left == right
         assert rep.evaluate(AlgebraElement.unit(alg)) == cmat_identity(rep.dim_rep)
 
@@ -119,8 +218,8 @@ def test_evaluate_respects_involution():
     rep = make_spin_rep(half(3))
     for _ in range(10):
         e = random_element(rep.algebra, rng, max_degree=3)
-        left = rep.weighted_matrix(e.star())
-        right = rep.weighted_matrix(e)
+        left = rep.weighted_matrix(e.star()).scalars()
+        right = rep.weighted_matrix(e).scalars()
         n = rep.dim_rep
         assert all(left[i][j] == right[j][i].conj() for i in range(n) for j in range(n))
 
@@ -159,7 +258,7 @@ def test_is_positive_matches_char_poly_oracle():
     for rep in reps:
         for _ in range(8):
             e = random_hermitean(rep.algebra, rng, max_degree=2)
-            H = rep.weighted_matrix(e)
+            H = rep.weighted_matrix(e).scalars()
             assert bool(rep.is_positive(e)) == psd_by_char_poly(H)
 
 

@@ -59,6 +59,11 @@ CLI_CASES = [
     ("audit-su2-sums", ["audit", "--algebra", "su2", "--spins", "1/2+1", "--spins", "1+2"]),
     ("audit-abelian-points", ["audit", "--algebra", "abelian(2)", "--points", "1,2",
                               "--points", "0,0"]),
+    # scans whose windows hold non-members, so they print representation witnesses
+    ("scan-witnesses", ["scan", "--algebra", "su2", "--exprs", "1", "1 + x1*x2 + x2*x1",
+                        "--lmax", "2"]),
+    ("scan-abelian-points", ["scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + x1^2",
+                             "--points", "0,0", "--points", "2,1"]),
 ]
 INSTANCE = {"algebra": "su2", "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1"], "epsilon": "1",
             "n_max": 0, "d_max": 4}
