@@ -158,11 +158,13 @@ def round_and_verify(problem, g_numeric):
 
     An SdpProblem yields a WeightedSosCertificate and a CommGramProblem a
     CommutativeSosCertificate; the verifier's factors stay on it in memory.
-    The exact projection meets every row of a consistent system by
-    construction and the verifier re-decides the identity from scratch, so
-    no residual is checked in between: on an inconsistent system every
-    rounding fails at the verifier.  Raises RoundingFailed when no
-    denominator 2^k in the schedule produces an exactly feasible PSD point.
+    Each rounding keeps the dyadic entries on the free columns and solves
+    every pivot entry exactly from its reduced row (pivot completion), so it
+    meets every row of a consistent system by construction.  The verifier
+    re-decides the identity from scratch, so no residual is checked in
+    between: on an inconsistent system every rounding fails at the verifier.
+    Raises RoundingFailed when no denominator 2^k in the schedule produces
+    an exactly feasible PSD point.
     """
     for k in ROUNDING_EXPONENTS:
         g = problem.system.project_exact(_round_vector(g_numeric, k))

@@ -3,20 +3,21 @@
 Real matrices, and the complex ones of the row-reduction helpers, are plain
 lists of lists (Fraction or Scalar entries); every other complex matrix is a
 GaussMatrix.  Everything here is arbitrary-precision; these routines back the
-certificate verifier, the representation positivity decision, the affine
-projector of the SDP layer and the operator audits.
+certificate verifier, the representation positivity decision, the pivot
+completion of the SDP layer's affine systems and the operator audits.
 
 Rationals are cleared to integers by one helper, `clear` (and `cleared` for
 Gaussian rationals on top of it), and both kernels run in integers.
 EchelonAccumulator is the one row-reduction loop: fraction-free over Z,
 rows kept sparse and primitive, complex rows realified into (re, im) column
 pairs; it reads a row as {column: value} of its nonzeros.  rref, nullspace
-and invert_exact are built on it and convert back to Fractions, or Scalars
-for complex input, only at the end; callers that only need span membership
-use it directly.  The exact LDL^* decision, the one
-Hermitian PSD routine, is a fraction-free (Bareiss) symmetric factorization
-over Gaussian integers.  It trusts its input to be exactly Hermitian (see
-ldl_hermitian).
+and invert_exact (whose one caller is the audit context's inverse) are built
+on it and convert back to Fractions, or Scalars for complex input, only at
+the end.  Callers that only need span membership, or the reduced rows in
+integers (the affine pivot completion), use it directly.  The exact LDL^*
+decision, the one Hermitian PSD routine, is a fraction-free (Bareiss)
+symmetric factorization over Gaussian integers.  It trusts its input to be
+exactly Hermitian (see ldl_hermitian).
 
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
@@ -89,23 +90,27 @@ class EchelonAccumulator:
     def contains(self, vec) -> bool:
         return not _reduce(self._integer_row(vec), self.rows)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows) // 2 if self.complex else len(self.rows)
-
-    def reduced(self):
-        """(R, pivots): the reduced row echelon form of the span, pivots ascending.
+    def reduced_rows(self):
+        """The reduced echelon form in integers: primitive (pivot, row) pairs, pivots ascending.
 
         Rows are taken by descending pivot and each is reduced against the
         finished rows of larger pivot; a row is already zero left of its own
-        pivot, so every other pivot column ends up clear.  Entries are
-        Fractions, or Scalars from the realified form's rows of even pivot.
+        pivot, so every other pivot column ends up clear.  Columns are the
+        realified ones once a Scalar was read.
         """
         done = []
         for _, row in sorted(self.rows, key=lambda pr: -pr[0]):
             _append(dict(row), done)
+        return done[::-1]
+
+    def reduced(self):
+        """(R, pivots): the reduced row echelon form of the span, pivots ascending.
+
+        Entries are Fractions, or Scalars from the realified form's rows of
+        even pivot.
+        """
         step, zero = (2 if self.complex else 1), Fraction(0)
-        kept = [(pc, v) for pc, v in reversed(done) if pc % step == 0]
+        kept = [(pc, v) for pc, v in self.reduced_rows() if pc % step == 0]
         R = [[Fraction(v[j], v[pc]) if j in v else zero for j in range(step * self.ncols)]
              for pc, v in kept]
         if self.complex:

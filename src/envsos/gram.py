@@ -26,20 +26,22 @@ The module also carries the commutative analogue used for symbol positivity.
 Its rows are built unreduced over the monomial basis, and the kernel vectors
 forced by exact zeros of the form restrict them to a face exactly as a faced
 problem's are, through _compose_rows and congruence.  All constraint data is
-exact; float copies are derived once for the numeric solver.  Projections
-onto the affine subspace use the Frobenius metric of the underlying (reduced)
-matrices, which in variable coordinates is the diagonal weight W stored
-alongside the system.
+exact; float copies are derived once for the numeric solver, whose affine
+projections use the Frobenius metric of the underlying (reduced) matrices:
+in variable coordinates, the diagonal weight W stored alongside the system.
 
 Only the rhs b of A g = b depends on the target.  An AffineOperator holds
-what does not: the rows selected on A alone, W^-1 and N = (A W^-1 A^T)^-1
-over them, integers over one denominator, and their float copies.  A
-GramSkeleton builds one for its unreduced rows and every unreduced target
-shares it; a faced or commutative problem builds its own.  AffineSystem(op,
-rhs) is one target's system: its rhs and an exact consistency check.  A row
-is a consequence of the selected rows on [A | b] exactly when it is one on A
-and the system is consistent, so the selection (and every projection and
-certificate) is the same as selecting on [A | b] per target.
+what does not: the rows selected on A alone, their pivot completion (the
+reduced form of [A_ind | I], in integers, once) and the float copies of
+A_ind, W^-1 and N = (A_ind W^-1 A_ind^T)^-1.  A GramSkeleton builds one for
+its unreduced rows and every unreduced target shares it; a faced or
+commutative problem builds its own.  AffineSystem(op, rhs) is one target's
+system: its rhs, the particular solution of the pivot rows and an exact
+consistency check.  The exact projection keeps a rounded point on the free
+columns and solves each pivot entry from its row, so it meets every row of a
+consistent system.  A row is a consequence of the selected rows on [A | b] exactly
+when it is one on A and the system is consistent, so the selection is the
+same as selecting on [A | b] per target.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotHermitean, OddDegreeTarget, nonnegative_int
-from .exactla import EchelonAccumulator, clear, invert_exact, nullspace
+from .exactla import EchelonAccumulator, clear, nullspace
 from .lie import LieAlgebra
 from .numeric import check_block_cap
 from .pbw import AlgebraElement, term_sort_key
@@ -158,47 +160,33 @@ class VariableLayout:
 
 
 class AffineOperator:
-    """The target-independent half of A g = b: selected rows, W^-1 and N.
+    """The target-independent half of A g = b: selected rows and their pivot completion.
 
-    Rows are selected greedily on A alone.  N = (A_ind W^-1 A_ind^T)^-1 is held
-    once, as integers N_num over one denominator N_den: N r is integer arithmetic,
-    and the float N is N_num / N_den, which int division rounds as float() would.
-    Rows are {column: value} of their nonzeros, so every product meets only
-    shared support.  With no selected row N is 0 x 0 and every product empty.
+    Rows are selected greedily on A alone; [A_ind | I] is then reduced once.
+    Reduced row r reads p g[c] + sum_j e_j g[j] = t . b_ind in integers, with
+    pivot column c, pivot entry p > 0, entries e_j on free columns and t the
+    row that maps b_ind to its rhs, so on every solution the pivot entries are
+    fixed by the free ones.  Rows are {column: value} of their nonzeros.  The
+    float N = (A_ind W^-1 A_ind^T)^-1 of the numeric search is formed in
+    floats; with no selected row it is 0 x 0.
     """
 
     def __init__(self, rows, weights):
         self.rows = rows
-        self.nvars = len(weights)
-        acc = EchelonAccumulator(self.nvars)
+        self.nvars = n = len(weights)
+        acc = EchelonAccumulator(n)
         self.independent = [i for i, row in enumerate(rows) if acc.insert(row)]
         selected = set(self.independent)
         self.dependent = [i for i in range(len(rows)) if i not in selected]
         self.winv = [1 / Fraction(w) for w in weights]
-        m = len(self.independent)
-        N, self.N_den = clear([x for row in invert_exact(self._weighted_gram()) for x in row])
-        self.N_num = [N[k * m:(k + 1) * m] for k in range(m)]
-        self._float_cache = None
-
-    def _weighted_gram(self):
-        """A_ind W^-1 A_ind^T, summed column by column over the rows that meet it."""
-        m = len(self.independent)
-        by_column = {}  # column -> [(selected row, entry)], rows ascending
+        completion = EchelonAccumulator(n + len(self.independent))
         for k, i in enumerate(self.independent):
-            for j, x in self.rows[i].items():
-                by_column.setdefault(j, []).append((k, x))
-        gram = [[Fraction(0)] * m for _ in range(m)]
-        for j, entries in by_column.items():
-            w = self.winv[j]
-            for a, (k, x) in enumerate(entries):
-                xw = x * w
-                row = gram[k]
-                for l, y in entries[a:]:
-                    row[l] += xw * y
-        for k in range(m):
-            for l in range(k):
-                gram[k][l] = gram[l][k]
-        return gram
+            completion.insert({**rows[i], n + k: 1})
+        # (c, p, e, t) per reduced row; a row is zero left of c and in other pivot columns
+        self.pivot_rows = [(c, row[c], {j: x for j, x in row.items() if c < j < n},
+                            {j - n: x for j, x in row.items() if j >= n})
+                           for c, row in completion.reduced_rows()]
+        self._float_cache = None
 
     def row_value(self, i, g):
         """Row i of A applied to g."""
@@ -213,33 +201,26 @@ class AffineOperator:
                     out[j] += x * li
         return [w * v if v else v for w, v in zip(self.winv, out)]
 
-    def multipliers(self, r):
-        """N r for a rational vector r over the selected rows."""
-        r_num, den = clear(r)
-        return [Fraction(sum(n * x for n, x in zip(row, r_num) if x), den * self.N_den)
-                for row in self.N_num]
-
     def float_data(self):
         """A_ind, N and W^-1 as float arrays, built on first use."""
         if self._float_cache is None:
-            m = len(self.independent)
-            A = np.zeros((m, self.nvars))
+            A = np.zeros((len(self.independent), self.nvars))
             for k, i in enumerate(self.independent):
                 for j, x in self.rows[i].items():
                     A[k, j] = float(x)
-            N = np.array([[x / self.N_den for x in row] for row in self.N_num]).reshape(m, m)
             winv = np.array([float(v) for v in self.winv])
-            self._float_cache = (A, N, winv)
+            self._float_cache = (A, np.linalg.inv((A * winv) @ A.T), winv)
         return self._float_cache
 
 
 class AffineSystem:
-    """Exact system A g = b plus the W-metric projector onto its solutions.
+    """Exact system A g = b plus its pivot completion.
 
-    The operator `op` (row selection, N, their float copies) depends only on
-    the rows and may be shared.  What is per target is the rhs and an exact
-    consistency check: the system is consistent iff the min-norm point
-    x0 = W^-1 A_ind^T N b_ind of the selected rows satisfies the others.
+    The operator `op` (row selection, pivot rows, float copies) depends only
+    on the rows and may be shared.  What is per target is the rhs, the
+    particular solution (free entries 0, each pivot entry from its reduced
+    rhs t . b_ind) and an exact consistency check: the system is consistent
+    iff the particular solution satisfies the rows that were not selected.
     """
 
     def __init__(self, op: AffineOperator, rhs):
@@ -247,15 +228,22 @@ class AffineSystem:
         self.rhs = [Fraction(v) for v in rhs]
         self.independent = op.independent
         self.b_ind = [self.rhs[i] for i in op.independent]
-        x0 = op.pull_back(op.multipliers(self.b_ind))
-        self.degenerate = any(op.row_value(i, x0) != self.rhs[i] for i in op.dependent)
+        b_num, den = clear(self.b_ind)
+        self.particular = [0] * op.nvars  # free entries 0, each pivot entry t . b_ind / p
+        for c, p, _, t in op.pivot_rows:
+            self.particular[c] = Fraction(sum(x * b_num[k] for k, x in t.items()), den * p)
+        self.degenerate = any(op.row_value(i, self.particular) != self.rhs[i]
+                              for i in op.dependent)
         self._b_float = None
 
     def project_exact(self, g):
-        """W-metric projection of an exact vector onto {A x = b}."""
-        op = self.operator
-        r = [op.row_value(i, g) - bi for i, bi in zip(op.independent, self.b_ind)]
-        return [x - d for x, d in zip(g, op.pull_back(op.multipliers(r)))]
+        """g kept on the free columns, each pivot entry solved exactly from its row."""
+        g_num, den = clear(g)
+        out = list(g)
+        for c, p, e, _ in self.operator.pivot_rows:
+            free = sum(x * g_num[j] for j, x in e.items())
+            out[c] = self.particular[c] - Fraction(free, den * p)
+        return out
 
     def exact_infeasibility_combination(self):
         """A rational y with y^T A = 0 and y^T b = 1, when the rows conflict.

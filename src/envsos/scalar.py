@@ -104,7 +104,6 @@ class Scalar:
         return format_scalar(self)
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 

@@ -11,7 +11,8 @@ Fraction arithmetic; they are the references for differential tests.
 ReferenceEchelonAccumulator is a frozen copy of the earlier row echelon
 accumulator, which eliminated in Fraction and Scalar arithmetic.
 hermitian_form and residual_exact evaluate v^* M v and the residuals of an
-affine system's full row set, for checks only.  reference_cmat_mul and
+affine system's full row set, and echelon_rank reads an EchelonAccumulator's
+rank, for checks only.  reference_cmat_mul and
 reference_metric_adjoint are frozen copies of the earlier complex matrix
 product and metric adjoint, which ran in Scalar arithmetic, and cmat_zero,
 cmat_add, cmat_sub, cmat_scale, cmat_is_zero and cmat_is_hermitian are the
@@ -709,6 +710,11 @@ class ReferenceRep:
 
     def weighted_matrix(self, e: AlgebraElement):
         return self._metric_weighted(self.evaluate(e))
+
+
+def echelon_rank(acc) -> int:
+    """The rank of an EchelonAccumulator's span: each complex row is stored twice, as r and i r."""
+    return len(acc.rows) // 2 if acc.complex else len(acc.rows)
 
 
 def residual_exact(system, g):

@@ -31,6 +31,7 @@ from oracles import (
     cmat_scale,
     cmat_sub,
     cmat_zero,
+    echelon_rank,
     hermitian_form,
     planted_gram_vector,
     psd_by_char_poly,
@@ -38,6 +39,7 @@ from oracles import (
     reference_cmat_mul,
     reference_ldl_hermitian,
     reference_metric_adjoint,
+    residual_exact,
 )
 
 
@@ -93,42 +95,15 @@ def _sparse(row):
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _per_target_reference(rows, rhs, weights):
-    """The construction the shared operator replaced, rebuilt for every rhs:
-    greedy selection on [A | b], a dense A W^-1 A^T and its exact inverse, both
-    by the frozen Fraction echelon."""
-    nvars = len(weights)
+def _per_target_reference(rows, rhs, nvars):
+    """The selection the shared operator replaced, rebuilt for every rhs: greedy
+    selection on [A | b] by the frozen Fraction echelon.  The system is degenerate
+    when that selects a row whose A part depends on the rows selected before it."""
     rows = [_dense(row, nvars) for row in rows]
     rhs = [Fraction(v) for v in rhs]
-    acc = ReferenceEchelonAccumulator(nvars + 1)
+    acc, on_a = ReferenceEchelonAccumulator(nvars + 1), ReferenceEchelonAccumulator(nvars)
     independent = [i for i, row in enumerate(rows) if acc.insert(list(row) + [rhs[i]])]
-    winv = [1 / Fraction(w) for w in weights]
-    A = [rows[i] for i in independent]
-    gram = [[sum(ra[j] * rb[j] * winv[j] for j in range(nvars) if ra[j] and rb[j]) for rb in A]
-            for ra in A]
-    m = len(A)
-    inverse = ReferenceEchelonAccumulator(2 * m)
-    for k, row in enumerate(gram):
-        inverse.insert(row + [Fraction(int(k == l)) for l in range(m)])
-    R, pivots = inverse.reduced()
-    if pivots != list(range(m)):
-        return independent, None, True, None
-    N = [row[m:] for row in R] if A else None
-    b = [rhs[i] for i in independent]
-
-    def project(g):
-        if not A:
-            return list(g)
-        r = [sum(row[j] * g[j] for j in range(nvars) if row[j]) - bi for row, bi in zip(A, b)]
-        lam = [sum(N[i][j] * r[j] for j in range(len(r)) if r[j]) for i in range(len(r))]
-        out = list(g)
-        for i, row in enumerate(A):
-            for j in range(nvars):
-                if row[j] and lam[i]:
-                    out[j] -= winv[j] * row[j] * lam[i]
-        return out
-
-    return independent, N, False, project
+    return independent, not all(on_a.insert(rows[i]) for i in independent)
 
 
 def _consistent_rhs(rows, rng, layout):
@@ -136,19 +111,29 @@ def _consistent_rhs(rows, rng, layout):
     return [sum(x * g[j] for j, x in row.items()) for row in rows]
 
 
-def _assert_matches_reference(system, rows, rhs, weights, rng):
-    independent, N, degenerate, project = _per_target_reference(rows, rhs, weights)
+def _assert_matches_reference(system, rng):
+    """Selection and degeneracy as the per-target reference; then pivot completion
+    keeps the free coordinates, meets every selected row (every row when the system
+    is consistent) exactly, and changes nothing when applied twice."""
+    op = system.operator
+    independent, degenerate = _per_target_reference(op.rows, system.rhs, op.nvars)
     assert system.degenerate == degenerate
     if degenerate:
         # [A | b] selects one row more than A alone: the one whose rhs conflicts
         assert set(system.independent) < set(independent)
         assert len(independent) == len(system.independent) + 1
-        return
-    assert system.independent == independent
-    op = system.operator
-    assert [[Fraction(x, op.N_den) for x in row] for row in op.N_num] == N
-    point = [rand_frac(rng) for _ in weights]
-    assert system.project_exact(point) == project(point)
+    else:
+        assert system.independent == independent
+    point = [rand_frac(rng) for _ in range(op.nvars)]
+    projected = system.project_exact(point)
+    pivots = {c for c, _, _, _ in op.pivot_rows}
+    assert len(pivots) == len(op.independent)
+    assert [x for j, x in enumerate(projected) if j not in pivots] == \
+        [x for j, x in enumerate(point) if j not in pivots]
+    residual = residual_exact(system, projected)
+    met = op.independent if degenerate else range(len(op.rows))
+    assert all(residual[i] == 0 for i in met)
+    assert system.project_exact(projected) == projected
 
 
 def test_shared_operator_matches_per_target_construction():
@@ -157,17 +142,16 @@ def test_shared_operator_matches_per_target_construction():
     unit = AlgebraElement.unit(su2)
     f = [unit, unit.scale(2) + AlgebraElement.monomial(su2, (1, 0, 0), Scalar(0, 1))]
     skeleton = GramSkeleton(su2, f, 4)
-    weights = skeleton.layout.weights
     for _ in range(3):
         rhs = _consistent_rhs(skeleton.rows, rng, skeleton.layout)
         system = AffineSystem(skeleton.operator, rhs)
-        _assert_matches_reference(system, skeleton.rows, rhs, weights, rng)
+        _assert_matches_reference(system, rng)
         # a conflicting rhs on a row that the others determine, and on a selected row
         for i in (skeleton.operator.dependent[-1], skeleton.operator.independent[-1]):
             bad = list(rhs)
             bad[i] += Fraction(1, 3)
             conflict = AffineSystem(skeleton.operator, bad)
-            _assert_matches_reference(conflict, skeleton.rows, bad, weights, rng)
+            _assert_matches_reference(conflict, rng)
     assert len(skeleton.operator.independent) == 35
 
 
@@ -187,11 +171,11 @@ def test_faced_and_commutative_operators_match_per_target_construction():
     for problem in (faced, comm):
         system, weights = problem.system, problem.layout.weights
         rows = system.operator.rows
-        _assert_matches_reference(system, rows, system.rhs, weights, rng)
+        _assert_matches_reference(system, rng)
         bad = list(system.rhs)
         bad[system.operator.dependent[0]] += 1
         conflict = AffineSystem(AffineOperator(rows, weights), bad)
-        _assert_matches_reference(conflict, rows, bad, weights, rng)
+        _assert_matches_reference(conflict, rng)
 
 
 MOTZKIN = CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
@@ -203,7 +187,7 @@ def _motzkin_problem(level):
 
 
 def test_float_views_are_float_of_the_exact_operator():
-    """float_data() reads float() of A_ind and of N formed densely in Fractions, bit for bit."""
+    """float_data() reads float() of A_ind bit for bit, and N inverts A_ind W^-1 A_ind^T."""
     su2 = builtin("su2")
     unit = AlgebraElement.unit(su2)
     f = [unit, unit.scale(2) + AlgebraElement.monomial(su2, (1, 0, 0), Scalar(0, 1))]
@@ -225,8 +209,8 @@ def test_float_views_are_float_of_the_exact_operator():
         A_float, N_float, _ = op.float_data()
         assert np.array_equal(A_float, np.array([[float(x) for x in row] for row in A])
                               .reshape(m, op.nvars))
-        assert np.array_equal(N_float, np.array([[float(x) for x in row]
-                                                 for row in invert_exact(gram)]).reshape(m, m))
+        gram_float = np.array([[float(x) for x in row] for row in gram]).reshape(m, m)
+        assert np.allclose(N_float @ gram_float, np.eye(m), rtol=0, atol=1e-9)
         shapes.append(N_float.shape)
     assert shapes[0] == (35, 35) and (0, 0) in shapes
 
@@ -393,7 +377,7 @@ def test_echelon_insert_tracks_reference_rank(M):
         grows = not ref.contains(row)
         assert acc.contains(_sparse(row)) == (not grows)
         assert acc.insert(_sparse(row)) == ref.insert(row) == grows
-        assert acc.rank == ref.rank
+        assert echelon_rank(acc) == ref.rank
     assert acc.reduced() == ref.reduced()
 
 
@@ -468,7 +452,7 @@ def test_echelon_accumulator_rank():
     assert acc.insert({0: 1})
     assert acc.insert({0: 1, 1: 1})
     assert not acc.insert({0: 2, 1: 1})
-    assert acc.rank == 2
+    assert echelon_rank(acc) == 2
     assert acc.contains({0: 5, 1: 3})
     assert not acc.contains({2: 1})
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -338,29 +339,58 @@ def _planted_skeleton(su2):
 
 
 def test_planted_targets_share_one_affine_operator(su2, monkeypatch):
-    inverses, accumulators = [], []
-
-    def counting_invert(M):
-        inverses.append(len(M))
-        return exactla.invert_exact(M)
+    accumulators = []
 
     class CountingAccumulator(exactla.EchelonAccumulator):
         def __init__(self, ncols):
             accumulators.append(ncols)
             super().__init__(ncols)
 
-    monkeypatch.setattr(gram, "invert_exact", counting_invert)
     monkeypatch.setattr(gram, "EchelonAccumulator", CountingAccumulator)
+    assert not hasattr(gram, "invert_exact")  # N is formed in floats only
     f, skeleton = _planted_skeleton(su2)
     rows = [dict(row) for row in skeleton.rows]
     rng = random.Random(85)
+    after_first = None
     for _ in range(40):
         report = find_certificate(planted_target(skeleton, rng), f, 4, skeleton=skeleton)
         assert report.status == "certificate"
-    # one row selection and one N for the unreduced rows, whatever the target
-    assert inverses == [35]
-    assert accumulators == [skeleton.layout.nvars]
+        after_first = after_first or list(accumulators)
+    # one row selection and one pivot completion for the unreduced rows, whatever the target
+    assert accumulators == after_first
+    assert accumulators == [skeleton.layout.nvars, skeleton.layout.nvars + 35]
     assert skeleton.rows == rows
+
+
+def test_pivot_completion_keeps_gram_denominators_small(su2):
+    """su(2) a^3 at D=6: every Gram entry has a denominator of at most 32 bits.
+
+    The W-metric projection through the exact N gave 68-bit denominators here."""
+    a = canonical_a(su2)
+    report = find_certificate(a * a * a, [AlgebraElement.unit(su2)], 6)
+    assert report.status == "certificate"
+    bits = [x.denominator.bit_length() for G in report.certificate.grams
+            for row in G for s in row for x in (s.re, s.im)]
+    assert max(bits) <= 32
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["su2_a3_D6_w_metric.json", "quartic_w_metric.json"])
+def test_certificates_from_the_w_metric_projection_still_verify(name):
+    """Certificates emitted by the W-metric projection (su(2) a^3 at D=6, whose
+    68-bit denominators come from the exact N, and a 4-variable planted quartic)
+    keep verifying; one changed Gram entry makes them fail."""
+    data = json.loads((DATA / name).read_text(encoding="utf-8"))
+    assert verify_certificate_json(data)
+    weighted = "blocks" in data
+    gram = data["blocks"][0]["gram"] if weighted else data["gram"]
+    if weighted:
+        assert max(Fraction(x).denominator.bit_length() for row in gram for x in row
+                   if "i" not in x) == 68
+    gram[1][1] = str(Fraction(gram[1][1]) + 1)
+    assert not verify_certificate_json(data)
 
 
 def _embed_reference(layout, g):
@@ -458,10 +488,10 @@ def _iterate_digest(problem, opts=None):
 
 # (status, iterations, sha256 of the final iterate's bytes, first 16 hex digits)
 RECORDED_DIGESTS = {
-    "planted": ("candidate", 26, "0c5bf4225c10f5e6"),
-    "margin face": ("candidate", 17, "f57daed0f2984f8c"),
-    "robinson level 1": ("candidate", 1, "f012391f59815dad"),
-    "margin, 400 iterations": ("inconclusive", 400, "5d3197983acfd3de"),
+    "planted": ("candidate", 26, "0be91bff826d8061"),
+    "margin face": ("candidate", 17, "a940627d48ae5fb4"),
+    "robinson level 1": ("candidate", 1, "899dad4dcd5fe022"),
+    "margin, 400 iterations": ("inconclusive", 400, "8d3af4b2075f09cd"),
 }
 
 
@@ -502,11 +532,11 @@ def _numeric_digests(su2):
 def test_numeric_iterates_match_recorded_values(su2):
     """Every numeric iterate is bit-identical to the recorded values.
 
-    The robinson digest (real blocks) was recorded with the loop-based float
-    embedding; the three su(2) digests (complex blocks) with the projection
-    of the n x n Hermitian blocks, which kept their statuses and iteration
-    counts.  All on Python 3.11, numpy 2.4.6 with OpenBLAS, x86-64; another
-    LAPACK build may round eigh differently and need them recorded afresh.
+    All four were recorded afresh when the float N became numpy's inverse
+    of A_ind W^-1 A_ind^T instead of the rounded exact inverse, which kept
+    their statuses and iteration counts.  All on Python 3.11, numpy 2.4.6
+    with OpenBLAS, x86-64; another LAPACK build may round eigh or inv
+    differently and need them recorded afresh.
     """
     assert _numeric_digests(su2) == RECORDED_DIGESTS
 
