@@ -23,7 +23,8 @@ straightening (exponent addition for a commutative certificate), accumulates
 that sum with the target.  A certificate must state the algebra, target and
 generators it is checked against, so the claim the JSON form writes is the
 claim that was checked.  Every call starts from nothing: no state is kept
-between calls but the algebra's straightening memo.
+between calls but the algebra's straightening memo; loading shares one
+algebra per exact structure, a normal-form memo and not verifier state.
 
 On success the verifier keeps the fresh factors on the in-memory certificate
 (a strict symbol proof reads them), so each block is factored once per

@@ -14,15 +14,16 @@ pairs; it reads a row as {column: value} of its nonzeros.  rref, nullspace
 and invert_exact (whose one caller is the audit context's inverse) are built
 on it and convert back to Fractions, or Scalars for complex input, only at
 the end.  Callers that only need span membership, or the reduced rows in
-integers (the affine pivot completion), use it directly.  The exact LDL^*
-decision, the one Hermitian PSD routine, is a fraction-free (Bareiss)
-symmetric factorization over Gaussian integers.  It trusts its input to be
-exactly Hermitian (see ldl_hermitian).
+integers (the affine operator's one elimination, which selects rows and
+completes their pivots), use it directly.  The exact LDL^* decision, the
+one Hermitian PSD routine, is a fraction-free (Bareiss) symmetric
+factorization over Gaussian integers.  It trusts its input to be exactly
+Hermitian (see ldl_hermitian).
 
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
-product loop.  Representations, the operator audits, certificate blocks and
-the LDL^* decision all hold their complex matrices in this form; Scalar
+product loop.  Representations, the operator audits, Gram faces and blocks
+and the LDL^* decision all hold their complex matrices in this form; Scalar
 matrices appear only at the boundary, through from_scalars and scalars.
 """
 
@@ -79,9 +80,10 @@ class EchelonAccumulator:
         ints, _ = clear(list(vec.values()))
         return dict(zip(vec, ints))
 
-    def insert(self, vec) -> bool:
+    def insert(self, vec, pivot_below=None) -> bool:
+        """Store what is left of vec; False when nothing is left, or nothing left of pivot_below."""
         v = self._integer_row(vec)
-        if not _append(v, self.rows):
+        if not _append(v, self.rows, pivot_below):
             return False
         if self.complex:  # i v: (re, im) -> (-im, re) in each column pair
             _append({j ^ 1: -x if j & 1 else x for j, x in v.items()}, self.rows)
@@ -138,11 +140,13 @@ def _reduce(v: dict, rows) -> dict:
     return v
 
 
-def _append(v: dict, rows) -> bool:
-    """Reduce v against rows and store what is left, primitive; False when nothing is."""
+def _append(v: dict, rows, pivot_below=None) -> bool:
+    """Reduce v against rows and store what is left, primitive; False as insert says."""
     if not _reduce(v, rows):
         return False
     pc = min(v)
+    if pivot_below is not None and pc >= pivot_below:
+        return False
     content = gcd(*v.values()) if v[pc] > 0 else -gcd(*v.values())
     rows.append((pc, {j: x // content for j, x in v.items()}))
     return True

@@ -20,7 +20,8 @@ for every forced z.  No feasible point is lost, and a target with no
 interior Gram (su(2)'s a^2 - 1, zero on spin 0) gets one on the face.  The
 reduced rows are the shared skeleton's rows composed with that linear map,
 so the skeleton stays target-independent; congruence() maps a reduced block
-back to the full monomial basis, for certificates of both kinds.
+back to the full monomial basis, for certificates of both kinds.  Both run in
+Gaussian integers, on each Q_l cleared once per problem to a GaussMatrix.
 
 The module also carries the commutative analogue used for symbol positivity.
 Its rows are built unreduced over the monomial basis, and the kernel vectors
@@ -31,8 +32,8 @@ projections use the Frobenius metric of the underlying (reduced) matrices:
 in variable coordinates, the diagonal weight W stored alongside the system.
 
 Only the rhs b of A g = b depends on the target.  An AffineOperator holds
-what does not: the rows selected on A alone, their pivot completion (the
-reduced form of [A_ind | I], in integers, once) and the float copies of
+what does not: the rows selected on A alone and their pivot completion,
+both from one elimination of [A | I] in integers, and the float copies of
 A_ind, W^-1 and N = (A_ind W^-1 A_ind^T)^-1.  A GramSkeleton builds one for
 its unreduced rows and every unreduced target shares it; a faced or
 commutative problem builds its own.  AffineSystem(op, rhs) is one target's
@@ -53,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NotHermitean, OddDegreeTarget, nonnegative_int
-from .exactla import EchelonAccumulator, clear, nullspace
+from .exactla import EchelonAccumulator, GaussMatrix, clear, nullspace
 from .lie import LieAlgebra
 from .numeric import check_block_cap
 from .pbw import AlgebraElement, term_sort_key
@@ -162,30 +163,29 @@ class VariableLayout:
 class AffineOperator:
     """The target-independent half of A g = b: selected rows and their pivot completion.
 
-    Rows are selected greedily on A alone; [A_ind | I] is then reduced once.
-    Reduced row r reads p g[c] + sum_j e_j g[j] = t . b_ind in integers, with
-    pivot column c, pivot entry p > 0, entries e_j on free columns and t the
-    row that maps b_ind to its rhs, so on every solution the pivot entries are
-    fixed by the free ones.  Rows are {column: value} of their nonzeros.  The
-    float N = (A_ind W^-1 A_ind^T)^-1 of the numeric search is formed in
-    floats; with no selected row it is 0 x 0.
+    One elimination reduces [A_ind | I]: row i goes in as {**A_i, n + k: 1},
+    k the rows selected so far, and is selected (stored) when its A part is
+    left over.  Reduced row r reads p g[c] + sum_j e_j g[j] = t . b_ind in
+    integers, with pivot column c, pivot entry p > 0, entries e_j on free
+    columns and t the row that maps b_ind to its rhs, so on every solution
+    the pivot entries are fixed by the free ones.  Rows are {column: value}
+    of their nonzeros.  The float N = (A_ind W^-1 A_ind^T)^-1 of the numeric
+    search is formed in floats; with no selected row it is 0 x 0.
     """
 
     def __init__(self, rows, weights):
         self.rows = rows
         self.nvars = n = len(weights)
-        acc = EchelonAccumulator(n)
-        self.independent = [i for i, row in enumerate(rows) if acc.insert(row)]
-        selected = set(self.independent)
-        self.dependent = [i for i in range(len(rows)) if i not in selected]
+        acc = EchelonAccumulator(n + len(rows))
+        self.independent, self.dependent = [], []
+        for i, row in enumerate(rows):
+            selected = acc.insert({**row, n + len(self.independent): 1}, pivot_below=n)
+            (self.independent if selected else self.dependent).append(i)
         self.winv = [1 / Fraction(w) for w in weights]
-        completion = EchelonAccumulator(n + len(self.independent))
-        for k, i in enumerate(self.independent):
-            completion.insert({**rows[i], n + k: 1})
         # (c, p, e, t) per reduced row; a row is zero left of c and in other pivot columns
         self.pivot_rows = [(c, row[c], {j: x for j, x in row.items() if c < j < n},
                             {j - n: x for j, x in row.items() if j >= n})
-                           for c, row in completion.reduced_rows()]
+                           for c, row in acc.reduced_rows()]
         self._float_cache = None
 
     def row_value(self, i, g):
@@ -298,65 +298,62 @@ class SdpProblem:
             cm = target.coefficient(mono)
             rhs.append(cm.re)
             rhs.append(cm.im)
+        self.faces = [None] * len(skeleton.bases) if faces is None else list(faces)
+        sizes = [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)]
+        check_block_cap(sizes)
+        self._cleared = [None if Q is None else GaussMatrix.from_scalars(Q) for Q in self.faces]
         if faces is None:
-            self.faces = [None] * len(skeleton.bases)
             self.layout = skeleton.layout
-            check_block_cap(self.layout.block_sizes)
             self.system = AffineSystem(skeleton.operator, rhs)
         else:
-            self.faces = list(faces)
-            self.layout = VariableLayout(
-                [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)],
-                complex_blocks=True)
-            check_block_cap(self.layout.block_sizes)
-            rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
+            self.layout = VariableLayout(sizes, complex_blocks=True)
+            rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self._cleared)
             self.system = AffineSystem(AffineOperator(rows, self.layout.weights), rhs)
 
     def gram_blocks_exact(self, g):
         return [
-            G if Q is None else congruence(Q, G, len(basis))
-            for G, Q, basis in zip(self.layout.gram_blocks_exact(g), self.faces,
+            G if Q is None else congruence(Q, GaussMatrix.from_scalars(G), len(basis)).scalars()
+            for G, Q, basis in zip(self.layout.gram_blocks_exact(g), self._cleared,
                                    self.skeleton.bases)
         ]
 
 
-def congruence(Q, Gp, n: int):
+def congruence(Q: GaussMatrix, Gp: GaussMatrix, n: int) -> GaussMatrix:
     """Q^H G' Q: the n x n block over the full basis of a Gram G' on the rows of Q."""
-    zero = Scalar(0)  # Scalars are never changed in place, so one zero serves every entry
-    out = [[zero] * n for _ in range(n)]
-    support = [[(j, Scalar.coerce(x)) for j, x in enumerate(row) if x] for row in Q]
-    for p, Sp in enumerate(support):
-        for q, Sq in enumerate(support):
-            s = Gp[p][q]
-            if not s:
-                continue
-            for j, x in Sp:
-                left = x.conj() * s
-                row = out[j]
-                for k, y in Sq:
-                    row[k] = row[k] + left * y
-    return out
+    if not Q.re:  # the empty face
+        return GaussMatrix.zero(n)
+    QH = GaussMatrix(list(map(list, zip(*Q.re))), [[-x for x in c] for c in zip(*Q.im)], Q.den)
+    return QH @ Gp @ Q
 
 
 def _compose_rows(rows, full: VariableLayout, reduced: VariableLayout, faces):
     """Rows over the full coordinates composed with G'_l -> Q_l^H G'_l Q_l.
 
-    Each reduced coordinate is pushed through the map once, giving the full
-    coordinates it moves; a composed row then reads only its own nonzeros and
-    keeps no entry that cancels to zero.
+    faces holds each Q_l cleared to a GaussMatrix (re + i im) / d, or None.
+    Reduced coordinate (p, q) moves the upper triangle of T + T^H (T alone
+    when p = q), T = conj(Q_p)^T s Q_q, s = 1 (re) or i (im), formed in
+    integers over d^2 from the nonzeros of rows p and q.  A composed row then
+    reads only its own nonzeros and keeps no entry that cancels to zero.
     """
     moved_by = {}  # full column -> [(reduced column, coefficient)]
+    supports = [None if Q is None else [[(j, a, b) for j, (a, b) in enumerate(zip(ra, ia)) if a or b]
+                                        for ra, ia in zip(Q.re, Q.im)] for Q in faces]
     for (b, p, q, part), col in reduced.index.items():
-        Q = faces[b]
-        if Q is None:
+        if faces[b] is None:
             moved_by.setdefault(full.index[(b, p, q, part)], []).append((col, Fraction(1)))
             continue
-        # the Hermitian G' whose only coordinate is this one, set to 1
-        Gp = [[Scalar(0)] * len(Q) for _ in Q]
-        Gp[p][q] = Scalar(1) if part == "re" else Scalar(0, 1)
-        Gp[q][p] = Gp[p][q].conj()
-        for c, v in _coordinates(congruence(Q, Gp, full.block_sizes[b]), b, full).items():
-            moved_by.setdefault(c, []).append((col, v))
+        Sq = supports[b][q] if part == "re" else [(k, -d, c) for k, c, d in supports[b][q]]
+        T = {(j, k): (a * c + bj * d, a * d - bj * c)  # conj(a + i bj) (c + i d)
+             for j, a, bj in supports[b][p] for k, c, d in Sq}
+        for j, k in {(min(jk), max(jk)) for jk in T}:
+            re, im = T.get((j, k), (0, 0))
+            if p != q:
+                re2, im2 = T.get((k, j), (0, 0))
+                re, im = re + re2, im - im2
+            for x, coordinate in ((re, "re"), (im, "im")):
+                if x:  # im is zero on the diagonal
+                    moved_by.setdefault(full.index[(b, j, k, coordinate)], []).append(
+                        (col, Fraction(x, faces[b].den ** 2)))
     out = []
     for row in rows:
         composed = {}
@@ -364,18 +361,6 @@ def _compose_rows(rows, full: VariableLayout, reduced: VariableLayout, faces):
             for col, v in moved_by.get(c, ()):
                 composed[col] = composed.get(col, 0) + x * v
         out.append({col: composed[col] for col in sorted(composed) if composed[col]})
-    return out
-
-
-def _coordinates(G, b: int, layout: VariableLayout):
-    """The nonzero real coordinates of Hermitian block b, as {column: value}."""
-    out = {}
-    for p in range(len(G)):
-        for q in range(p, len(G)):
-            if G[p][q].re:
-                out[layout.index[(b, p, q, "re")]] = G[p][q].re
-            if p != q and G[p][q].im:
-                out[layout.index[(b, p, q, "im")]] = G[p][q].im
     return out
 
 
@@ -501,7 +486,8 @@ class CommGramProblem:
             self.basis_polys = [CommutativePoly.monomial(target.nvars, w) for w in self.monomials]
         else:
             self.layout = VariableLayout([len(self.Q)], complex_blocks=False)
-            rows = _compose_rows(rows, full, self.layout, [self.Q])
+            self._cleared = GaussMatrix.from_scalars(self.Q)
+            rows = _compose_rows(rows, full, self.layout, [self._cleared])
             # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}
             self.basis_polys = [CommutativePoly(target.nvars, dict(zip(self.monomials, row)))
                                 for row in self.Q]
@@ -515,7 +501,8 @@ class CommGramProblem:
     def gram_blocks_exact(self, g):
         """The one exact block over the *monomial* basis: Q^T G' Q on a face."""
         G, = self.layout.gram_blocks_exact(g)
-        return [G if self.Q is None else congruence(self.Q, G, len(self.monomials))]
+        return [G if self.Q is None else
+                congruence(self._cleared, GaussMatrix.from_scalars(G), len(self.monomials)).scalars()]
 
 
 def _line_expansion(mono, t0, u, max_order: int):

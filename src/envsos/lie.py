@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import cache
 
 from .errors import AntisymmetryViolation, JacobiViolation, UnknownAlgebra
 from .scalar import format_fraction, parse_fraction
@@ -109,6 +108,17 @@ def validate(dim: int, names, c) -> LieAlgebra:
     return LieAlgebra(dim, names, c)
 
 
+_SHARED: dict = {}  # (dim, names, constants) -> LieAlgebra
+
+
+def _shared(dim: int, names, c) -> LieAlgebra:
+    """The one algebra of an exact structure, validated when first made; a failure is not kept."""
+    key = (dim, tuple(names), tuple(tuple(tuple(row) for row in plane) for plane in c))
+    if key not in _SHARED:
+        _SHARED[key] = LieAlgebra(dim, names, c)
+    return _SHARED[key]
+
+
 def b_constants(algebra: LieAlgebra):
     """The derived tensor b[i][j][k] = c[i][j][k] + c[i][k][j].
 
@@ -141,14 +151,10 @@ def _set_bracket(c, i, j, terms):
 def builtin(name: str) -> LieAlgebra:
     """Catalog: abelian(d), su2, heisenberg3, affine_line, sl2r.
 
-    One shared instance per catalog name: an algebra is immutable, and its
-    straightening memo only ever holds normal forms.
+    Shared with from_json_dict, one per exact structure: an algebra is
+    immutable, and its straightening memo only ever holds normal forms.
     """
-    return _builtin(name.strip())
-
-
-@cache
-def _builtin(name: str) -> LieAlgebra:
+    name = name.strip()
     if name.startswith("abelian(") and name.endswith(")"):
         try:
             d = int(name[len("abelian(") : -1])
@@ -156,28 +162,28 @@ def _builtin(name: str) -> LieAlgebra:
             raise UnknownAlgebra(name) from None
         if d < 1:
             raise UnknownAlgebra(name)
-        return LieAlgebra(d, [f"x{i+1}" for i in range(d)], _zeros(d))
+        return _shared(d, [f"x{i+1}" for i in range(d)], _zeros(d))
     if name == "su2":
         c = _zeros(3)
         _set_bracket(c, 0, 1, {2: 1})   # [x1,x2] = x3
         _set_bracket(c, 1, 2, {0: 1})   # [x2,x3] = x1
         _set_bracket(c, 2, 0, {1: 1})   # [x3,x1] = x2
-        return LieAlgebra(3, ["x1", "x2", "x3"], c)
+        return _shared(3, ["x1", "x2", "x3"], c)
     if name == "heisenberg3":
         c = _zeros(3)
         _set_bracket(c, 0, 1, {2: 1})   # [x1,x2] = x3, x3 central
-        return LieAlgebra(3, ["x1", "x2", "x3"], c)
+        return _shared(3, ["x1", "x2", "x3"], c)
     if name == "affine_line":
         c = _zeros(2)
         _set_bracket(c, 0, 1, {1: 1})   # [x1,x2] = x2
-        return LieAlgebra(2, ["x1", "x2"], c)
+        return _shared(2, ["x1", "x2"], c)
     if name == "sl2r":
         # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
         c = _zeros(3)
         _set_bracket(c, 0, 1, {1: 2})
         _set_bracket(c, 0, 2, {2: -2})
         _set_bracket(c, 1, 2, {0: 1})
-        return LieAlgebra(3, ["x1", "x2", "x3"], c)
+        return _shared(3, ["x1", "x2", "x3"], c)
     raise UnknownAlgebra(name)
 
 
@@ -226,7 +232,7 @@ def _json_objects(value, what: str) -> list:
 
 
 def from_json_dict(data: dict) -> LieAlgebra:
-    """Read an algebra file strictly; malformed input raises AlgebraShapeError.
+    """Read an algebra file strictly, as its shared algebra; malformed input raises AlgebraShapeError.
 
     The file is an object, `brackets` and each bracket's `terms` are lists of
     objects and each `coeff` is a string.  Each unordered pair of distinct
@@ -260,7 +266,7 @@ def from_json_dict(data: dict) -> LieAlgebra:
             # antisymmetric completion: the mirror entry is implied
             c[i][j][k] = parse_fraction(term["coeff"])
             c[j][i][k] = -c[i][j][k]
-    return LieAlgebra(d, names, c)
+    return _shared(d, names, c)
 
 
 def load(path_or_name: str) -> LieAlgebra:

@@ -107,11 +107,11 @@ def forced_face_vectors(c: AlgebraElement, f, bases, reps):
         kernel = nullspace(rep.evaluate(c), rep.dim_rep)
         if not kernel or not all(rep.is_positive(g) for g in f):
             continue
+        kernel = [GaussMatrix.from_scalars([[x] for x in v]) for v in kernel]
         for gen, basis, vectors in zip(f, bases, forced):
             H = rep.weighted_matrix(gen)
             HW = [H @ rep.image(AlgebraElement.monomial(c.algebra, w)) for w in basis]
             for v in kernel:
-                v = GaussMatrix.from_scalars([[x] for x in v])
                 columns = [(M @ v).scalars() for M in HW]  # column q of H_l U_l
                 HU = ([col[j][0] for col in columns] for j in range(rep.dim_rep))
                 vectors.extend(z for z in HU if any(z))

@@ -28,6 +28,11 @@ row monomial.  reference_comm_problem is the earlier commutative Gram
 construction: it expanded forced kernel vectors in Fractions
 (reference_line_expansion), multiplied every pair of reduced basis
 polynomials and wrote their coefficients into the rows.
+reference_congruence, reference_compose_rows and reference_coordinates are
+frozen copies of the earlier facial-reduction maps, which built a Scalar G'
+per reduced coordinate and multiplied Q^H G' Q in Scalar arithmetic, and
+reference_operator_pivots is the earlier two-pass AffineOperator: a row
+selection on A alone, then a second elimination of [A_ind | I].
 """
 
 from __future__ import annotations
@@ -36,7 +41,14 @@ import random
 from fractions import Fraction
 
 from envsos.errors import AlgebraMismatch, ContextInvalid
-from envsos.exactla import GaussMatrix, LdlResult, cmat_identity, ldl_hermitian, nullspace
+from envsos.exactla import (
+    EchelonAccumulator,
+    GaussMatrix,
+    LdlResult,
+    cmat_identity,
+    ldl_hermitian,
+    nullspace,
+)
 from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
 from envsos.lie import LieAlgebra
 from envsos.pbw import AlgebraElement, term_sort_key
@@ -768,3 +780,74 @@ class ReferenceCommProblem:
                 for j in range(n)]
         return [[[sum((left[j][q] * Q[q][k] for q in range(m)), Scalar(0)) for k in range(n)]
                  for j in range(n)]]
+
+
+def reference_congruence(Q, Gp, n: int):
+    """Frozen copy of the earlier congruence: Q^H G' Q summed in Scalar arithmetic."""
+    zero = Scalar(0)
+    out = [[zero] * n for _ in range(n)]
+    support = [[(j, Scalar.coerce(x)) for j, x in enumerate(row) if x] for row in Q]
+    for p, Sp in enumerate(support):
+        for q, Sq in enumerate(support):
+            s = Gp[p][q]
+            if not s:
+                continue
+            for j, x in Sp:
+                left = x.conj() * s
+                row = out[j]
+                for k, y in Sq:
+                    row[k] = row[k] + left * y
+    return out
+
+
+def reference_compose_rows(rows, full: VariableLayout, reduced: VariableLayout, faces):
+    """Frozen copy of the earlier row composition, with Q as rows of Fractions or Scalars:
+    one Scalar G' per reduced coordinate, pushed through reference_congruence."""
+    moved_by = {}
+    for (b, p, q, part), col in reduced.index.items():
+        Q = faces[b]
+        if Q is None:
+            moved_by.setdefault(full.index[(b, p, q, part)], []).append((col, Fraction(1)))
+            continue
+        Gp = [[Scalar(0)] * len(Q) for _ in Q]
+        Gp[p][q] = Scalar(1) if part == "re" else Scalar(0, 1)
+        Gp[q][p] = Gp[p][q].conj()
+        G = reference_congruence(Q, Gp, full.block_sizes[b])
+        for c, v in reference_coordinates(G, b, full).items():
+            moved_by.setdefault(c, []).append((col, v))
+    out = []
+    for row in rows:
+        composed = {}
+        for c, x in row.items():
+            for col, v in moved_by.get(c, ()):
+                composed[col] = composed.get(col, 0) + x * v
+        out.append({col: composed[col] for col in sorted(composed) if composed[col]})
+    return out
+
+
+def reference_coordinates(G, b: int, layout: VariableLayout):
+    """Frozen copy of the earlier reader of the nonzero real coordinates of block b."""
+    out = {}
+    for p in range(len(G)):
+        for q in range(p, len(G)):
+            if G[p][q].re:
+                out[layout.index[(b, p, q, "re")]] = G[p][q].re
+            if p != q and G[p][q].im:
+                out[layout.index[(b, p, q, "im")]] = G[p][q].im
+    return out
+
+
+def reference_operator_pivots(rows, nvars: int):
+    """Frozen copy of the earlier two-pass AffineOperator construction:
+    (independent, dependent, pivot_rows) from a selection on A alone and a
+    second elimination of [A_ind | I]."""
+    acc = EchelonAccumulator(nvars)
+    independent = [i for i, row in enumerate(rows) if acc.insert(row)]
+    dependent = [i for i in range(len(rows)) if i not in set(independent)]
+    completion = EchelonAccumulator(nvars + len(independent))
+    for k, i in enumerate(independent):
+        completion.insert({**rows[i], nvars + k: 1})
+    pivot_rows = [(c, row[c], {j: x for j, x in row.items() if c < j < nvars},
+                   {j - nvars: x for j, x in row.items() if j >= nvars})
+                  for c, row in completion.reduced_rows()]
+    return independent, dependent, pivot_rows

@@ -2,7 +2,9 @@
 
 GramSkeleton against the star-based assembly, CommGramProblem against the
 construction that multiplied every pair of reduced basis polynomials and
-expanded forced kernel vectors in Fractions.
+expanded forced kernel vectors in Fractions, faced problems against the
+row composition and congruence in Scalar arithmetic, and AffineOperator
+against the two-pass selection and completion.
 """
 
 import itertools
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+from envsos.driver import window_members
+from envsos.exactla import nullspace
 from envsos.gram import (
     CommGramProblem,
     GramSkeleton,
@@ -20,12 +24,19 @@ from envsos.gram import (
     monomials_of_degree,
 )
 from envsos.lie import builtin
-from envsos.pbw import AlgebraElement
+from envsos.pbw import AlgebraElement, canonical_a
 from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.scalar import Scalar
-from envsos.sos import sample_sign_information
+from envsos.sos import forced_face_vectors, sample_sign_information
 
-from oracles import ReferenceCommProblem, reference_line_expansion, reference_skeleton_rows
+from oracles import (
+    ReferenceCommProblem,
+    reference_compose_rows,
+    reference_congruence,
+    reference_line_expansion,
+    reference_operator_pivots,
+    reference_skeleton_rows,
+)
 
 
 def _dense(rows, nvars):
@@ -204,3 +215,83 @@ def test_comm_problem_rejects_a_level_that_is_not_a_nonnegative_int(level):
     form = CommutativePoly(2, {(2, 0): 1, (0, 2): 1})
     with pytest.raises(ValueError, match="level must be a nonnegative integer"):
         CommGramProblem(form, level=level)
+
+
+def _window_face(target):
+    """The su(2) problem at D=4 of target(a, 1) on the face forced by the dual window a <= 3."""
+    su2 = builtin("su2")
+    unit = AlgebraElement.unit(su2)
+    target = target(canonical_a(su2), unit)
+    skeleton = GramSkeleton(su2, [unit], 4)
+    members = window_members(su2, [unit], Fraction(3)).values()
+    forced, = forced_face_vectors(target, [unit], skeleton.bases, members)
+    return skeleton.problem_for(target, [nullspace(forced, len(skeleton.bases[0]))])
+
+
+def _su2_face(degree, faces, generators="unit"):
+    """The su(2) problem of the zero target on the given faces."""
+    su2 = builtin("su2")
+    skeleton = GramSkeleton(su2, _generators(su2, generators), degree)
+    return skeleton.problem_for(AlgebraElement.zero(su2), faces)
+
+
+def _comm_face(name, level):
+    _, zeros = sample_sign_information(PSD_NOT_SOS[name])
+    return CommGramProblem(PSD_NOT_SOS[name], kernel_points=zeros, level=level)
+
+
+# name -> a faced SdpProblem or CommGramProblem, one per kind of face
+FACED_PROBLEMS = {
+    "su2 margin D=4": lambda: _window_face(lambda a, one: a * a - one),
+    # (a - 7/4)^2 is zero on spin 1/2, and its forced vectors have complex entries
+    "su2 spin-1/2 complex face": lambda: _window_face(
+        lambda a, one: (a - one.scale(Fraction(7, 4))) * (a - one.scale(Fraction(7, 4)))),
+    "generic complex face": lambda: _su2_face(2, [[
+        [Scalar(1), Scalar(0, 1), Scalar(0), Scalar(2)],
+        [Scalar(0), Scalar(1, -1), Scalar(Fraction(1, 3)), Scalar(0)]]]),
+    "int-list face": lambda: _su2_face(2, [[[1, 0, 0, 0], [0, 1, 0, 0]]]),
+    "empty face beside a whole block": lambda: _su2_face(2, [[], None], "non-unit"),
+    "motzkin level 0 (empty face)": lambda: _comm_face("motzkin", 0),
+    "motzkin level 1": lambda: _comm_face("motzkin", 1),
+    "robinson level 1": lambda: _comm_face("robinson", 1),
+}
+
+
+def _reference_rows_and_blocks(problem, g):
+    """The composed rows and the exact blocks at g by the frozen Scalar construction."""
+    if isinstance(problem, CommGramProblem):
+        whole = CommGramProblem(problem.target)  # every row monomial meets a column
+        full, faces, sizes = whole.layout, [problem.Q], [len(problem.monomials)]
+        rows = reference_compose_rows(whole.system.operator.rows, full, problem.layout, faces)
+        rows = [row for row, mono in zip(rows, whole.row_monomials)
+                if row or mono in problem.target.coeffs]
+    else:
+        skeleton = problem.skeleton
+        full, faces, sizes = skeleton.layout, problem.faces, [len(b) for b in skeleton.bases]
+        rows = reference_compose_rows(skeleton.rows, full, problem.layout, faces)
+    blocks = [G if Q is None else reference_congruence(Q, G, n)
+              for G, Q, n in zip(problem.layout.gram_blocks_exact(g), faces, sizes)]
+    return rows, blocks
+
+
+@pytest.mark.parametrize("name", list(FACED_PROBLEMS))
+def test_faced_rows_and_blocks_match_the_scalar_congruence(name):
+    problem = FACED_PROBLEMS[name]()
+    g = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(problem.layout.nvars)]
+    rows, blocks = _reference_rows_and_blocks(problem, g)
+    got = problem.system.operator.rows
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in rows]
+    got = problem.gram_blocks_exact(g)
+    assert got == blocks
+    assert all(type(x) is Scalar for G in got for row in G for x in row)
+
+
+@pytest.mark.parametrize("name", ["su2 unit D=6"] + list(FACED_PROBLEMS))
+def test_one_elimination_matches_the_two_pass_operator(name):
+    if name == "su2 unit D=6":
+        su2 = builtin("su2")
+        op = GramSkeleton(su2, [AlgebraElement.unit(su2)], 6).operator
+    else:
+        op = FACED_PROBLEMS[name]().system.operator
+    assert (op.independent, op.dependent, op.pivot_rows) == \
+        reference_operator_pivots(op.rows, op.nvars)

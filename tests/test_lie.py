@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from envsos import lie
+from envsos.certs import certificate_from_json
 from envsos.errors import AntisymmetryViolation, JacobiViolation, UnknownAlgebra
 from envsos.lie import (
     AlgebraShapeError,
@@ -13,6 +16,8 @@ from envsos.lie import (
     to_json_dict,
     validate,
 )
+from envsos.pbw import AlgebraElement, canonical_a
+from envsos.sos import find_certificate
 
 
 def dense(algebra):
@@ -206,3 +211,28 @@ def test_json_reads_each_pair_once_in_either_orientation():
 def test_json_rejects_malformed_algebra_files(data):
     with pytest.raises(AlgebraShapeError):
         from_json_dict(data)
+
+
+def test_loaded_certificates_share_the_builtin_algebra(monkeypatch):
+    """Two loads of an su(2) certificate give builtin("su2") itself, validated once."""
+    su2 = builtin("su2")
+    data = find_certificate(canonical_a(su2), [AlgebraElement.unit(su2)], 2).certificate
+    data = json.loads(json.dumps(data.to_json_dict()))
+    jacobi_checks = []
+    check = lie._check_jacobi
+    monkeypatch.setattr(lie, "_check_jacobi", lambda c, dim: jacobi_checks.append(dim) or check(c, dim))
+    monkeypatch.setattr(lie, "_SHARED", {})
+    first, _, _ = certificate_from_json(data)
+    second, _, _ = certificate_from_json(data)
+    assert first.algebra is second.algebra is builtin("su2")
+    assert jacobi_checks == [3]
+    # a fresh instance is still one call away, with its own empty memo
+    assert validate(3, su2.names, su2.c) is not su2
+
+
+def test_an_algebra_file_that_breaks_jacobi_is_rejected_on_every_load():
+    broken = _su2_file(replace=[_bracket(1, 2, (1, "1"), (3, "1")), _bracket(2, 3, (1, "1")),
+                                _bracket(3, 1, (2, "1"))])
+    for _ in range(2):
+        with pytest.raises(JacobiViolation):
+            from_json_dict(broken)

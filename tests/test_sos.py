@@ -356,9 +356,10 @@ def test_planted_targets_share_one_affine_operator(su2, monkeypatch):
         report = find_certificate(planted_target(skeleton, rng), f, 4, skeleton=skeleton)
         assert report.status == "certificate"
         after_first = after_first or list(accumulators)
-    # one row selection and one pivot completion for the unreduced rows, whatever the target
+    # one elimination of [A | I] for the unreduced rows, whatever the target
     assert accumulators == after_first
-    assert accumulators == [skeleton.layout.nvars, skeleton.layout.nvars + 35]
+    assert accumulators == [skeleton.layout.nvars + len(skeleton.rows)]
+    assert len(skeleton.operator.independent) == 35
     assert skeleton.rows == rows
 
 
