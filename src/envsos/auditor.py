@@ -28,22 +28,21 @@ the full enumeration of products gives.
 A context takes the representation's matrices as they are, each an
 exactla.GaussMatrix of Gaussian-integer rows over one denominator; every
 product, sum and zero test of the audit runs on those integers, and a span
-test reads a matrix's integer numerators alone.  Scalars appear only for the
-exact inverse Y and through GaussMatrix.scalars.
+test reads a matrix's integer numerators alone.  Y = exactla.inverse(A) is a
+GaussMatrix too; it is called as this module's cmat_inverse, so that a
+wrapper of that name sees every call.
 """
 
 from __future__ import annotations
 
 from .errors import ContextInvalid
-from .exactla import EchelonAccumulator, GaussMatrix, invert_exact
+from .exactla import EchelonAccumulator, GaussMatrix
+from .exactla import inverse as cmat_inverse
 from .exprs import render
 from .lie import LieAlgebra, b_constants
 from .pbw import AlgebraElement, canonical_a
 from .reps import FiniteDimRep
 from .scalar import Scalar
-
-# perfbench/spans.py still wraps this name when tracing the operator contexts
-cmat_inverse = invert_exact
 
 # -- cleared identities in the enveloping algebra -----------------------------------
 
@@ -162,7 +161,7 @@ class OperatorAlgebraContext:
         n = rep.dim_rep
         self.A = rep.image(canonical_a(algebra))
         try:
-            self.Y = GaussMatrix.from_scalars(invert_exact(self.A.scalars()))
+            self.Y = cmat_inverse(self.A)
         except ValueError as exc:
             raise ContextInvalid("canonical element is not invertible in this context") from exc
         if not (self.A @ self.Y - GaussMatrix.identity(n)).is_zero():

@@ -111,11 +111,15 @@ def cmd_scan(args) -> int:
     aliases = _aliases(args.alias)
     f = _parse_exprs(args.exprs, algebra, aliases)
     if algebra.is_abelian():
+        if args.lmax is not None:
+            raise ValueError("abelian scans take --points, not --lmax")
         if not args.points:
             raise ValueError("abelian scans need --points")
         window = [tuple(Fraction(v) for v in p.split(",")) for p in args.points]
     else:
-        window = spin_window(Fraction(args.lmax))
+        if args.points:
+            raise ValueError("--points is for abelian algebras; this scan takes --lmax")
+        window = spin_window(Fraction(args.lmax if args.lmax is not None else 3))
     _progress(f"scanning {len(window)} dual labels")
     result = scan_dual_window(algebra, f, window)
     payload = {"schema_version": SCHEMA_VERSION}
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="membership scan of a window of the unitary dual")
     common(p)
     p.add_argument("--exprs", nargs="+", required=True, help="generator expressions, unit first")
-    p.add_argument("--lmax", default="3", help="largest spin label (non-abelian algebras)")
+    p.add_argument("--lmax", help="largest spin label (non-abelian algebras; default 3)")
     p.add_argument("--points", action="append",
                    help="abelian dual point 'q1,q2,...', may repeat")
     p.set_defaults(func=cmd_scan)

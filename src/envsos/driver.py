@@ -67,6 +67,11 @@ class TheoremInstance:
         deg = self.c.degree()
         if deg is not None and deg % 2 == 1:
             raise ValueError("the target must have even degree")
+        spins = isinstance(self.window, (int, Fraction))
+        if spins and self.algebra.is_abelian():
+            raise ValueError("an abelian algebra takes window points, not a spin window (l_max)")
+        if self.window is not None and not spins and is_su2_standard(self.algebra):
+            raise ValueError("su(2) takes a spin window (l_max), not window points")
 
     def config_dict(self):
         return {

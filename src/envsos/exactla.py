@@ -1,30 +1,29 @@
 """Exact linear algebra over rationals and Gaussian rationals.
 
-Real matrices, and the complex ones of the row-reduction helpers, are plain
-lists of lists (Fraction or Scalar entries); every other complex matrix is a
-GaussMatrix.  Everything here is arbitrary-precision; these routines back the
-certificate verifier, the representation positivity decision, the pivot
-completion of the SDP layer's affine systems and the operator audits.
+Real rows are {column: value} mappings and every complex matrix is a
+GaussMatrix.  Everything here is arbitrary-precision; these routines back
+the certificate verifier, the representation positivity decision, facial
+reduction, the pivot completion of the SDP layer's affine systems and the
+operator audits.
 
 Rationals are cleared to integers by one helper, `clear` (and `cleared` for
 Gaussian rationals on top of it), and both kernels run in integers.
-EchelonAccumulator is the one row-reduction loop: fraction-free over Z,
-rows kept sparse and primitive, complex rows realified into (re, im) column
-pairs; it reads a row as {column: value} of its nonzeros.  rref, nullspace
-and invert_exact (whose one caller is the audit context's inverse) are built
-on it and convert back to Fractions, or Scalars for complex input, only at
-the end.  Callers that only need span membership, or the reduced rows in
+EchelonAccumulator is the one row-reduction loop: fraction-free over Z, rows
+kept sparse and primitive, each read as {column: int or Fraction} of its
+nonzeros.  Callers that only need span membership, or the reduced rows in
 integers (the affine operator's one elimination, which selects rows and
-completes their pivots), use it directly.  The exact LDL^* decision, the
-one Hermitian PSD routine, is a fraction-free (Bareiss) symmetric
-factorization over Gaussian integers.  It trusts its input to be exactly
-Hermitian (see ldl_hermitian).
+completes their pivots), use it directly.  nullspace takes a GaussMatrix
+and returns its kernel as one; a complex matrix is realified there, into
+(re, im) column pairs, and only there.  inverse reads A^-1 off the kernel
+of [A | -I].  The exact LDL^* decision, the one Hermitian PSD routine, is a
+fraction-free (Bareiss) symmetric factorization over Gaussian integers.  It
+trusts its input to be exactly Hermitian (see ldl_hermitian).
 
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
-product loop.  Representations, the operator audits, Gram faces and blocks
-and the LDL^* decision all hold their complex matrices in this form; Scalar
-matrices appear only at the boundary, through from_scalars and scalars.
+product loop.  Representations, the operator audits, kernels, Gram faces and
+blocks and the LDL^* decision all hold their complex matrices in this form;
+Scalar matrices appear only at the boundary, through from_scalars and scalars.
 """
 
 from __future__ import annotations
@@ -49,75 +48,45 @@ def cleared(values):
 
 
 class EchelonAccumulator:
-    """Incremental row echelon form over Q or Q(i), kept in integers.
+    """Incremental row echelon form over Q, kept in integers.
 
-    A row is a mapping {column: value} of its nonzero int, Fraction or Scalar
+    A row is a mapping {column: value} of its nonzero int or Fraction
     entries; it is never changed.  It is cleared once to integers, {column:
     int}, and reduced against the stored rows by cross-multiplication; what
     is left is stored primitive (content divided out, pivot entry positive)
     as a (pivot, row) pair.  A stored row is zero left of its pivot and in the
     pivot columns of earlier rows, which is all insert and contains need;
-    reduced() back-substitutes only when a reduced form is asked for.
-    Complex rows are realified: column j becomes columns 2j (real part) and
-    2j + 1 (imaginary part), and a row r is stored with i r.  The first Scalar
-    entry moves the rows stored so far to those columns, each with its i r.
+    reduced_rows() back-substitutes only when the reduced form is asked for.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.complex = False
         self.rows: list[tuple[int, dict]] = []  # (pivot, row), in insertion order
-
-    def _integer_row(self, vec) -> dict:
-        """vec cleared to integers, over the realified columns once any Scalar was read."""
-        if not self.complex and any(isinstance(x, Scalar) for x in vec.values()):
-            self.complex = True
-            self.rows = [(2 * pc + k, {2 * j + k: x for j, x in row.items()})
-                         for pc, row in self.rows for k in (0, 1)]
-        if self.complex:  # a new mapping: the caller's is never changed
-            vec = {2 * j + k: y for j, x in vec.items()
-                   for k, y in enumerate((x.re, x.im) if isinstance(x, Scalar) else (x, 0)) if y}
-        ints, _ = clear(list(vec.values()))
-        return dict(zip(vec, ints))
 
     def insert(self, vec, pivot_below=None) -> bool:
         """Store what is left of vec; False when nothing is left, or nothing left of pivot_below."""
-        v = self._integer_row(vec)
-        if not _append(v, self.rows, pivot_below):
-            return False
-        if self.complex:  # i v: (re, im) -> (-im, re) in each column pair
-            _append({j ^ 1: -x if j & 1 else x for j, x in v.items()}, self.rows)
-        return True
+        return _append(_integer_row(vec), self.rows, pivot_below)
 
     def contains(self, vec) -> bool:
-        return not _reduce(self._integer_row(vec), self.rows)
+        return not _reduce(_integer_row(vec), self.rows)
 
     def reduced_rows(self):
         """The reduced echelon form in integers: primitive (pivot, row) pairs, pivots ascending.
 
         Rows are taken by descending pivot and each is reduced against the
         finished rows of larger pivot; a row is already zero left of its own
-        pivot, so every other pivot column ends up clear.  Columns are the
-        realified ones once a Scalar was read.
+        pivot, so every other pivot column ends up clear.
         """
         done = []
         for _, row in sorted(self.rows, key=lambda pr: -pr[0]):
             _append(dict(row), done)
         return done[::-1]
 
-    def reduced(self):
-        """(R, pivots): the reduced row echelon form of the span, pivots ascending.
 
-        Entries are Fractions, or Scalars from the realified form's rows of
-        even pivot.
-        """
-        step, zero = (2 if self.complex else 1), Fraction(0)
-        kept = [(pc, v) for pc, v in self.reduced_rows() if pc % step == 0]
-        R = [[Fraction(v[j], v[pc]) if j in v else zero for j in range(step * self.ncols)]
-             for pc, v in kept]
-        if self.complex:
-            R = [[Scalar(a, b) for a, b in zip(row[::2], row[1::2])] for row in R]
-        return R, [pc // step for pc, _ in kept]
+def _integer_row(vec) -> dict:
+    """vec cleared to integers, as a new mapping."""
+    ints, _ = clear(list(vec.values()))
+    return dict(zip(vec, ints))
 
 
 def _reduce(v: dict, rows) -> dict:
@@ -152,52 +121,63 @@ def _append(v: dict, rows, pivot_below=None) -> bool:
     return True
 
 
-def _entry_type(matrix):
-    """Scalar when any entry is a Scalar, else Fraction: the type of every result entry."""
-    return Scalar if any(isinstance(x, Scalar) for row in matrix for x in row) else Fraction
+def nullspace(M: GaussMatrix, ncols: int) -> GaussMatrix:
+    """Exact basis of {v : M v = 0}, as the rows of a GaussMatrix, one per free column.
 
-
-def rref(matrix):
-    """Reduced row echelon form; returns (R, pivot_columns).
-
-    R has as many rows as the matrix: the reduced rows, then zero rows.
+    The row of free column f is e_f minus the reduced rows' entries at f,
+    placed on their pivots, all over one denominator; with no rows it is the
+    identity.  A complex M is realified: column j becomes columns 2j (real
+    part) and 2j + 1 (imaginary part), each row r goes in with i r, and the
+    even pivots are M's pivots.  A real M (every im zero) stays real.
     """
-    field = _entry_type(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    acc = EchelonAccumulator(ncols)
-    for row in matrix:
-        acc.insert({j: x for j, x in enumerate(row) if x})
-    R, pivots = acc.reduced()
-    return R + [[field(0)] * ncols for _ in range(len(matrix) - len(R))], pivots
-
-
-def nullspace(rows, ncols: int):
-    """Exact basis of {v : rows v = 0}, one vector per free column.
-
-    With no rows every column is free and the basis is the identity.
-    """
-    field = _entry_type(rows)
-    R, pivots = rref(rows)
-    basis = []
+    step = 2 if any(map(any, M.im)) else 1
+    acc = EchelonAccumulator(step * ncols)
+    for re, im in zip(M.re, M.im):
+        if step == 1:
+            acc.insert({j: x for j, x in enumerate(re) if x})
+        else:  # r and i r = -im + i re
+            acc.insert(_realified(re, im))
+            acc.insert(_realified([-x for x in im], re))
+    pivots = [(pc // step, row) for pc, row in acc.reduced_rows() if pc % step == 0]
+    den = lcm(*(row[step * c] for c, row in pivots))
+    pivot_columns = {c for c, _ in pivots}
+    re, im = [], []
     for f in range(ncols):
-        if f in pivots:
+        if f in pivot_columns:
             continue
-        v = [field(0)] * ncols
-        v[f] = field(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        basis.append(v)
-    return basis
+        vr, vi = [0] * ncols, [0] * ncols
+        vr[f] = den
+        for c, row in pivots:
+            s = den // row[step * c]
+            vr[c] = -s * row.get(step * f, 0)
+            if step == 2:
+                vi[c] = -s * row.get(2 * f + 1, 0)
+        re.append(vr)
+        im.append(vi)
+    return GaussMatrix(re, im, den)
 
 
-def invert_exact(A):
-    """Inverse of a nonsingular matrix, from the reduced form of [A | I]."""
-    n = len(A)
-    aug = [list(A[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
+def _realified(re, im) -> dict:
+    """The row re + i im over columns 2j (real part) and 2j + 1 (imaginary part), nonzeros only."""
+    return {2 * j + k: x for j, pair in enumerate(zip(re, im)) for k, x in enumerate(pair) if x}
+
+
+def inverse(A: GaussMatrix) -> GaussMatrix:
+    """A^-1 from the kernel of [A | -I].
+
+    The kernel row of column n + j is (A^-1 e_j, e_j), so A^-1 is the
+    transpose of the kernel's left half.  A is singular exactly when the
+    right half is not I, and then ValueError is raised.
+    """
+    n = len(A.re)
+    minus_identity = [[-A.den * (i == j) for j in range(n)] for i in range(n)]
+    K = nullspace(GaussMatrix([a + b for a, b in zip(A.re, minus_identity)],
+                              [row + [0] * n for row in A.im], A.den), 2 * n)
+    identity = [[K.den * (i == j) for j in range(n)] for i in range(n)]
+    if [row[n:] for row in K.re] != identity or any(any(row[n:]) for row in K.im):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in R]
+    return GaussMatrix([list(col) for col in zip(*(row[:n] for row in K.re))],
+                       [list(col) for col in zip(*(row[:n] for row in K.im))], K.den)
 
 
 # -- Gaussian-rational (complex) matrices ----------------------------------------

@@ -20,8 +20,9 @@ for every forced z.  No feasible point is lost, and a target with no
 interior Gram (su(2)'s a^2 - 1, zero on spin 0) gets one on the face.  The
 reduced rows are the shared skeleton's rows composed with that linear map,
 so the skeleton stays target-independent; congruence() maps a reduced block
-back to the full monomial basis, for certificates of both kinds.  Both run in
-Gaussian integers, on each Q_l cleared once per problem to a GaussMatrix.
+back to the full monomial basis, for certificates of both kinds.  Each face
+Q_l is a GaussMatrix, the exact kernel of exactla.nullspace, and both maps
+run on its Gaussian integers.
 
 The module also carries the commutative analogue used for symbol positivity.
 Its rows are built unreduced over the monomial basis, and the kernel vectors
@@ -255,8 +256,10 @@ class AffineSystem:
         acc = EchelonAccumulator(n + 1 + len(rows))
         for i, (row, b) in enumerate(zip(rows, self.rhs)):
             acc.insert({**row, n: b, n + 1 + i: 1} if b else {**row, n + 1 + i: 1})
-        R, pivots = acc.reduced()
-        return R[pivots.index(n)][n + 1:] if n in pivots else None
+        for c, row in acc.reduced_rows():
+            if c == n:
+                return [Fraction(row.get(j, 0), row[n]) for j in range(n + 1, n + 1 + len(rows))]
+        return None
 
     # -- float views -----------------------------------------------------------
 
@@ -283,10 +286,10 @@ class AffineSystem:
 class SdpProblem:
     """Exact Gram feasibility problem for one target on a skeleton (algebra, generators, D).
 
-    `faces` optionally restricts block l to G_l = Q_l^H G'_l Q_l (None keeps
-    a block whole).  The system is then written in the coordinates of the
-    G'_l: the skeleton's rows composed with that linear map, with no new
-    normal forms.  gram_blocks_exact always returns blocks over the full
+    `faces` optionally restricts block l to G_l = Q_l^H G'_l Q_l, each Q_l a
+    GaussMatrix (None keeps a block whole).  The system is then written in
+    the coordinates of the G'_l: the skeleton's rows composed with that
+    linear map, with no new normal forms.  gram_blocks_exact always returns blocks over the full
     monomial bases.
     """
 
@@ -299,22 +302,20 @@ class SdpProblem:
             rhs.append(cm.re)
             rhs.append(cm.im)
         self.faces = [None] * len(skeleton.bases) if faces is None else list(faces)
-        sizes = [len(b) if Q is None else len(Q) for b, Q in zip(skeleton.bases, self.faces)]
+        sizes = [len(b) if Q is None else len(Q.re) for b, Q in zip(skeleton.bases, self.faces)]
         check_block_cap(sizes)
-        self._cleared = [None if Q is None else GaussMatrix.from_scalars(Q) for Q in self.faces]
         if faces is None:
             self.layout = skeleton.layout
             self.system = AffineSystem(skeleton.operator, rhs)
         else:
             self.layout = VariableLayout(sizes, complex_blocks=True)
-            rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self._cleared)
+            rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
             self.system = AffineSystem(AffineOperator(rows, self.layout.weights), rhs)
 
     def gram_blocks_exact(self, g):
         return [
             G if Q is None else congruence(Q, GaussMatrix.from_scalars(G), len(basis)).scalars()
-            for G, Q, basis in zip(self.layout.gram_blocks_exact(g), self._cleared,
-                                   self.skeleton.bases)
+            for G, Q, basis in zip(self.layout.gram_blocks_exact(g), self.faces, self.skeleton.bases)
         ]
 
 
@@ -480,17 +481,18 @@ class CommGramProblem:
             mono = tuple(a + b for a, b in zip(self.monomials[p], self.monomials[q]))
             rows[at[mono]][col] = Fraction(1 if p == q else 2)  # off-diagonal entries appear twice
         kernel_vectors = _forced_kernel_vectors(target, self.monomials, kernel_points or [])
-        self.Q = nullspace(kernel_vectors, n) if kernel_vectors else None
+        self.Q = (nullspace(GaussMatrix(kernel_vectors, [[0] * n for _ in kernel_vectors]), n)
+                  if kernel_vectors else None)
         if self.Q is None:
             self.layout = full
             self.basis_polys = [CommutativePoly.monomial(target.nvars, w) for w in self.monomials]
         else:
-            self.layout = VariableLayout([len(self.Q)], complex_blocks=False)
-            self._cleared = GaussMatrix.from_scalars(self.Q)
-            rows = _compose_rows(rows, full, self.layout, [self._cleared])
-            # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}
-            self.basis_polys = [CommutativePoly(target.nvars, dict(zip(self.monomials, row)))
-                                for row in self.Q]
+            self.layout = VariableLayout([len(self.Q.re)], complex_blocks=False)
+            rows = _compose_rows(rows, full, self.layout, [self.Q])
+            # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}, Q[p][j] = Q.re[p][j] / Q.den
+            self.basis_polys = [CommutativePoly(target.nvars, {w: Fraction(x, self.Q.den)
+                                                               for w, x in zip(self.monomials, row)})
+                                for row in self.Q.re]
         check_block_cap(self.layout.block_sizes)
         kept = [i for i, mono in enumerate(row_monomials) if rows[i] or mono in target.coeffs]
         self.row_monomials = [row_monomials[i] for i in kept]
@@ -502,7 +504,7 @@ class CommGramProblem:
         """The one exact block over the *monomial* basis: Q^T G' Q on a face."""
         G, = self.layout.gram_blocks_exact(g)
         return [G if self.Q is None else
-                congruence(self._cleared, GaussMatrix.from_scalars(G), len(self.monomials)).scalars()]
+                congruence(self.Q, GaussMatrix.from_scalars(G), len(self.monomials)).scalars()]
 
 
 def _line_expansion(mono, t0, u, max_order: int):
@@ -527,7 +529,8 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     that order are then forced kernel vectors too.  Null directions of the
     exact Hessian at t0 are the candidates worth expanding.
 
-    t0 and u are cleared to integers first.  Every monomial has degree h, so
+    t0 is cleared to integers, and u is an integer row of the Hessian's
+    kernel (over its one denominator).  Every monomial has degree h, so
     this scales each order-m vector by one factor d0^(h-m) du^m and leaves
     nu, and the span of the vectors, unchanged.  As the target is homogeneous,
     lambda t0 gives t0's vectors times lambda^(h-m), so a zero on the line of
@@ -549,8 +552,7 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
         expanded.add(ray)
         vectors.append([math.prod(a ** e for a, e in zip(t0, mono)) for mono in monomials])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
-        for direction in nullspace(H, nvars):
-            u, _ = clear(direction)
+        for u in nullspace(GaussMatrix.from_scalars(H), nvars).re:
             # exact univariate expansion of the target along t0 + s u
             line = [(q, _line_expansion(mono, t0, u, deg)) for mono, q in target.coeffs.items()]
             nu = next((m for m in range(deg + 1) if sum(q * e[m] for q, e in line)), None)

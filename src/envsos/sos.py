@@ -84,7 +84,7 @@ def find_certificate(c: AlgebraElement, f, degree: int,
     faces = None
     forced = forced_face_vectors(c, f, skeleton.bases, reps)
     if any(forced):
-        faces = [nullspace(z, len(basis)) if z else None
+        faces = [nullspace(GaussMatrix.from_scalars(z), len(basis)) if z else None
                  for z, basis in zip(forced, skeleton.bases)]
     return _solve_and_round(skeleton.problem_for(c, faces), opts)
 
@@ -104,10 +104,11 @@ def forced_face_vectors(c: AlgebraElement, f, bases, reps):
     """
     forced = [[] for _ in bases]
     for rep in reps:
-        kernel = nullspace(rep.evaluate(c), rep.dim_rep)
-        if not kernel or not all(rep.is_positive(g) for g in f):
+        K = nullspace(rep.image(c), rep.dim_rep)
+        if not K.re or not all(rep.is_positive(g) for g in f):
             continue
-        kernel = [GaussMatrix.from_scalars([[x] for x in v]) for v in kernel]
+        kernel = [GaussMatrix([[x] for x in re], [[y] for y in im], K.den)
+                  for re, im in zip(K.re, K.im)]
         for gen, basis, vectors in zip(f, bases, forced):
             H = rep.weighted_matrix(gen)
             HW = [H @ rep.image(AlgebraElement.monomial(c.algebra, w)) for w in basis]

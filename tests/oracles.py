@@ -9,7 +9,9 @@ reference_verify_commutative_certificate are frozen copies of the earlier
 verifiers, which re-expanded a certificate term by term in AlgebraElement and
 Fraction arithmetic; they are the references for differential tests.
 ReferenceEchelonAccumulator is a frozen copy of the earlier row echelon
-accumulator, which eliminated in Fraction and Scalar arithmetic.
+accumulator, which eliminated in Fraction and Scalar arithmetic, and
+reference_rref and reference_nullspace are textbook Gauss-Jordan in the
+entries' own arithmetic.
 hermitian_form and residual_exact evaluate v^* M v and the residuals of an
 affine system's full row set, and echelon_rank reads an EchelonAccumulator's
 rank, for checks only.  reference_cmat_mul and
@@ -47,7 +49,6 @@ from envsos.exactla import (
     LdlResult,
     cmat_identity,
     ldl_hermitian,
-    nullspace,
 )
 from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
 from envsos.lie import LieAlgebra
@@ -504,7 +505,7 @@ def _reference_forced_kernel_vectors(target: CommutativePoly, monomials, kernel_
     for t0 in kernel_points:
         vectors.append([w.evaluate(t0) for w in monomial_polys])
         H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
-        for u in nullspace(H, nvars):
+        for u in reference_nullspace(H, nvars):
             line = [Fraction(0)] * (deg + 1)
             for mono, q in target.coeffs.items():
                 for m, cm in enumerate(reference_line_expansion(mono, t0, u, deg)):
@@ -520,6 +521,48 @@ def _reference_forced_kernel_vectors(target: CommutativePoly, monomials, kernel_
                 if any(vec):
                     vectors.append(vec)
     return vectors
+
+
+def reference_rref(matrix):
+    """Textbook Gauss-Jordan: first nonzero row of each column as pivot."""
+    R = [row[:] for row in matrix]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for rr in range(r, rows):
+            if R[rr][c]:
+                pivot = rr
+                break
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        inv = 1 / R[r][c]
+        R[r] = [v * inv for v in R[r]]
+        for rr in range(rows):
+            if rr != r and R[rr][c]:
+                f = R[rr][c]
+                R[rr] = [v - f * w for v, w in zip(R[rr], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+def reference_nullspace(rows, ncols):
+    R, pivots = reference_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -R[r][f]
+            basis.append(v)
+    return basis
 
 
 class ReferenceEchelonAccumulator:
@@ -725,8 +768,8 @@ class ReferenceRep:
 
 
 def echelon_rank(acc) -> int:
-    """The rank of an EchelonAccumulator's span: each complex row is stored twice, as r and i r."""
-    return len(acc.rows) // 2 if acc.complex else len(acc.rows)
+    """The rank of an EchelonAccumulator's span: one stored row per independent row."""
+    return len(acc.rows)
 
 
 def residual_exact(system, g):
@@ -747,7 +790,7 @@ class ReferenceCommProblem:
         self.monomials = monomials_of_degree(target.nvars, deg // 2)
         n = len(self.monomials)
         vectors = _reference_forced_kernel_vectors(target, self.monomials, kernel_points or [])
-        self.Q = nullspace(vectors, n)
+        self.Q = reference_nullspace(vectors, n)
         self.basis_polys = [
             CommutativePoly(target.nvars, {self.monomials[j]: self.Q[p][j]
                                            for j in range(n) if self.Q[p][j]})

@@ -181,15 +181,14 @@ def test_context_fails_closed_on_a_singular_canonical_image(monkeypatch):
     def singular(A):
         raise ValueError("matrix is singular")
 
-    monkeypatch.setattr(auditor, "invert_exact", singular)
+    monkeypatch.setattr(auditor, "cmat_inverse", singular)
     with pytest.raises(ContextInvalid, match="not invertible"):
         OperatorAlgebraContext(make_spin_rep(1))
 
 
 def test_context_fails_closed_when_the_inverse_check_fails(monkeypatch):
-    invert_exact = auditor.invert_exact
-    monkeypatch.setattr(auditor, "invert_exact",
-                        lambda A: [[2 * x for x in row] for row in invert_exact(A)])
+    cmat_inverse = auditor.cmat_inverse
+    monkeypatch.setattr(auditor, "cmat_inverse", lambda A: cmat_inverse(A).scale(2))
     with pytest.raises(ContextInvalid, match="inverse sanity check failed"):
         OperatorAlgebraContext(_spin_sum(Fraction(1, 2), 1))
 

@@ -323,6 +323,35 @@ def test_theorem_rejects_unknown_keys_and_a_second_window(tmp_path, capsys):
         assert message in err
 
 
+ABELIAN = {"algebra": "abelian(1)", "c": "(1 + x1^2)^2", "f": ["1"], "epsilon": "1",
+           "n_max": 0, "d_max": 4}
+
+
+@pytest.mark.parametrize("instance, flags, message", [
+    (dict(ABELIAN, l_max="1"), [], "takes window points, not a spin window"),
+    (ABELIAN, ["--lmax", "1"], "takes window points, not a spin window"),
+    (dict(PROVABLE, window_points=[["1/2"]]), [], "takes a spin window (l_max)"),
+], ids=["l_max-on-abelian", "lmax-flag-on-abelian", "points-on-su2"])
+def test_theorem_rejects_a_window_of_the_wrong_kind(tmp_path, capsys, instance, flags, message):
+    # each used to end in an uncaught TypeError inside the search (exit 1, the negative code)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run(capsys, "theorem", "--instance", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--algebra", "su2", "--points", "1,2"], "--points is for abelian algebras"),
+    (["--algebra", "abelian(2)", "--points", "0,0", "--lmax", "1"], "take --points, not --lmax"),
+], ids=["points-on-su2", "lmax-on-abelian"])
+def test_scan_rejects_a_window_flag_it_cannot_use(capsys, argv, message):
+    # both flags used to be ignored: the su(2) scan ran spins 0..3 and exited 0
+    code, out, err = run(capsys, "scan", "--exprs", "1", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_scan_and_audit_read_abelian_points(capsys):
     code, out, _ = run(capsys, "scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + i*x1",
                        "--points", "0,0", "--points", "2,1", "--points=-1,0")

@@ -11,10 +11,9 @@ from envsos.exactla import (
     EchelonAccumulator,
     GaussMatrix,
     cmat_identity,
-    invert_exact,
+    inverse,
     ldl_hermitian,
     nullspace,
-    rref,
 )
 from envsos.driver import window_members
 from envsos.gram import AffineOperator, AffineSystem, CommGramProblem, GramSkeleton
@@ -39,6 +38,8 @@ from oracles import (
     reference_cmat_mul,
     reference_ldl_hermitian,
     reference_metric_adjoint,
+    reference_nullspace,
+    reference_rref,
     residual_exact,
 )
 
@@ -164,7 +165,8 @@ def test_faced_and_commutative_operators_match_per_target_construction():
     skeleton = GramSkeleton(su2, [unit], 4)
     members = window_members(su2, [unit], Fraction(3)).values()
     forced, = forced_face_vectors(margin, [unit], skeleton.bases, members)
-    faced = skeleton.problem_for(margin, [nullspace(forced, len(skeleton.bases[0]))])
+    faced = skeleton.problem_for(margin, [nullspace(GaussMatrix.from_scalars(forced),
+                                                    len(skeleton.bases[0]))])
     form = CommutativePoly(3, {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1})
     _, zeros = sample_sign_information(form)
     comm = CommGramProblem(form, kernel_points=zeros, level=1)
@@ -196,7 +198,8 @@ def test_float_views_are_float_of_the_exact_operator():
     unit_skeleton = GramSkeleton(su2, [unit], 4)
     members = window_members(su2, [unit], Fraction(3)).values()
     forced, = forced_face_vectors(margin, [unit], unit_skeleton.bases, members)
-    faced = unit_skeleton.problem_for(margin, [nullspace(forced, len(unit_skeleton.bases[0]))])
+    faced = unit_skeleton.problem_for(
+        margin, [nullspace(GaussMatrix.from_scalars(forced), len(unit_skeleton.bases[0]))])
     cases = [(skeleton.operator, skeleton.layout.weights),
              (faced.system.operator, faced.layout.weights)]
     cases += [(p.system.operator, p.layout.weights) for p in map(_motzkin_problem, (0, 1))]
@@ -248,65 +251,18 @@ def test_rounding_a_degenerate_problem_fails():
     assert not motzkin.system.independent and quartic.system.independent
 
 
-def test_invert_exact_roundtrip():
+def test_inverse_roundtrip():
     rng = random.Random(2)
     for n in (1, 2, 4):
         while True:
             A = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
-            R, pivots = rref([row[:] for row in A])
-            if len(pivots) == n:
+            if len(reference_rref(A)[1]) == n:
                 break
-        Ainv = invert_exact(A)
-        prod = [
-            [sum(A[i][k] * Ainv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert prod == [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        G = GaussMatrix.from_scalars(A)
+        assert (G @ inverse(G)).scalars() == cmat_identity(n)
 
 
 # -- the elimination kernel against a plain Gauss-Jordan reference -----------------
-
-
-def reference_rref(matrix):
-    """Textbook Gauss-Jordan: first nonzero row of each column as pivot."""
-    R = [row[:] for row in matrix]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if R[rr][c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [v * inv for v in R[r]]
-        for rr in range(rows):
-            if rr != r and R[rr][c]:
-                f = R[rr][c]
-                R[rr] = [v - f * w for v, w in zip(R[rr], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
-def reference_nullspace(rows, ncols):
-    R, pivots = reference_rref(rows)
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -R[r][f]
-            basis.append(v)
-    return basis
 
 
 # small entries make dependent rows common; 70-bit ones exercise content division
@@ -332,53 +288,54 @@ def matrices(draw, entries, max_rows=4, max_cols=9, square=False):
     return M
 
 
-def all_of_type(rows, kind):
-    return all(isinstance(x, kind) for row in rows for x in row)
-
-
 @settings(deadline=None)
 @given(st.one_of(matrices(fractions), matrices(gaussian)))
-def test_rref_and_nullspace_match_reference(M):
-    kind = Scalar if isinstance(M[0][0], Scalar) else Fraction
-    R, pivots = rref(M)
-    assert (R, pivots) == reference_rref(M)
-    assert len(R) == len(M) and all_of_type(R, kind)
-    basis = nullspace(M, len(M[0]))
-    assert basis == reference_nullspace(M, len(M[0]))
-    assert all_of_type(basis, kind)
+def test_nullspace_matches_reference(M):
+    n = len(M[0])
+    for rows in (M, []):  # with no rows the kernel is the identity
+        K = nullspace(GaussMatrix.from_scalars(rows), n)
+        assert_lowest_terms(K)
+        assert K.scalars() == reference_nullspace(rows, n)
 
 
 @settings(deadline=None)
 @given(st.one_of(matrices(fractions, square=True), matrices(gaussian, square=True)))
-def test_invert_exact_against_reference(A):
+def test_inverse_matches_reference(A):
     n = len(A)
-    R, pivots = reference_rref(A)
-    if len(pivots) < n:
-        with pytest.raises(ValueError):
-            invert_exact(A)
+    G = GaussMatrix.from_scalars(A)
+    if len(reference_rref(A)[1]) < n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(G)
         return
-    Ainv = invert_exact(A)
-    if isinstance(A[0][0], Scalar):
-        assert all_of_type(Ainv, Scalar)
-        assert reference_cmat_mul(Ainv, A) == cmat_identity(n)
-    else:
-        assert all_of_type(Ainv, Fraction)
+    Ainv = inverse(G)
+    assert_lowest_terms(Ainv)
+    assert (Ainv @ G).scalars() == cmat_identity(n)
     I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     R, _ = reference_rref([row + e for row, e in zip(A, I)])
-    assert Ainv == [row[n:] for row in R]
+    assert Ainv.scalars() == [row[n:] for row in R]
 
 
 @settings(deadline=None)
 @given(st.one_of(matrices(fractions, max_rows=6), matrices(gaussian, max_rows=6)))
 def test_echelon_insert_tracks_reference_rank(M):
-    """The integer accumulator against the frozen Fraction one, row by row."""
-    acc, ref = EchelonAccumulator(len(M[0])), ReferenceEchelonAccumulator(len(M[0]))
+    """The integer accumulator against the frozen Fraction one, row by row; a complex
+    matrix, which the accumulator reads only realified inside nullspace, has a kernel of
+    ncols minus its reference rank rows."""
+    n = len(M[0])
+    acc, ref = EchelonAccumulator(n), ReferenceEchelonAccumulator(n)
+    if isinstance(M[0][0], Scalar):
+        for row in M:
+            ref.insert(row)
+        assert len(nullspace(GaussMatrix.from_scalars(M), n).re) == n - ref.rank
+        return
     for row in M:
         grows = not ref.contains(row)
         assert acc.contains(_sparse(row)) == (not grows)
         assert acc.insert(_sparse(row)) == ref.insert(row) == grows
         assert echelon_rank(acc) == ref.rank
-    assert acc.reduced() == ref.reduced()
+    reduced = acc.reduced_rows()
+    assert ([[Fraction(row.get(j, 0), row[pc]) for j in range(n)] for pc, row in reduced],
+            [pc for pc, _ in reduced]) == ref.reduced()
 
 
 # -- GaussMatrix against the frozen Scalar product and adjoint ----------------------
@@ -440,11 +397,15 @@ def test_gauss_matrix_identity_and_zero():
 
 
 def test_kernel_accepts_ints():
-    R, pivots = rref([[2, 4], [1, 3]])
-    assert pivots == [0, 1] and all_of_type(R, Fraction)
-    assert invert_exact([[2, 0], [0, 4]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
-    assert nullspace([[1, 1]], 2) == [[-1, 1]]
-    assert rref([]) == ([], []) and nullspace([], 2) == [[1, 0], [0, 1]]
+    G = GaussMatrix.from_scalars([[2, 0], [0, 4]])
+    assert inverse(G).scalars() == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+    assert inverse(GaussMatrix.from_scalars([[2, 4], [1, 3]])).scalars() == \
+        [[Fraction(3, 2), -2], [Fraction(-1, 2), 1]]
+    K = nullspace(GaussMatrix([[1, 1]], [[0, 0]]), 2)
+    assert (K.re, K.im, K.den) == ([[-1, 1]], [[0, 0]], 1)
+    assert nullspace(GaussMatrix([], []), 2).scalars() == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="singular"):
+        inverse(GaussMatrix([[1, 2], [2, 4]], [[0, 0], [0, 0]]))
 
 
 def test_echelon_accumulator_rank():
@@ -544,7 +505,9 @@ def with_schur_complement(rng, m, tail):
         P[i][i] = P[i][i] + 50
     B = [[Scalar(rand_frac(rng), rand_frac(rng)) for _ in range(k)] for _ in range(m)]
     Bh = [[B[i][j].conj() for i in range(m)] for j in range(k)]
-    Z = reference_cmat_mul(reference_cmat_mul(Bh, invert_exact(P)), B)
+    Pinv = [row[m:] for row in reference_rref([row + [Scalar(int(i == j)) for j in range(m)]
+                                                for i, row in enumerate(P)])[0]]
+    Z = reference_cmat_mul(reference_cmat_mul(Bh, Pinv), B)
     n = m + k
     M = cmat_zero(n)
     for i in range(n):

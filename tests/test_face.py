@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from envsos.certs import verify_certificate_json
 from envsos.driver import window_members
+from envsos.exactla import GaussMatrix
 from envsos.exprs import parse
 from envsos.gram import GramSkeleton
 from envsos.lie import builtin
@@ -117,8 +118,8 @@ def test_composed_rows_match_the_full_expansion(su2):
     # a generic complex face: the reduced rows at g' must be the full rows at Q^H G' Q
     unit = AlgebraElement.unit(su2)
     skeleton = GramSkeleton(su2, [unit], 2)
-    Q = [[Scalar(1), Scalar(0, 1), Scalar(0), Scalar(2)],
-         [Scalar(0), Scalar(1, -1), Scalar(Fraction(1, 3)), Scalar(0)]]
+    Q = GaussMatrix.from_scalars([[Scalar(1), Scalar(0, 1), Scalar(0), Scalar(2)],
+                                  [Scalar(0), Scalar(1, -1), Scalar(Fraction(1, 3)), Scalar(0)]])
     reduced = skeleton.problem_for(AlgebraElement.zero(su2), [Q])
     assert reduced.layout.block_sizes == [2]
     g = [Fraction(k + 1, 7) for k in range(reduced.layout.nvars)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from envsos.driver import window_members
-from envsos.exactla import nullspace
+from envsos.exactla import GaussMatrix, nullspace
 from envsos.gram import (
     CommGramProblem,
     GramSkeleton,
@@ -127,7 +127,7 @@ def _assert_matches_reference(form, zeros, level):
     if problem.Q is None:  # the reference's identity
         assert ref.Q == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     else:
-        assert problem.Q == ref.Q
+        assert problem.Q.scalars() == ref.Q
     assert problem.layout.block_sizes == ref.layout.block_sizes
     assert [b.coeffs for b in problem.basis_polys] == [b.coeffs for b in ref.basis_polys]
     g = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(problem.layout.nvars)]
@@ -142,7 +142,7 @@ def test_comm_problem_matches_the_pairwise_product_construction(name, level):
     _, zeros = sample_sign_information(form)
     problem = _assert_matches_reference(form, zeros, level)
     if level == 0:  # the zeros force the whole kernel: an empty face, not "nothing forced"
-        assert problem.Q == [] and problem.layout.block_sizes == [0]
+        assert problem.Q.re == [] and problem.layout.block_sizes == [0]
 
 
 def test_forced_kernel_vectors_expand_each_zero_line_once():
@@ -172,7 +172,7 @@ def test_comm_problem_matches_on_a_square_of_a_quadric(level):
 def test_comm_problem_matches_with_a_given_point():
     form = CommutativePoly(2, {(2, 0): 1, (0, 2): 1})
     problem = _assert_matches_reference(form, [(Fraction(1), Fraction(0))], 0)
-    assert problem.Q == [[0, 1]]  # v(1, 0) over (t1, t2) is (1, 0)
+    assert problem.Q.scalars() == [[0, 1]]  # v(1, 0) over (t1, t2) is (1, 0)
     assert _assert_matches_reference(form, [], 0).Q is None
 
 
@@ -225,13 +225,15 @@ def _window_face(target):
     skeleton = GramSkeleton(su2, [unit], 4)
     members = window_members(su2, [unit], Fraction(3)).values()
     forced, = forced_face_vectors(target, [unit], skeleton.bases, members)
-    return skeleton.problem_for(target, [nullspace(forced, len(skeleton.bases[0]))])
+    return skeleton.problem_for(target, [nullspace(GaussMatrix.from_scalars(forced),
+                                                   len(skeleton.bases[0]))])
 
 
 def _su2_face(degree, faces, generators="unit"):
-    """The su(2) problem of the zero target on the given faces."""
+    """The su(2) problem of the zero target on the given faces (rows, or None for a whole block)."""
     su2 = builtin("su2")
     skeleton = GramSkeleton(su2, _generators(su2, generators), degree)
+    faces = [None if Q is None else GaussMatrix.from_scalars(Q) for Q in faces]
     return skeleton.problem_for(AlgebraElement.zero(su2), faces)
 
 
@@ -261,13 +263,14 @@ def _reference_rows_and_blocks(problem, g):
     """The composed rows and the exact blocks at g by the frozen Scalar construction."""
     if isinstance(problem, CommGramProblem):
         whole = CommGramProblem(problem.target)  # every row monomial meets a column
-        full, faces, sizes = whole.layout, [problem.Q], [len(problem.monomials)]
+        full, faces, sizes = whole.layout, [problem.Q.scalars()], [len(problem.monomials)]
         rows = reference_compose_rows(whole.system.operator.rows, full, problem.layout, faces)
         rows = [row for row, mono in zip(rows, whole.row_monomials)
                 if row or mono in problem.target.coeffs]
     else:
         skeleton = problem.skeleton
-        full, faces, sizes = skeleton.layout, problem.faces, [len(b) for b in skeleton.bases]
+        full, sizes = skeleton.layout, [len(b) for b in skeleton.bases]
+        faces = [None if Q is None else Q.scalars() for Q in problem.faces]
         rows = reference_compose_rows(skeleton.rows, full, problem.layout, faces)
     blocks = [G if Q is None else reference_congruence(Q, G, n)
               for G, Q, n in zip(problem.layout.gram_blocks_exact(g), faces, sizes)]

@@ -514,7 +514,8 @@ def _numeric_digests(su2):
     margin_skeleton = GramSkeleton(su2, [unit], 4)
     members = window_members(su2, [unit], Fraction(3)).values()
     forced, = forced_face_vectors(margin, [unit], margin_skeleton.bases, members)
-    face = margin_skeleton.problem_for(margin, [nullspace(forced, len(margin_skeleton.bases[0]))])
+    face = margin_skeleton.problem_for(
+        margin, [nullspace(GaussMatrix.from_scalars(forced), len(margin_skeleton.bases[0]))])
     robinson = CommutativePoly(3, {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1, (4, 2, 0): -1,
                                    (2, 4, 0): -1, (4, 0, 2): -1, (2, 0, 4): -1, (0, 4, 2): -1,
                                    (0, 2, 4): -1, (2, 2, 2): 3})
@@ -904,7 +905,7 @@ def _su2_a():
 @pytest.mark.parametrize("build, size", [
     (lambda: find_certificate(*_su2_a(), 2), 4),
     (lambda: GramSkeleton(builtin("su2"), _su2_a()[1], 2).problem_for(
-        _su2_a()[0], faces=[[[1, 0, 0, 0], [0, 1, 0, 0]]]), 2),
+        _su2_a()[0], faces=[GaussMatrix.from_scalars([[1, 0, 0, 0], [0, 1, 0, 0]])]), 2),
     (lambda: commutative_sos(CommutativePoly(2, {(2, 0): 1, (0, 2): 1}), 0), 2),
 ], ids=["unreduced", "faced", "commutative"])
 def test_block_cap_is_checked_before_the_affine_operator_is_built(monkeypatch, build, size):

@@ -19,6 +19,10 @@ spans.install(tracer)
 acc = auditor.EchelonAccumulator(2)
 assert acc.insert({0: 1, 1: 2}) and acc.contains({0: 2, 1: 4}) and not acc.insert({0: 3, 1: 6})
 assert [s[1] for s in tracer.spans] == ["exactla.echelon"] * 3
+# the audit context computes its inverse through the wrapped name
+from envsos.reps import make_spin_rep
+auditor.OperatorAlgebraContext(make_spin_rep(1))
+assert [s[1] for s in tracer.spans].count("exactla.cmat_inverse") == 1
 """
 
 
