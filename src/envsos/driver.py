@@ -8,10 +8,15 @@ certificate for s* c s (m even) or for s* c' s with c' the square-sum
 reduction (m odd).  The first exactly verified certificate wins; exhaustion of
 the caps is an ordinary outcome, not an error.
 
+Each exact fact is decided once.  The symbol check tries the level-0 sum of
+squares before it samples when the symbol is positive on the coordinate axes:
+a positive-definite exact Gram proves strict positivity, and no scan runs.
 The window members' representations are built once per search and handed to
 the margin proof and to every search attempt, where those that map the
 target to a singular matrix restrict the Gram blocks to a face (see
-sos.find_certificate).
+sos.find_certificate); the kernels of each target on the members are found
+once and used at every degree D.  An element keeps its hermitean verdict, so
+a target is straightened into its star once however many members check it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .reps import is_su2_standard, scan_dual_window, spin_window
 # kept only so that perfbench/spans.py can wrap this name under --trace 1
 from .reps import make_spin_rep  # noqa: F401
 from .scalar import format_fraction
-from .sos import commutative_sos, find_certificate, sample_sign_information
+from .sos import commutative_sos, find_certificate, member_kernels, sample_sign_information
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +73,9 @@ class TheoremInstance:
         if deg is not None and deg % 2 == 1:
             raise ValueError("the target must have even degree")
         spins = isinstance(self.window, (int, Fraction))
+        if self.window is not None and not has_dual_window(self.algebra):
+            raise ValueError("this algebra has no concrete dual window; give neither l_max "
+                             "nor window_points")
         if spins and self.algebra.is_abelian():
             raise ValueError("an abelian algebra takes window points, not a spin window (l_max)")
         if self.window is not None and not spins and is_su2_standard(self.algebra):
@@ -135,16 +143,28 @@ def check_assumption_ii(c: AlgebraElement, level_cap: int = 2,
                         opts: SolveOptions | None = None) -> dict:
     """Decide strict positivity of the principal symbol away from the origin.
 
-    Sampling runs first; an exact negative point is a counterexample and an
-    exact nontrivial zero already refutes strictness.  Otherwise the sphere
-    multiplier hierarchy is tried up to the level cap; a positive-definite
-    exact Gram upgrades the verdict to a strictness proof.
+    When every t_i^deg coefficient of the symbol p is positive (p(e_i) > 0,
+    which strict positivity needs), the level-0 sum of squares is tried
+    first: a positive-definite exact Gram over all monomials of half the
+    degree proves p > 0 away from 0, and the answer is that proof with no
+    sampling.  Otherwise sampling decides next; an exact negative point is a
+    counterexample and an exact nontrivial zero already refutes strictness.
+    Then the sphere multiplier hierarchy is tried up to the level cap, reusing
+    the level-0 report when there is one; a positive-definite exact Gram
+    upgrades the verdict to a strictness proof.  The answer is the one that
+    sampling first would give: the solver reads no sample, and a proven
+    strictly positive symbol has no negative point or nontrivial zero.
     """
     opts = opts or SolveOptions()
     deg = c.degree()
     if deg is None or deg == 0:
         return {"status": "degenerate", "detail": "constant target has no symbol condition"}
     symbol = c.principal_symbol(deg)
+    reports = {}  # level: the report of commutative_sos at that level, once solved
+    if _positive_on_axes(symbol, deg):
+        reports[0] = commutative_sos(symbol, 0, opts=opts, presampled=(None, []))
+        if _strict(reports[0]):
+            return _certified(symbol, 0, strict_proof=True)
     negative, zeros = sample_sign_information(symbol, seed=opts.seed)
     if negative is not None:
         return {
@@ -159,15 +179,28 @@ def check_assumption_ii(c: AlgebraElement, level_cap: int = 2,
             "detail": "symbol vanishes at a nonzero point",
         }
     for level in range(level_cap + 1):
-        report = commutative_sos(symbol, level, opts=opts, presampled=(None, []))
+        report = reports.get(level) or commutative_sos(symbol, level, opts=opts,
+                                                       presampled=(None, []))
         if report.status == "certificate":
-            return {
-                "status": "certified-positive",
-                "level": level,
-                "strict_proof": report.certificate.ldl.is_positive_definite(),
-                "symbol": symbol.render(),
-            }
+            return _certified(symbol, level, strict_proof=_strict(report))
     return {"status": "inconclusive", "detail": f"no certificate up to level {level_cap}"}
+
+
+def _positive_on_axes(symbol, deg: int) -> bool:
+    """p(e_i) > 0 for every unit vector e_i: each t_i^deg coefficient is positive."""
+    n = symbol.nvars
+    return all(symbol.coeffs.get(tuple(deg if j == i else 0 for j in range(n)), 0) > 0
+               for i in range(n))
+
+
+def _strict(report) -> bool:
+    """True when report is a certificate whose exact Gram is positive definite."""
+    return report.status == "certificate" and report.certificate.ldl.is_positive_definite()
+
+
+def _certified(symbol, level: int, strict_proof: bool) -> dict:
+    return {"status": "certified-positive", "level": level, "strict_proof": strict_proof,
+            "symbol": symbol.render()}
 
 
 def default_window(algebra, window):
@@ -182,6 +215,11 @@ def default_window(algebra, window):
     return Fraction(3)
 
 
+def has_dual_window(algebra) -> bool:
+    """True for the algebras with a concrete dual window: abelian ones and standard su(2)."""
+    return algebra.is_abelian() or is_su2_standard(algebra)
+
+
 def window_members(algebra, f, window=None):
     """{label: rep} for the members of the window's semialgebraic dual set.
 
@@ -189,7 +227,7 @@ def window_members(algebra, f, window=None):
     to a PSD matrix (decided exactly by scan_dual_window).  None when the
     algebra has no concrete dual window.
     """
-    if not (algebra.is_abelian() or is_su2_standard(algebra)):
+    if not has_dual_window(algebra):
         return None
     window = default_window(algebra, window)
     labels = window if not isinstance(window, (int, Fraction)) else spin_window(window)
@@ -326,10 +364,13 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
         target = conjugate_by(s, base)
         tdeg = target.degree() or 0
         start = tdeg + (tdeg % 2)
-        for D in range(start, inst.d_max + 1, 2):
+        degrees = range(start, inst.d_max + 1, 2)
+        # the target's member kernels do not depend on D: found once, used at every D
+        kernels = member_kernels(target, inst.f, window_reps) if degrees else []
+        for D in degrees:
             report = find_certificate(target, inst.f, D, opts=inst.solver,
                                       skeleton=_skeleton(skeletons, algebra, inst.f, D),
-                                      reps=window_reps)
+                                      reps=window_reps, kernels=kernels)
             attempts.append((n, D, report.status))
             if report.status == "certificate":
                 certificate = report.certificate

@@ -119,9 +119,11 @@ class AlgebraElement:
 
     Immutable value; arithmetic returns fresh elements.  The zero element has
     an empty term map and no degree (degree() returns None as the sentinel).
+    Because it is never mutated, is_hermitean straightens the star once and
+    keeps the verdict on the instance.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "terms", "_hermitean")
 
     def __init__(self, algebra: LieAlgebra, terms: dict | None = None):
         self.algebra = algebra
@@ -132,6 +134,7 @@ class AlgebraElement:
                 if s:
                     clean[tuple(m)] = s
         self.terms = clean
+        self._hermitean = None
 
     # -- constructors --------------------------------------------------------
 
@@ -233,7 +236,9 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def is_hermitean(self) -> bool:
-        return self.star() == self
+        if self._hermitean is None:
+            self._hermitean = self.star() == self
+        return self._hermitean
 
     # -- filtration / symbol -----------------------------------------------------
 

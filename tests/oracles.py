@@ -35,6 +35,8 @@ frozen copies of the earlier facial-reduction maps, which built a Scalar G'
 per reduced coordinate and multiplied Q^H G' Q in Scalar arithmetic, and
 reference_operator_pivots is the earlier two-pass AffineOperator: a row
 selection on A alone, then a second elimination of [A_ind | I].
+reference_check_assumption_ii is the earlier symbol check, which ran the exact
+sign scan before any level of the sphere hierarchy.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ from envsos.exactla import (
 )
 from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
 from envsos.lie import LieAlgebra
+from envsos.numeric import SolveOptions
 from envsos.pbw import AlgebraElement, term_sort_key
 from envsos.poly import CommutativePoly, squared_norm_poly
-from envsos.scalar import Scalar
+from envsos.scalar import Scalar, format_fraction
+from envsos.sos import commutative_sos, sample_sign_information
 
 
 def straighten_word(algebra: LieAlgebra, word) -> dict:
@@ -894,3 +898,37 @@ def reference_operator_pivots(rows, nvars: int):
                    {j - nvars: x for j, x in row.items() if j >= nvars})
                   for c, row in completion.reduced_rows()]
     return independent, dependent, pivot_rows
+
+
+def reference_check_assumption_ii(c: AlgebraElement, level_cap: int = 2,
+                                  opts: SolveOptions | None = None) -> dict:
+    """Frozen copy of the earlier driver.check_assumption_ii: the sign scan
+    first, then levels 0..level_cap of the sphere hierarchy."""
+    opts = opts or SolveOptions()
+    deg = c.degree()
+    if deg is None or deg == 0:
+        return {"status": "degenerate", "detail": "constant target has no symbol condition"}
+    symbol = c.principal_symbol(deg)
+    negative, zeros = sample_sign_information(symbol, seed=opts.seed)
+    if negative is not None:
+        return {
+            "status": "counterexample",
+            "point": [format_fraction(v) for v in negative],
+            "value": format_fraction(symbol.evaluate(negative)),
+        }
+    if zeros:
+        return {
+            "status": "not-strictly-positive",
+            "point": [format_fraction(v) for v in zeros[0]],
+            "detail": "symbol vanishes at a nonzero point",
+        }
+    for level in range(level_cap + 1):
+        report = commutative_sos(symbol, level, opts=opts, presampled=(None, []))
+        if report.status == "certificate":
+            return {
+                "status": "certified-positive",
+                "level": level,
+                "strict_proof": report.certificate.ldl.is_positive_definite(),
+                "symbol": symbol.render(),
+            }
+    return {"status": "inconclusive", "detail": f"no certificate up to level {level_cap}"}

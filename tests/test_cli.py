@@ -341,6 +341,23 @@ def test_theorem_rejects_a_window_of_the_wrong_kind(tmp_path, capsys, instance, 
     assert message in err
 
 
+HEISENBERG = {"algebra": "heisenberg3", "c": "1", "f": ["1"], "epsilon": "1/2"}
+
+
+@pytest.mark.parametrize("window", [{"l_max": "5"}, {"window_points": [["1"]]}],
+                         ids=["l_max", "window_points"])
+def test_theorem_rejects_a_window_on_an_algebra_without_one(tmp_path, capsys, window):
+    # heisenberg3 has no concrete dual window: both used to be echoed in config and ignored
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(HEISENBERG, **window)))
+    code, out, err = run(capsys, "theorem", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert "has no concrete dual window" in err
+    path.write_text(json.dumps(HEISENBERG))
+    code, out, _ = run(capsys, "theorem", "--instance", str(path))
+    assert code == 0 and json.loads(out)["config"]["window"] is None
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--algebra", "su2", "--points", "1,2"], "--points is for abelian algebras"),
     (["--algebra", "abelian(2)", "--points", "0,0", "--lmax", "1"], "take --points, not --lmax"),

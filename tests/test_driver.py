@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from envsos import driver
 from envsos.certs import verify_certificate
 from envsos.driver import (
     TheoremInstance,
@@ -17,7 +19,10 @@ from envsos.lie import builtin
 from envsos.numeric import SolveOptions
 from envsos.pbw import AlgebraElement, canonical_a, conjugate_by, reduce_odd
 from envsos.poly import CommutativePoly
+from envsos.reps import FiniteDimRep
 from envsos.scalar import Scalar
+
+from oracles import reference_check_assumption_ii
 
 
 def test_assumption_ii_square_of_casimir(su2):
@@ -44,6 +49,64 @@ def test_assumption_ii_boundary_symbol():
     assert sym == CommutativePoly(3, {m: sign * v for m, v in motzkin.items()})
     verdict = check_assumption_ii(c.scale(sign))  # flip so the symbol is Motzkin itself
     assert verdict["status"] == "not-strictly-positive"
+
+
+def _abelian3(form):
+    """The abelian(3) element with the coefficients of form; its symbol is form."""
+    return AlgebraElement(builtin("abelian(3)"), {m: Scalar(v) for m, v in form.items()})
+
+
+MOTZKIN = {(4, 2, 0): 1, (2, 4, 0): 1, (2, 2, 2): -3, (0, 0, 6): 1}
+# (t1^2+t2^2+t3^2)^3 / 100: added to the Motzkin form it is strictly positive
+CUBED_NORM = {(2 * i, 2 * j, 6 - 2 * i - 2 * j): Fraction(6, 100 * math.factorial(i)
+              * math.factorial(j) * math.factorial(3 - i - j))
+              for i in range(4) for j in range(4 - i)}
+PERTURBED_MOTZKIN = {m: MOTZKIN.get(m, 0) + CUBED_NORM.get(m, 0) for m in {*MOTZKIN, *CUBED_NORM}}
+SU2_A = canonical_a(builtin("su2"))
+# name: (target, level_cap, status); the first two run the level-0 proof before any scan
+SYMBOL_CASES = {
+    "su2 a^2": (SU2_A * SU2_A, 2, "certified-positive"),
+    "(t1^2+t2^2+t3^2)^2": (_abelian3({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): 2,
+                                      (2, 0, 2): 2, (0, 2, 2): 2}), 2, "certified-positive"),
+    "su2 a": (SU2_A, 2, "counterexample"),
+    "t1^4+t2^4+t3^4-3t1^2t2^2": (_abelian3({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1,
+                                            (2, 2, 0): -3}), 2, "counterexample"),
+    "motzkin": (_abelian3(MOTZKIN), 2, "not-strictly-positive"),
+    "t1^2t2^2": (_abelian3({(2, 2, 0): 1}), 2, "not-strictly-positive"),
+    "perturbed motzkin, level cap 0": (_abelian3(PERTURBED_MOTZKIN), 0, "inconclusive"),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMBOL_CASES))
+def test_assumption_ii_agrees_with_the_scan_first_order(name):
+    c, level_cap, status = SYMBOL_CASES[name]
+    opts = SolveOptions(seed=4)
+    verdict = check_assumption_ii(c, level_cap=level_cap, opts=opts)
+    assert verdict == reference_check_assumption_ii(c, level_cap=level_cap, opts=opts)
+    assert verdict["status"] == status
+
+
+def test_criterion_12_symbol_is_proved_without_sampling(su2, monkeypatch):
+    samples, levels = [], []
+    sample, solve = driver.sample_sign_information, driver.commutative_sos
+
+    def counting_sample(*args, **kwargs):
+        samples.append(args)
+        return sample(*args, **kwargs)
+
+    def counting_solve(p, level=0, **kwargs):
+        levels.append(level)
+        return solve(p, level, **kwargs)
+
+    monkeypatch.setattr(driver, "sample_sign_information", counting_sample)
+    monkeypatch.setattr(driver, "commutative_sos", counting_solve)
+    a = canonical_a(su2)
+    inst = TheoremInstance(su2, a * a, [AlgebraElement.unit(su2)], Fraction(1), n_max=2,
+                           d_max=8, window=Fraction(3), solver=SolveOptions(seed=12))
+    transcript = search_certificate(inst)
+    assert transcript.status == "found"
+    assert transcript.assumption_ii["level"] == 0 and transcript.assumption_ii["strict_proof"]
+    assert samples == [] and levels == [0]
 
 
 def test_assumption_i_evidence_passes(su2):
@@ -233,3 +296,25 @@ def test_monotone_caps(su2):
     t_big = search_certificate(big)
     assert t_small.status == "found" and t_big.status == "found"
     assert t_big.attempts[-1][:2] <= t_small.attempts[-1][:2]
+
+
+def test_search_images_each_target_once_per_member(su2, monkeypatch):
+    # with no solver iterations the target (a - 1)^2 + 1 walks D = 4 and D = 6 uncertified
+    unit = AlgebraElement.unit(su2)
+    target = (canonical_a(su2) - unit) * (canonical_a(su2) - unit) + unit
+    images = []
+    image = FiniteDimRep.image
+
+    def counting_image(self, e):
+        if e == target:
+            images.append(self.label)
+        return image(self, e)
+
+    monkeypatch.setattr(FiniteDimRep, "image", counting_image)
+    inst = TheoremInstance(su2, target, [unit], Fraction(1, 4), n_max=0, d_max=6,
+                           window=Fraction(3), solver=SolveOptions(max_iters=0))
+    transcript = search_certificate(inst)
+    assert transcript.status == "exhausted"
+    assert [(n, D) for n, D, _ in transcript.attempts] == [(0, 4), (0, 6)]
+    assert len(transcript.assumption_i["members"]) == 7
+    assert sorted(images) == sorted(f"spin {label}" for label in transcript.assumption_i["members"])

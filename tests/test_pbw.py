@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from envsos.errors import AlgebraMismatch, DegreeMismatch
 from envsos.gram import monomials_up_to
@@ -20,6 +22,7 @@ from envsos.pbw import (
 from envsos.poly import CommutativePoly
 from envsos.scalar import Scalar
 
+from conftest import BUILTIN_NAMES
 from oracles import (
     commutative_product,
     random_element,
@@ -160,6 +163,28 @@ def test_hermitean_predicates(su2):
     assert not x1.is_hermitean()
     assert x1.scale(Scalar(0, 1)).is_hermitean()
     assert canonical_a(su2).is_hermitean()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUILTIN_NAMES), st.integers(0, 2**32), st.booleans())
+def test_is_hermitean_is_the_star_comparison_made_once(name, seed, symmetrize):
+    algebra = builtin(name)
+    e = random_element(algebra, random.Random(seed), max_degree=3)
+    if symmetrize:
+        e = e + e.star()
+    calls = []
+    star = AlgebraElement.star
+
+    def counting_star(self):
+        calls.append(self)
+        return star(self)
+
+    expected = star(e) == e
+    with mock.patch.object(AlgebraElement, "star", counting_star):
+        assert [e.is_hermitean() for _ in range(3)] == [expected] * 3
+    assert len(calls) == 1 and calls[0] is e
+    if symmetrize:
+        assert expected
 
 
 def test_filtration_degree_bound(builtins):

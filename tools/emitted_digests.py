@@ -21,8 +21,8 @@ list is not empty.
 
 --cli runs the fixed table CLI_CASES of `python -m envsos` commands instead
 (or after the workloads), against --checkout's src/, one after the other in
-a temporary directory that holds the instance file they read.  Each case
-prints one JSON line
+a temporary directory that holds the instance files INSTANCES they read.  Each
+case prints one JSON line
 
     {"case": name, "exit": exit code, "stdout_sha256": digest of stdout,
      "out_sha256": digest of the file the case writes with --out, null when none}
@@ -53,6 +53,9 @@ CLI_CASES = [
     ("verify", ["verify", "--certificate", "cert.json"]),
     ("sos-infeasible", ["sos", "--algebra", "su2", "--expr=-1", "--degree", "0"]),
     ("theorem", ["theorem", "--instance", "instance.json"]),
+    # theorem runs whose symbol check ends in a counterexample and in a nontrivial zero
+    ("theorem-counterexample", ["theorem", "--instance", "counterexample.json"]),
+    ("theorem-not-strictly-positive", ["theorem", "--instance", "boundary.json"]),
     ("audit-su2", ["audit", "--algebra", "su2", "--spins", "1/2"]),
     ("audit-abelian", ["audit", "--algebra", "abelian(2)", "--points", "1,2"]),
     # the two audit commands of the README
@@ -65,8 +68,17 @@ CLI_CASES = [
     ("scan-abelian-points", ["scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + x1^2",
                              "--points", "0,0", "--points", "2,1"]),
 ]
-INSTANCE = {"algebra": "su2", "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1"], "epsilon": "1",
-            "n_max": 0, "d_max": 4}
+# the instance files the theorem cases read, by file name
+INSTANCES = {
+    "instance.json": {"algebra": "su2", "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1"],
+                      "epsilon": "1", "n_max": 0, "d_max": 4},
+    # symbol t1^4+t2^4+t3^4-3t1^2t2^2: positive on the axes, negative at (1, 1, 0)
+    "counterexample.json": {"algebra": "abelian(3)", "c": "x1^4 + x2^4 + x3^4 - 3*x1^2*x2^2",
+                            "f": ["1"], "epsilon": "1", "n_max": 0, "d_max": 4},
+    # symbol (t1^2-t2^2)^2+t3^4: a sum of squares, zero at (1, 1, 0)
+    "boundary.json": {"algebra": "abelian(3)", "c": "(x1^2 - x2^2)^2 + x3^4", "f": ["1"],
+                      "epsilon": "1", "n_max": 0, "d_max": 4},
+}
 
 
 def digest(texts) -> str:
@@ -77,8 +89,9 @@ def cli_lines(checkout: str):
     """One line per case of CLI_CASES, run by the interpreter running this script."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "instance.json"), "w", encoding="utf-8") as fh:
-            json.dump(INSTANCE, fh)
+        for filename, instance in INSTANCES.items():
+            with open(os.path.join(tmp, filename), "w", encoding="utf-8") as fh:
+                json.dump(instance, fh)
         for name, argv in CLI_CASES:
             proc = subprocess.run([sys.executable, "-m", "envsos", *argv], cwd=tmp, env=env,
                                   capture_output=True, timeout=600, check=False)
