@@ -63,7 +63,8 @@ CUBED_NORM = {(2 * i, 2 * j, 6 - 2 * i - 2 * j): Fraction(6, 100 * math.factoria
               for i in range(4) for j in range(4 - i)}
 PERTURBED_MOTZKIN = {m: MOTZKIN.get(m, 0) + CUBED_NORM.get(m, 0) for m in {*MOTZKIN, *CUBED_NORM}}
 SU2_A = canonical_a(builtin("su2"))
-# name: (target, level_cap, status); the first two run the level-0 proof before any scan
+# name: (target, level_cap, status).  The symbols of both certified cases, of the indefinite
+# quartic and of the perturbed Motzkin form are positive on the axes: they solve level 0 first
 SYMBOL_CASES = {
     "su2 a^2": (SU2_A * SU2_A, 2, "certified-positive"),
     "(t1^2+t2^2+t3^2)^2": (_abelian3({(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (2, 2, 0): 2,
