@@ -14,17 +14,18 @@ until success or exhaustion.
 The two verifiers share one block check (square shapes, Hermitian entries,
 then an exact LDL of every block before any re-expansion), which always
 factors the certificate's current Gram blocks, and one integer re-expansion
-kernel, both in integers cleared by one helper, exactla.cleared: the LDL
-eliminates fraction-free on the block cleared once to a GaussMatrix, and the
-kernel clears the block, and its rows NF(w_p^* f_l), to Gaussian integers
-over one denominator each, multiplies by w_q through the normal-form
-straightening (exponent addition for a commutative certificate), accumulates
-[re, im] integer pairs in one dict over one common denominator and compares
-that sum with the target.  A certificate must state the algebra, target and
-generators it is checked against, so the claim the JSON form writes is the
-claim that was checked.  Every call starts from nothing: no state is kept
-between calls but the algebra's straightening memo; loading shares one
-algebra per exact structure, a normal-form memo and not verifier state.
+kernel, both in integers cleared by one helper, exactla.cleared: each block
+is cleared once to a GaussMatrix, which the LDL eliminates fraction-free and
+the kernel reads; the kernel clears the block's rows NF(w_p^* f_l) to
+Gaussian integers over one denominator, multiplies by w_q through the
+normal-form straightening (exponent addition for a commutative certificate),
+accumulates [re, im] integer pairs in one dict over one common denominator
+and compares that sum with the target.  A certificate must state the
+algebra, target and generators it is checked against, so the claim the JSON
+form writes is the claim that was checked.  Every call starts from nothing:
+no state is kept between calls but the algebra's straightening memo; loading
+shares one algebra per exact structure, a normal-form memo and not verifier
+state.
 
 On success the verifier keeps the fresh factors on the in-memory certificate
 (a strict symbol proof reads them), so each block is factored once per
@@ -188,10 +189,11 @@ def round_and_verify(problem, g_numeric):
 
 
 def _block_factors(grams, sizes):
-    """Exact LDL factors of every block, or None when a block is malformed or not PSD.
+    """(blocks, factors) of the Gram blocks, or None when a block is malformed or not PSD.
 
-    Checks square shapes first, then clears each block once and checks it
-    is Hermitian, then factors each block from scratch.
+    Checks square shapes first, then clears each block once to a GaussMatrix
+    and checks it is Hermitian, then factors each block from scratch.  The
+    cleared blocks are what _reexpand reads.
     """
     if len(grams) != len(sizes):
         return None
@@ -209,32 +211,30 @@ def _block_factors(grams, sizes):
         if not res.psd:
             return None
         factors.append(res)
-    return factors
+    return blocks, factors
 
 
 def _reexpand(blocks, multiply):
     """sum_l sum_pq (G_l)_pq row_lp * w_q as integers ({monomial: [re, im]}, den) over one den.
 
-    blocks yields (rows, basis, gram) with row_lp = NF(w_p^* f_l) as {monomial: Scalar};
-    multiply(m, w) is the normal form of x^m x^w as {monomial: rational}.  Each block's
-    Gram entries and rows are cleared to Gaussian integers, each over one denominator;
-    for every w_q the combination sum_p (G_l)_pq row_lp is formed in integers and
-    multiplied out once.  The running sum lives in one dict of [re, im] pairs over den,
+    blocks yields (rows, basis, gram) with row_lp = NF(w_p^* f_l) as {monomial: Scalar}
+    and gram the GaussMatrix block of _block_factors; multiply(m, w) is the normal form
+    of x^m x^w as {monomial: rational}.  Each block's rows are cleared to Gaussian
+    integers over one denominator; for every w_q the combination sum_p (G_l)_pq row_lp
+    is formed in integers and multiplied out once.  The running sum lives in one dict of [re, im] pairs over den,
     rescaled in place whenever a new denominator does not divide den.
     """
     acc: dict = {}
     den = 1
     for rows, basis, gram in blocks:
-        n = len(basis)
-        g, gden = cleared([s for row in gram for s in row])
         values, rden = cleared([s for row in rows for s in row.values()])
         values = iter(values)
         cleared_rows = [[(m, next(values)) for m in row] for row in rows]
-        block_den = gden * rden
+        block_den = gram.den * rden
         for q, wq in enumerate(basis):
             combination: dict = {}
-            for p in range(n):
-                a, b = g[p * n + q]
+            for p, (gre, gim) in enumerate(zip(gram.re, gram.im)):
+                a, b = gre[q], gim[q]
                 if not (a or b):
                     continue
                 for m, (c, d) in cleared_rows[p]:
@@ -302,12 +302,13 @@ def verify_certificate(cert: WeightedSosCertificate, target: AlgebraElement,
     for basis, gen in zip(cert.bases, generators):
         if any(2 * sum(w) + (gen.degree() or 0) > cert.degree for w in basis):
             return False
-    factors = _block_factors(cert.grams, [len(basis) for basis in cert.bases])
-    if factors is None:
+    checked = _block_factors(cert.grams, [len(basis) for basis in cert.bases])
+    if checked is None:
         return False
+    grams, factors = checked
     blocks = (([_mul_terms(algebra, _star_monomial(algebra, wp), gen.terms) for wp in basis],
                basis, gram)
-              for basis, gram, gen in zip(cert.bases, cert.grams, generators))
+              for basis, gram, gen in zip(cert.bases, grams, generators))
     if not _matches(_reexpand(blocks, partial(_mul_monomials, algebra)), target.terms):
         return False
     cert.ldl_results = factors
@@ -339,10 +340,11 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
         return False
     if not all(s.is_real() for row in cert.gram for s in row):
         return False
-    factors = _block_factors([cert.gram], [len(cert.basis)])
-    if factors is None:
+    checked = _block_factors([cert.gram], [len(cert.basis)])
+    if checked is None:
         return False
-    blocks = [([{tuple(wp): ONE} for wp in cert.basis], cert.basis, cert.gram)]
+    [gram], factors = checked
+    blocks = [([{tuple(wp): ONE} for wp in cert.basis], cert.basis, gram)]
     expansion = _reexpand(blocks, lambda m, w: {tuple(a + b for a, b in zip(m, w)): 1})
     if not _matches(expansion, {m: Scalar(q) for m, q in target.coeffs.items()}):
         return False

@@ -14,9 +14,11 @@ a positive-definite exact Gram proves strict positivity, and no scan runs.
 The window members' representations are built once per search and handed to
 the margin proof and to every search attempt, where those that map the
 target to a singular matrix restrict the Gram blocks to a face (see
-sos.find_certificate); the kernels of each target on the members are found
-once and used at every degree D.  An element keeps its hermitean verdict, so
-a target is straightened into its star once however many members check it.
+sos.find_certificate).  A representation keeps the image of each element it
+forms, so c - epsilon is imaged once per member for both the evidence and
+the margin proof, and each target once per member however many degrees D
+it tries.  An element keeps its hermitean verdict, so a target is
+straightened into its star once however many members check it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .reps import is_su2_standard, scan_dual_window, spin_window
 # kept only so that perfbench/spans.py can wrap this name under --trace 1
 from .reps import make_spin_rep  # noqa: F401
 from .scalar import format_fraction
-from .sos import commutative_sos, find_certificate, member_kernels, sample_sign_information
+from .sos import commutative_sos, find_certificate, sample_sign_information
 
 SCHEMA_VERSION = 1
 
@@ -364,13 +366,10 @@ def search_certificate(inst: TheoremInstance) -> SearchTranscript:
         target = conjugate_by(s, base)
         tdeg = target.degree() or 0
         start = tdeg + (tdeg % 2)
-        degrees = range(start, inst.d_max + 1, 2)
-        # the target's member kernels do not depend on D: found once, used at every D
-        kernels = member_kernels(target, inst.f, window_reps) if degrees else []
-        for D in degrees:
+        for D in range(start, inst.d_max + 1, 2):
             report = find_certificate(target, inst.f, D, opts=inst.solver,
                                       skeleton=_skeleton(skeletons, algebra, inst.f, D),
-                                      reps=window_reps, kernels=kernels)
+                                      reps=window_reps)
             attempts.append((n, D, report.status))
             if report.status == "certificate":
                 certificate = report.certificate

@@ -21,9 +21,12 @@ trusts its input to be exactly Hermitian (see ldl_hermitian).
 
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
-product loop.  Representations, the operator audits, kernels, Gram faces and
-blocks and the LDL^* decision all hold their complex matrices in this form;
-Scalar matrices appear only at the boundary, through from_scalars and scalars.
+product loop.  Representations and the images they keep, the operator
+audits, kernels, the faces of the Gram problems and the LDL^* decision hold
+their complex matrices in this form.  Gram blocks (the layout's and the
+certificates') and forced face vectors are rows of Scalars, cleared by
+from_scalars where they are multiplied, reduced or factored (the verifier
+clears a certificate's block once, for its LDL and its re-expansion).
 """
 
 from __future__ import annotations

@@ -195,11 +195,15 @@ def _render_coeff(s: Scalar) -> str:
 
 def render(e: AlgebraElement) -> str:
     """Canonical text: terms by (degree, exponents), parseable back exactly."""
-    if e.is_zero():
+    return render_terms(e.terms, e.algebra.names)
+
+
+def render_terms(terms, names) -> str:
+    """Canonical text of {monomial: Scalar} over the variable names; "0" when empty."""
+    if not terms:
         return "0"
-    names = e.algebra.names
     pieces = []
-    for mono, coeff in sorted(e.terms.items(), key=lambda kv: term_sort_key(kv[0])):
+    for mono, coeff in sorted(terms.items(), key=lambda kv: term_sort_key(kv[0])):
         body = _render_monomial(mono, names)
         ctext = _render_coeff(coeff)
         negate = ctext.startswith("-") and not ctext.startswith("-(")
@@ -210,7 +214,6 @@ def render(e: AlgebraElement) -> str:
         elif ctext == "-1":
             term = f"-{body}"
             negate = True
-            ctext = "1"
         else:
             term = f"{ctext}*{body}"
         if not pieces:

@@ -193,15 +193,6 @@ class AffineOperator:
         """Row i of A applied to g."""
         return sum(x * g[j] for j, x in self.rows[i].items())
 
-    def pull_back(self, lam):
-        """W^-1 A_ind^T lam, dense."""
-        out = [0] * self.nvars
-        for i, li in zip(self.independent, lam):
-            if li:
-                for j, x in self.rows[i].items():
-                    out[j] += x * li
-        return [w * v if v else v for w, v in zip(self.winv, out)]
-
     def float_data(self):
         """A_ind, N and W^-1 as float arrays, built on first use."""
         if self._float_cache is None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactla import clear
+from .scalar import Scalar
 
 
 class CommutativePoly:
@@ -187,30 +188,11 @@ class CommutativePoly:
         return f"CommutativePoly({self.nvars}, {self.coeffs!r})"
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m, q in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0]))):
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(f"t{i+1}")
-                elif e > 1:
-                    factors.append(f"t{i+1}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append((q, str(abs(q))))
-            elif abs(q) == 1:
-                parts.append((q, body))
-            else:
-                parts.append((q, f"{abs(q)}*{body}"))
-        text = ""
-        for q, body in parts:
-            if not text:
-                text = body if q > 0 else f"-{body}"
-            else:
-                text += f" + {body}" if q > 0 else f" - {body}"
-        return text
+        """The canonical text of AlgebraElement's renderer, over the names t1..tn."""
+        from .exprs import render_terms
+
+        return render_terms({m: Scalar(q) for m, q in self.coeffs.items()},
+                            [f"t{i + 1}" for i in range(self.nvars)])
 
 
 def squared_norm_poly(nvars: int) -> CommutativePoly:

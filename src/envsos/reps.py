@@ -7,7 +7,9 @@ once to an exactla.GaussMatrix, Gaussian-integer rows over one denominator,
 after its shape is checked.  Construction then checks, exactly and on those
 integers, that the matrices satisfy the algebra's commutation relations and
 that every generator image is skew-adjoint for the metric.  Images of
-elements are formed in the same form; evaluate is their Scalar view.
+elements are formed in the same form, once per element: an AlgebraElement
+never changes, so each image is kept and shared by is_positive,
+weighted_matrix, evaluate (its Scalar view) and the forced faces of sos.
 
 The rational weight basis keeps spin representation entries in Q(i); the
 metric absorbs the usual square roots.
@@ -33,6 +35,7 @@ class FiniteDimRep:
         self.metric = [Fraction(s) for s in metric]
         self.label = label
         self._eval_cache: dict = {}
+        self._images: dict = {}
         n = self.dim_rep
         if len(mats) != algebra.dim:
             raise ContextInvalid("need one matrix per generator")
@@ -81,12 +84,15 @@ class FiniteDimRep:
         return out
 
     def image(self, e: AlgebraElement) -> GaussMatrix:
-        """pi(e), an algebra homomorphism by construction."""
+        """pi(e), an algebra homomorphism by construction; formed once per element."""
         if e.algebra != self.algebra:
             raise AlgebraMismatch("element and representation algebras differ")
-        out = GaussMatrix.zero(self.dim_rep)
-        for mono, coeff in e.terms.items():
-            out = out + self._monomial_matrix(mono).scale(coeff)
+        out = self._images.get(e)
+        if out is None:
+            out = GaussMatrix.zero(self.dim_rep)
+            for mono, coeff in e.terms.items():
+                out = out + self._monomial_matrix(mono).scale(coeff)
+            self._images[e] = out
         return out
 
     def evaluate(self, e: AlgebraElement):

@@ -3,8 +3,9 @@
 find_certificate builds the Gram problem of one (target, generators, degree)
 instance.  Given exact representations (the driver passes the members of
 the dual window), it first derives the vectors every Gram certificate must
-annihilate from those that map the target to a singular matrix, and restricts
-the problem to that face; without such a vector the problem is unreduced.
+annihilate from those that map the target to a singular matrix, reading the
+images each representation keeps, and restricts the problem to that face;
+without such a vector the problem is unreduced.
 commutative_sos builds the one of a level of the sphere multiplier
 hierarchy for homogeneous polynomials, with grid sampling first: a negative
 sample point settles the question before any solver work, and exact zeros
@@ -70,61 +71,46 @@ class FeasibilityReport:
 def find_certificate(c: AlgebraElement, f, degree: int,
                      opts: SolveOptions | None = None,
                      skeleton: GramSkeleton | None = None,
-                     reps=(), kernels=None) -> FeasibilityReport:
+                     reps=()) -> FeasibilityReport:
     """Attempt an exactly verified weighted SOS certificate for c at degree D.
 
     `reps` are exact representations, typically the members of a dual
     window.  Where one maps c to a matrix with a kernel, the vectors of
     forced_face_vectors restrict each Gram block to the face that every
     certificate must lie on, and the search and the rounding run there.  With
-    no such vector the problem is the unreduced one.  `kernels` is
-    member_kernels(c, f, reps) when the caller already has it, as a caller
-    that tries one target at several degrees does.
+    no such vector the problem is the unreduced one.
     """
     if skeleton is None:
         skeleton = GramSkeleton(c.algebra, f, degree)
     faces = None
-    forced = forced_face_vectors(c, f, skeleton.bases, reps, kernels)
+    forced = forced_face_vectors(c, f, skeleton.bases, reps)
     if any(forced):
         faces = [nullspace(GaussMatrix.from_scalars(z), len(basis)) if z else None
                  for z, basis in zip(forced, skeleton.bases)]
     return _solve_and_round(skeleton.problem_for(c, faces), opts)
 
 
-def member_kernels(c: AlgebraElement, f, reps):
-    """[(rep, kernel)] for each rep that maps c to a singular matrix and every f_l to PSD.
-
-    kernel lists the vectors of a basis of the kernel of pi(c), each as a
-    one-column GaussMatrix.  It depends on c, f and reps but not on a degree.
-    """
-    out = []
-    for rep in reps:
-        K = nullspace(rep.image(c), rep.dim_rep)
-        if not K.re or not all(rep.is_positive(g) for g in f):
-            continue
-        out.append((rep, [GaussMatrix([[x] for x in re], [[y] for y in im], K.den)
-                          for re, im in zip(K.re, K.im)]))
-    return out
-
-
-def forced_face_vectors(c: AlgebraElement, f, bases, reps, kernels=None):
+def forced_face_vectors(c: AlgebraElement, f, bases, reps):
     """Per block l, exact vectors z with G_l z = 0 for every Gram certificate of c.
 
     A representation pi is used only when it maps c to a matrix with a kernel
-    and every pi(f_l) is PSD (decided exactly, by member_kernels unless
-    `kernels` is its result for reps).  For v in that kernel, with S the
-    metric, H_l = S pi(f_l) and U_l the matrix whose column q is pi(w_q) v
-    over the basis of block l,
+    and every pi(f_l) is PSD (decided exactly, on the images pi keeps, so c
+    is imaged once per pi at every degree).  For v in that kernel, with S
+    the metric, H_l = S pi(f_l) and U_l the matrix whose column q is
+    pi(w_q) v over the basis of block l,
 
         0 = <pi(c) v, v>_S = sum_l sum_pq (G_l)_pq (pi(w_p) v)^H H_l (pi(w_q) v),
 
     a sum of traces of products of PSD matrices, so every term vanishes and
     G_l annihilates each row of H_l U_l.  Zero rows are left out.
     """
-    if kernels is None:
-        kernels = member_kernels(c, f, reps)
     forced = [[] for _ in bases]
-    for rep, kernel in kernels:
+    for rep in reps:
+        K = nullspace(rep.image(c), rep.dim_rep)
+        if not K.re or not all(rep.is_positive(g) for g in f):
+            continue
+        kernel = [GaussMatrix([[x] for x in re], [[y] for y in im], K.den)
+                  for re, im in zip(K.re, K.im)]
         for gen, basis, vectors in zip(f, bases, forced):
             H = rep.weighted_matrix(gen)
             HW = [H @ rep.image(AlgebraElement.monomial(c.algebra, w)) for w in basis]

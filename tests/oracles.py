@@ -36,7 +36,9 @@ per reduced coordinate and multiplied Q^H G' Q in Scalar arithmetic, and
 reference_operator_pivots is the earlier two-pass AffineOperator: a row
 selection on A alone, then a second elimination of [A_ind | I].
 reference_check_assumption_ii is the earlier symbol check, which ran the exact
-sign scan before any level of the sphere hierarchy.
+sign scan before any level of the sphere hierarchy.  reference_poly_render is
+the earlier CommutativePoly.render, with its own term order and coefficient
+text instead of the element renderer.
 """
 
 from __future__ import annotations
@@ -932,3 +934,31 @@ def reference_check_assumption_ii(c: AlgebraElement, level_cap: int = 2,
                 "symbol": symbol.render(),
             }
     return {"status": "inconclusive", "detail": f"no certificate up to level {level_cap}"}
+
+
+def reference_poly_render(p) -> str:
+    """Frozen copy of the earlier CommutativePoly.render."""
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for m, q in sorted(p.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0]))):
+        factors = []
+        for i, e in enumerate(m):
+            if e == 1:
+                factors.append(f"t{i+1}")
+            elif e > 1:
+                factors.append(f"t{i+1}^{e}")
+        body = "*".join(factors)
+        if not body:
+            parts.append((q, str(abs(q))))
+        elif abs(q) == 1:
+            parts.append((q, body))
+        else:
+            parts.append((q, f"{abs(q)}*{body}"))
+    text = ""
+    for q, body in parts:
+        if not text:
+            text = body if q > 0 else f"-{body}"
+        else:
+            text += f" + {body}" if q > 0 else f" - {body}"
+    return text

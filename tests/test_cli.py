@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from envsos.certs import verify_certificate_json
 from envsos.cli import main
 from envsos.lie import builtin, to_json_dict
 
@@ -105,6 +106,28 @@ def test_theorem_found_and_exhausted(tmp_path, capsys):
                        "--nmax", "0", "--dmax", "2")
     assert code == 1
     assert json.loads(out)["status"] == "exhausted"
+
+
+@pytest.mark.parametrize("algebra, c, points, members", [
+    ("abelian(1)", "(1 - x1^2)^2", [["0"], ["1"], ["-1/2"]], ["(0)", "(1)", "(-1/2)"]),
+    # no window points: the default grid {0, 1, -1}^2
+    ("abelian(2)", "(1 - x1^2)^2 + (1 - x2^2)^2", None,
+     [f"({a}, {b})" for a in ("0", "1", "-1") for b in ("0", "1", "-1")]),
+])
+def test_theorem_on_an_abelian_window(tmp_path, capsys, algebra, c, points, members):
+    inst = {"algebra": algebra, "c": c, "f": ["1"], "epsilon": "1/2", "n_max": 0, "d_max": 4}
+    if points is not None:
+        inst["window_points"] = points
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, out, _ = run(capsys, "theorem", "--instance", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "found"
+    assert data["config"]["window"] == points
+    assert data["assumption_i"]["members"] == members
+    assert data["assumption_i"]["evidence"] == "pass"
+    assert verify_certificate_json(data["certificate"])
 
 
 def test_theorem_noncentral(tmp_path, capsys):

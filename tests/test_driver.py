@@ -303,11 +303,11 @@ def test_search_images_each_target_once_per_member(su2, monkeypatch):
     # with no solver iterations the target (a - 1)^2 + 1 walks D = 4 and D = 6 uncertified
     unit = AlgebraElement.unit(su2)
     target = (canonical_a(su2) - unit) * (canonical_a(su2) - unit) + unit
-    images = []
+    images = []  # the images of the target actually formed: misses of the kept images
     image = FiniteDimRep.image
 
     def counting_image(self, e):
-        if e == target:
+        if e == target and e not in self._images:
             images.append(self.label)
         return image(self, e)
 

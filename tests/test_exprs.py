@@ -8,9 +8,10 @@ from envsos.errors import CyclicAlias, ExprSyntaxError, NegativeExponent, Unknow
 from envsos.exprs import expand_aliases, parse, render
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement, canonical_a, x0
+from envsos.poly import CommutativePoly
 from envsos.scalar import Scalar
 
-from oracles import random_element
+from oracles import random_element, reference_poly_render
 
 
 def test_canonical_a_expression(su2):
@@ -114,6 +115,20 @@ def test_roundtrip_structured(p, q, r, k):
     mono = (k, 1, 0)
     e = AlgebraElement(su2, {mono: coeff})
     assert parse(render(e), su2) == e
+
+
+@st.composite
+def commutative_polys(draw):
+    nvars = draw(st.integers(1, 4))
+    monomial = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    return CommutativePoly(nvars, draw(st.dictionaries(monomial, coeff, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutative_polys())
+def test_poly_render_matches_the_frozen_renderer(p):
+    assert p.render() == reference_poly_render(p)
 
 
 def test_render_then_parse_idempotent(su2):

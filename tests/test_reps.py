@@ -5,6 +5,7 @@ import pytest
 
 from envsos.errors import ContextInvalid, NotAbelian, NotHermitean
 from envsos.exactla import cmat_identity
+from envsos.exprs import parse, render
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement, canonical_a
 from envsos.reps import (
@@ -211,6 +212,21 @@ def test_evaluate_is_homomorphism(builtins, su2):
             right = reference_cmat_mul(rep.evaluate(u), rep.evaluate(v))
             assert left == right
         assert rep.evaluate(AlgebraElement.unit(alg)) == cmat_identity(rep.dim_rep)
+
+
+def test_an_element_rebuilt_equal_finds_the_kept_image():
+    rng = random.Random(41)
+    rep = make_spin_rep(half(3))
+    for _ in range(8):
+        e = random_element(rep.algebra, rng, max_degree=3)
+        twin = parse(render(e), rep.algebra)
+        assert twin is not e and twin == e and hash(twin) == hash(e)
+        first = rep.image(e)
+        assert rep.image(twin) is first
+        assert rep.evaluate(twin) == first.scalars()
+    # each kept image is the one a fresh representation forms
+    fresh = make_spin_rep(half(3))
+    assert all(fresh.image(e).scalars() == M.scalars() for e, M in rep._images.items())
 
 
 def test_evaluate_respects_involution():

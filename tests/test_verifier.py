@@ -26,7 +26,8 @@ from envsos.lie import builtin
 from envsos.pbw import AlgebraElement
 from envsos.poly import CommutativePoly
 from envsos.scalar import Scalar
-from envsos.sos import find_certificate
+from envsos.reps import make_point_rep
+from envsos.sos import commutative_sos, find_certificate
 
 from oracles import (
     planted_target,
@@ -224,3 +225,52 @@ def test_one_verification_builds_no_element_per_gram_entry(planted_su2, monkeypa
     assert verify_certificate(_copy(cert), target, f)
     rows = sum(len(basis) for basis in cert.bases)
     assert counts["init"] + counts["add"] <= rows + 4
+
+
+# the upper triangle of [[1, 0], [4, 1]] is the identity, so only the Hermitian test rejects it
+NOT_HERMITIAN = [[Scalar(1), Scalar(0)], [Scalar(4), Scalar(1)]]
+
+
+def test_a_block_that_is_not_hermitian_is_rejected():
+    ab = builtin("abelian(2)")
+    unit = AlgebraElement.unit(ab)
+    x1, x2 = (AlgebraElement.generator(ab, k) for k in range(2))
+    # sum_pq G_pq w_p^* w_q with x_k^* = -x_k, which is negative at the point (1, -1)
+    target = -(x1 * x1 + (x1 * x2).scale(4) + x2 * x2)
+    assert not make_point_rep(ab, (1, -1)).is_positive(target)
+    cert = WeightedSosCertificate(ab, 2, target, [unit], [[(1, 0), (0, 1)]], [NOT_HERMITIAN])
+    assert not verify_certificate(cert, target, [unit])
+    assert not verify_certificate_json(cert.to_json_dict())
+
+
+def test_a_commutative_block_that_is_not_symmetric_is_rejected():
+    p = CommutativePoly(2, {(2, 0): 1, (1, 1): 4, (0, 2): 1})
+    assert p.evaluate((1, -1)) == -2
+    cert = CommutativeSosCertificate(p, 0, [(1, 0), (0, 1)], NOT_HERMITIAN)
+    assert not verify_commutative_certificate(cert, p)
+    assert not verify_certificate_json(cert.to_json_dict())
+
+
+def _zero_padded_json(kind):
+    """A certificate of x1^2 (t1^2) over the basis [x1, x2] whose Gram has a zero last row."""
+    gram = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]]
+    if kind == "commutative":
+        p = CommutativePoly(2, {(2, 0): 1})
+        return CommutativeSosCertificate(p, 0, [(1, 0), (0, 1)], gram).to_json_dict()
+    ab = builtin("abelian(2)")
+    x1 = AlgebraElement.generator(ab, 0)
+    unit = AlgebraElement.unit(ab)
+    return WeightedSosCertificate(ab, 2, -(x1 * x1), [unit], [[(1, 0), (0, 1)]],
+                                  [gram]).to_json_dict()
+
+
+@pytest.mark.parametrize("shape", ["ragged", "not square"])
+@pytest.mark.parametrize("kind", ["weighted", "commutative"])
+def test_a_malformed_block_in_json_is_rejected(kind, shape):
+    # dropping a zero entry or the zero last row leaves the re-expansion unchanged
+    data = _zero_padded_json(kind)
+    assert verify_certificate_json(data)
+    holder = data["blocks"][0] if kind == "weighted" else data
+    gram = holder["gram"]
+    holder["gram"] = [gram[0], gram[1][:-1]] if shape == "ragged" else gram[:-1]
+    assert verify_certificate_json(data) is False

@@ -56,6 +56,8 @@ CLI_CASES = [
     # theorem runs whose symbol check ends in a counterexample and in a nontrivial zero
     ("theorem-counterexample", ["theorem", "--instance", "counterexample.json"]),
     ("theorem-not-strictly-positive", ["theorem", "--instance", "boundary.json"]),
+    # a theorem run on an abelian algebra, whose window is a list of points
+    ("theorem-abelian-window", ["theorem", "--instance", "abelian-window.json"]),
     ("audit-su2", ["audit", "--algebra", "su2", "--spins", "1/2"]),
     ("audit-abelian", ["audit", "--algebra", "abelian(2)", "--points", "1,2"]),
     # the two audit commands of the README
@@ -78,6 +80,9 @@ INSTANCES = {
     # symbol (t1^2-t2^2)^2+t3^4: a sum of squares, zero at (1, 1, 0)
     "boundary.json": {"algebra": "abelian(3)", "c": "(x1^2 - x2^2)^2 + x3^4", "f": ["1"],
                       "epsilon": "1", "n_max": 0, "d_max": 4},
+    "abelian-window.json": {"algebra": "abelian(1)", "c": "(1 - x1^2)^2", "f": ["1"],
+                            "epsilon": "1/2", "n_max": 0, "d_max": 4,
+                            "window_points": [["0"], ["1"], ["-1/2"]]},
 }
 
 
