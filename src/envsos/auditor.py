@@ -36,7 +36,7 @@ wrapper of that name sees every call.
 from __future__ import annotations
 
 from .errors import ContextInvalid
-from .exactla import EchelonAccumulator, GaussMatrix
+from .exactla import EchelonAccumulator, GaussMatrix, realified
 from .exactla import inverse as cmat_inverse
 from .exprs import render
 from .lie import LieAlgebra, b_constants
@@ -189,18 +189,9 @@ class OperatorAlgebraContext:
         return out
 
 
-def _vec(M: GaussMatrix):
-    """M's numerators row by row as {column: int}: real part at 2k, imaginary at 2k + 1, no zeros.
-
-    M's denominator only scales the row, which leaves its span unchanged.
-    """
-    out = {}
-    for k, (a, b) in enumerate(M.numerators()):
-        if a:
-            out[2 * k] = a
-        if b:
-            out[2 * k + 1] = b
-    return out
+def _vec(M: GaussMatrix) -> dict:
+    """M's numerators as one row (exactla.realified); M's denominator leaves its span unchanged."""
+    return realified(M.numerators())
 
 
 class IdealSpan:

@@ -3,7 +3,9 @@
 Two certificate kinds share one pipeline.  A weighted certificate stores, per
 generator block, the monomial basis and an exact Hermitian PSD Gram matrix; a
 commutative one stores one real symmetric Gram over the monomials of a form.
-round_and_verify is the only path that emits either kind, so nothing
+round_and_verify emits both kinds from a numeric candidate; the one other
+path, sos.commutative_sos for the zero form, builds the empty certificate
+and runs it through verify_commutative_certificate itself.  Nothing
 unverified ever escapes.
 
 Rounding follows Peyrl & Parrilo: snap the numeric Gram entries to rationals

@@ -324,10 +324,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExprSyntaxError as exc:
-        _progress(f"input error: {exc}")
-        return EXIT_INPUT
-    except NonCentralA as exc:
+    except (ExprSyntaxError, NonCentralA) as exc:
         _progress(f"input error: {exc}")
         return EXIT_INPUT
     except (EnvSosError, ValueError, OSError, KeyError, ZeroDivisionError,

@@ -74,14 +74,7 @@ class TheoremInstance:
         deg = self.c.degree()
         if deg is not None and deg % 2 == 1:
             raise ValueError("the target must have even degree")
-        spins = isinstance(self.window, (int, Fraction))
-        if self.window is not None and not has_dual_window(self.algebra):
-            raise ValueError("this algebra has no concrete dual window; give neither l_max "
-                             "nor window_points")
-        if spins and self.algebra.is_abelian():
-            raise ValueError("an abelian algebra takes window points, not a spin window (l_max)")
-        if self.window is not None and not spins and is_su2_standard(self.algebra):
-            raise ValueError("su(2) takes a spin window (l_max), not window points")
+        window_labels(self.algebra, self.window)
 
     def config_dict(self):
         return {
@@ -205,34 +198,43 @@ def _certified(symbol, level: int, strict_proof: bool) -> dict:
             "symbol": symbol.render()}
 
 
-def default_window(algebra, window):
-    if window is not None:
-        return window
+def window_labels(algebra, window):
+    """The labels of the algebra's dual window to scan, or None when it has no window.
+
+    An abelian algebra takes points (by default a small rational grid around
+    the origin) and standard su(2) a spin window l_max (by default 3); a
+    window of the other kind, or any window on another algebra, is a ValueError.
+    """
+    spins = isinstance(window, (int, Fraction))
     if algebra.is_abelian():
-        # small rational grid around the origin
+        if spins:
+            raise ValueError("an abelian algebra takes window points, not a spin window (l_max)")
+        if window is not None:
+            return window
         vals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
         if algebra.dim == 1:
             return [(v,) for v in vals]
         return list(itertools.product(vals[:3], repeat=algebra.dim))
-    return Fraction(3)
-
-
-def has_dual_window(algebra) -> bool:
-    """True for the algebras with a concrete dual window: abelian ones and standard su(2)."""
-    return algebra.is_abelian() or is_su2_standard(algebra)
+    if is_su2_standard(algebra):
+        if window is not None and not spins:
+            raise ValueError("su(2) takes a spin window (l_max), not window points")
+        return spin_window(Fraction(3) if window is None else window)
+    if window is not None:
+        raise ValueError("this algebra has no concrete dual window; give neither l_max "
+                         "nor window_points")
+    return None
 
 
 def window_members(algebra, f, window=None):
     """{label: rep} for the members of the window's semialgebraic dual set.
 
-    Members are the window labels whose representation maps every generator
-    to a PSD matrix (decided exactly by scan_dual_window).  None when the
-    algebra has no concrete dual window.
+    Members are the labels of window_labels whose representation maps every
+    generator to a PSD matrix (decided exactly by scan_dual_window).  None
+    when the algebra has no concrete dual window.
     """
-    if not has_dual_window(algebra):
+    labels = window_labels(algebra, window)
+    if labels is None:
         return None
-    window = default_window(algebra, window)
-    labels = window if not isinstance(window, (int, Fraction)) else spin_window(window)
     scan = scan_dual_window(algebra, f, labels)
     return {label: scan.reps[label] for label in scan.members()}
 

@@ -13,11 +13,13 @@ kept sparse and primitive, each read as {column: int or Fraction} of its
 nonzeros.  Callers that only need span membership, or the reduced rows in
 integers (the affine operator's one elimination, which selects rows and
 completes their pivots), use it directly.  nullspace takes a GaussMatrix
-and returns its kernel as one; a complex matrix is realified there, into
-(re, im) column pairs, and only there.  inverse reads A^-1 off the kernel
-of [A | -I].  The exact LDL^* decision, the one Hermitian PSD routine, is a
-fraction-free (Bareiss) symmetric factorization over Gaussian integers.  It
-trusts its input to be exactly Hermitian (see ldl_hermitian).
+and returns its kernel as one.  One helper, `realified`, lays (re, im)
+pairs out as a real row, re at column 2k and im at 2k + 1: nullspace uses
+it on a complex matrix's rows, and the auditor's span tests on a matrix's
+numerators.  inverse reads A^-1 off the kernel of [A | -I].  The exact
+LDL^* decision, the one Hermitian PSD routine, is a fraction-free (Bareiss)
+symmetric factorization over Gaussian integers.  It trusts its input to be
+exactly Hermitian (see ldl_hermitian).
 
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
@@ -139,8 +141,8 @@ def nullspace(M: GaussMatrix, ncols: int) -> GaussMatrix:
         if step == 1:
             acc.insert({j: x for j, x in enumerate(re) if x})
         else:  # r and i r = -im + i re
-            acc.insert(_realified(re, im))
-            acc.insert(_realified([-x for x in im], re))
+            acc.insert(realified(zip(re, im)))
+            acc.insert(realified(zip((-x for x in im), re)))
     pivots = [(pc // step, row) for pc, row in acc.reduced_rows() if pc % step == 0]
     den = lcm(*(row[step * c] for c, row in pivots))
     pivot_columns = {c for c, _ in pivots}
@@ -160,9 +162,15 @@ def nullspace(M: GaussMatrix, ncols: int) -> GaussMatrix:
     return GaussMatrix(re, im, den)
 
 
-def _realified(re, im) -> dict:
-    """The row re + i im over columns 2j (real part) and 2j + 1 (imaginary part), nonzeros only."""
-    return {2 * j + k: x for j, pair in enumerate(zip(re, im)) for k, x in enumerate(pair) if x}
+def realified(pairs) -> dict:
+    """The (re, im) pairs as a row {column: value}: re at 2k, im at 2k + 1, no zeros."""
+    out = {}
+    for k, (a, b) in enumerate(pairs):
+        if a:
+            out[2 * k] = a
+        if b:
+            out[2 * k + 1] = b
+    return out
 
 
 def inverse(A: GaussMatrix) -> GaussMatrix:

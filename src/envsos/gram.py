@@ -13,24 +13,21 @@ off-diagonal entries).  Every constraint row is a dict {column: Fraction} of
 its nonzeros, int columns ascending, from where it is built to elimination.
 
 Facial reduction.  When exact vectors are known that every feasible G_l
-must annihilate (sos.forced_face_vectors derives them from representations
-that map c to a singular matrix), a problem can be restricted to the face
-G_l = Q_l^H G'_l Q_l, where the rows of Q_l span the vectors q with q z = 0
-for every forced z.  No feasible point is lost, and a target with no
-interior Gram (su(2)'s a^2 - 1, zero on spin 0) gets one on the face.  The
-reduced rows are the shared skeleton's rows composed with that linear map,
-so the skeleton stays target-independent; congruence() maps a reduced block
-back to the full monomial basis, for certificates of both kinds.  Each face
+must annihilate, a problem can be restricted to the face G_l = Q_l^H G'_l
+Q_l, where the rows of Q_l span the vectors q with q z = 0 for every forced
+z.  Both problems take their faces this way: sos.forced_face_vectors derives
+them from representations that map c to a singular matrix, and the
+commutative analogue used for symbol positivity from exact zeros of the
+form.  No feasible point is lost, and a target with no interior Gram (su(2)'s
+a^2 - 1, zero on spin 0) gets one on the face.  _FacedProblem is the one
+restriction and the one map back, for both: the reduced rows are the full
+rows composed with that linear map (so a skeleton stays target-independent),
+and congruence() maps a reduced block back to the full basis.  Each face
 Q_l is a GaussMatrix, the exact kernel of exactla.nullspace, and both maps
-run on its Gaussian integers.
-
-The module also carries the commutative analogue used for symbol positivity.
-Its rows are built unreduced over the monomial basis, and the kernel vectors
-forced by exact zeros of the form restrict them to a face exactly as a faced
-problem's are, through _compose_rows and congruence.  All constraint data is
-exact; float copies are derived once for the numeric solver, whose affine
-projections use the Frobenius metric of the underlying (reduced) matrices:
-in variable coordinates, the diagonal weight W stored alongside the system.
+run on its Gaussian integers.  All constraint data is exact; float copies
+are derived once for the numeric solver, whose affine projections use the
+Frobenius metric of the underlying (reduced) matrices: in variable
+coordinates, the diagonal weight W stored alongside the system.
 
 Only the rhs b of A g = b depends on the target.  An AffineOperator holds
 what does not: the rows selected on A alone and their pivot completion,
@@ -274,14 +271,36 @@ class AffineSystem:
         return winv * (A.T @ (N @ b))
 
 
-class SdpProblem:
+class _FacedProblem:
+    """The face restriction and the map back to full blocks, shared by both Gram problems."""
+
+    def _restrict(self, rows, full: VariableLayout, faces):
+        """(layout, rows) on faces, one GaussMatrix Q_l or None (a whole block) per block.
+
+        Checks the block cap on the reduced sizes before any row is composed,
+        and returns full and rows untouched when no block has a face.
+        """
+        self.faces, self._full_sizes = faces, full.block_sizes
+        sizes = [n if Q is None else len(Q.re) for n, Q in zip(full.block_sizes, faces)]
+        check_block_cap(sizes)
+        if all(Q is None for Q in faces):
+            return full, rows
+        reduced = VariableLayout(sizes, full.complex_blocks)
+        return reduced, _compose_rows(rows, full, reduced, faces)
+
+    def gram_blocks_exact(self, g):
+        """The exact blocks over the full bases: Q_l^H G'_l Q_l on a face, G_l on a whole block."""
+        return [G if Q is None else congruence(Q, GaussMatrix.from_scalars(G), n).scalars()
+                for G, Q, n in zip(self.layout.gram_blocks_exact(g), self.faces, self._full_sizes)]
+
+
+class SdpProblem(_FacedProblem):
     """Exact Gram feasibility problem for one target on a skeleton (algebra, generators, D).
 
-    `faces` optionally restricts block l to G_l = Q_l^H G'_l Q_l, each Q_l a
-    GaussMatrix (None keeps a block whole).  The system is then written in
-    the coordinates of the G'_l: the skeleton's rows composed with that
-    linear map, with no new normal forms.  gram_blocks_exact always returns blocks over the full
-    monomial bases.
+    `faces` (None: no face) restricts block l to G_l = Q_l^H G'_l Q_l.  The
+    system is then written in the coordinates of the G'_l: the skeleton's
+    rows composed with that linear map, with no new normal forms.  An
+    unfaced problem shares the skeleton's operator.
     """
 
     def __init__(self, target: AlgebraElement, skeleton: "GramSkeleton", faces=None):
@@ -292,22 +311,11 @@ class SdpProblem:
             cm = target.coefficient(mono)
             rhs.append(cm.re)
             rhs.append(cm.im)
-        self.faces = [None] * len(skeleton.bases) if faces is None else list(faces)
-        sizes = [len(b) if Q is None else len(Q.re) for b, Q in zip(skeleton.bases, self.faces)]
-        check_block_cap(sizes)
-        if faces is None:
-            self.layout = skeleton.layout
-            self.system = AffineSystem(skeleton.operator, rhs)
-        else:
-            self.layout = VariableLayout(sizes, complex_blocks=True)
-            rows = _compose_rows(skeleton.rows, skeleton.layout, self.layout, self.faces)
-            self.system = AffineSystem(AffineOperator(rows, self.layout.weights), rhs)
-
-    def gram_blocks_exact(self, g):
-        return [
-            G if Q is None else congruence(Q, GaussMatrix.from_scalars(G), len(basis)).scalars()
-            for G, Q, basis in zip(self.layout.gram_blocks_exact(g), self.faces, self.skeleton.bases)
-        ]
+        self.layout, rows = self._restrict(skeleton.rows, skeleton.layout,
+                                           list(faces or [None] * len(skeleton.bases)))
+        op = (skeleton.operator if self.layout is skeleton.layout
+              else AffineOperator(rows, self.layout.weights))
+        self.system = AffineSystem(op, rhs)
 
 
 def congruence(Q: GaussMatrix, Gp: GaussMatrix, n: int) -> GaussMatrix:
@@ -438,18 +446,18 @@ def build_gram_problem(c: AlgebraElement, f, degree: int,
 # -- commutative variant ---------------------------------------------------------
 
 
-class CommGramProblem:
+class CommGramProblem(_FacedProblem):
     """Plain sum-of-squares feasibility for a homogeneous real polynomial.
 
     At level k the polynomial decomposed is (t_1^2+...+t_d^2)^k * form; it is
     stored as `target`.  The rows are built unreduced, over the monomials w
     of half its degree: column (p, q) meets only the row of t^(w_p + w_q).
     Verified zeros of the form force every feasible Gram to annihilate exact
-    vectors; the rows are then restricted to the face G = Q^T G' Q as a faced
-    SdpProblem's are, which restores a relative interior and makes dyadic
-    rounding land on boundary instances, and a row is dropped when it is zero
-    where the target has no term.  Q is None when nothing is forced.  A level
-    that is not a nonnegative int is a ValueError.
+    vectors; the rows are then restricted to the face G = Q^T G' Q, which
+    restores a relative interior and makes dyadic rounding land on boundary
+    instances, and a row is dropped when it is zero where the target has no
+    term.  Q is None when nothing is forced.  A level that is not a
+    nonnegative int is a ValueError.
     """
 
     def __init__(self, form: CommutativePoly, kernel_points=None, level: int = 0):
@@ -474,28 +482,18 @@ class CommGramProblem:
         kernel_vectors = _forced_kernel_vectors(target, self.monomials, kernel_points or [])
         self.Q = (nullspace(GaussMatrix(kernel_vectors, [[0] * n for _ in kernel_vectors]), n)
                   if kernel_vectors else None)
-        if self.Q is None:
-            self.layout = full
-            self.basis_polys = [CommutativePoly.monomial(target.nvars, w) for w in self.monomials]
-        else:
-            self.layout = VariableLayout([len(self.Q.re)], complex_blocks=False)
-            rows = _compose_rows(rows, full, self.layout, [self.Q])
-            # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}, Q[p][j] = Q.re[p][j] / Q.den
-            self.basis_polys = [CommutativePoly(target.nvars, {w: Fraction(x, self.Q.den)
-                                                               for w, x in zip(self.monomials, row)})
-                                for row in self.Q.re]
-        check_block_cap(self.layout.block_sizes)
+        self.layout, rows = self._restrict(rows, full, [self.Q])
+        # working basis: b_p(t) = sum_j Q[p][j] t^{w_j}, Q[p][j] = Q.re[p][j] / Q.den
+        self.basis_polys = ([CommutativePoly.monomial(target.nvars, w) for w in self.monomials]
+                            if self.Q is None else
+                            [CommutativePoly(target.nvars, {w: Fraction(x, self.Q.den)
+                                                            for w, x in zip(self.monomials, row)})
+                             for row in self.Q.re])
         kept = [i for i, mono in enumerate(row_monomials) if rows[i] or mono in target.coeffs]
         self.row_monomials = [row_monomials[i] for i in kept]
         rhs = [target.coeffs.get(mono, Fraction(0)) for mono in self.row_monomials]
         op = AffineOperator([rows[i] for i in kept], self.layout.weights)
         self.system = AffineSystem(op, rhs)
-
-    def gram_blocks_exact(self, g):
-        """The one exact block over the *monomial* basis: Q^T G' Q on a face."""
-        G, = self.layout.gram_blocks_exact(g)
-        return [G if self.Q is None else
-                congruence(self.Q, GaussMatrix.from_scalars(G), len(self.monomials)).scalars()]
 
 
 def _line_expansion(mono, t0, u, max_order: int):

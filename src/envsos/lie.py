@@ -187,9 +187,6 @@ def builtin(name: str) -> LieAlgebra:
     raise UnknownAlgebra(name)
 
 
-BUILTIN_NAMES = ("abelian(d)", "su2", "heisenberg3", "affine_line", "sl2r")
-
-
 # -- JSON interchange --------------------------------------------------------
 
 

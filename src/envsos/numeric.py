@@ -75,8 +75,9 @@ class NumericOutcome:
 def check_block_cap(block_sizes):
     """ValueError when a Gram block is larger than BLOCK_CAP.
 
-    The Gram problems call it before they build their exact affine operator,
-    so an oversized block is rejected before that work is done.
+    Its one caller, gram._FacedProblem._restrict, runs it on the sizes of a
+    Gram problem's (reduced) blocks before any row is composed or any exact
+    affine operator built, so an oversized block is rejected before that work.
     """
     if block_sizes and max(block_sizes) > BLOCK_CAP:
         raise ValueError(f"a Gram block of size {max(block_sizes)} exceeds the cap {BLOCK_CAP}")
@@ -100,7 +101,6 @@ def solve_feasibility(problem, opts: SolveOptions | None = None) -> NumericOutco
     opts = opts or SolveOptions()
     system = problem.system
     layout = problem.layout
-    check_block_cap(layout.block_sizes)
 
     # exact linear infeasibility needs no numerics at all
     if system.degenerate:

@@ -82,11 +82,9 @@ def find_certificate(c: AlgebraElement, f, degree: int,
     """
     if skeleton is None:
         skeleton = GramSkeleton(c.algebra, f, degree)
-    faces = None
     forced = forced_face_vectors(c, f, skeleton.bases, reps)
-    if any(forced):
-        faces = [nullspace(GaussMatrix.from_scalars(z), len(basis)) if z else None
-                 for z, basis in zip(forced, skeleton.bases)]
+    faces = [nullspace(GaussMatrix.from_scalars(z), len(basis)) if z else None
+             for z, basis in zip(forced, skeleton.bases)]
     return _solve_and_round(skeleton.problem_for(c, faces), opts)
 
 

@@ -3,12 +3,13 @@
 import json
 from fractions import Fraction
 
-from envsos.certs import verify_certificate_json
+from envsos.certs import WeightedSosCertificate, round_and_verify, verify_certificate_json
 from envsos.driver import window_members
 from envsos.exactla import GaussMatrix
 from envsos.exprs import parse
 from envsos.gram import GramSkeleton
 from envsos.lie import builtin
+from envsos.numeric import solve_feasibility
 from envsos.pbw import AlgebraElement, canonical_a
 from envsos.reps import make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
@@ -133,6 +134,25 @@ def test_composed_rows_match_the_full_expansion(su2):
     assert all(r == 0 for r in residual_exact(skeleton.problem_for(target, [Q]).system, g))
     shifted = skeleton.problem_for(target + unit, [Q])
     assert any(r != 0 for r in residual_exact(shifted.system, g))
+
+
+def test_the_empty_face_leaves_no_variable(su2):
+    # every Gram on the empty face is zero: the zero target is met with no
+    # iteration and the all-zero block verifies, the unit target is exactly
+    # inconsistent
+    unit = AlgebraElement.unit(su2)
+    skeleton = GramSkeleton(su2, [unit], 2)
+    empty = GaussMatrix([], [], 1)
+    zero = skeleton.problem_for(AlgebraElement.zero(su2), [empty])
+    assert zero.layout.block_sizes == [0] and zero.layout.nvars == 0
+    outcome = solve_feasibility(zero)
+    assert (outcome.status, outcome.iterations) == ("candidate", 0)
+    cert = round_and_verify(zero, outcome.g)
+    assert isinstance(cert, WeightedSosCertificate)
+    assert cert.grams == [[[Scalar(0)] * 4 for _ in range(4)]]
+    outcome = solve_feasibility(skeleton.problem_for(unit, [empty]))
+    assert outcome.status == "infeasible-evidence"
+    assert outcome.dual["kind"] == "exact-linear"
 
 
 def test_complex_face_from_spin_one_half(su2):

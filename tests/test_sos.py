@@ -722,6 +722,17 @@ def test_commutative_verifier_rejects_level_that_does_not_divide():
         CommutativeSosCertificate(target, 1, basis, _quartic_gram(0)), target)
 
 
+def test_commutative_verifier_rejects_a_target_the_certificate_does_not_state():
+    stated = CommutativePoly(2, {(4, 0): 1, (0, 4): 1})
+    other = CommutativePoly(2, {(4, 0): 1, (0, 4): 2})
+    basis = [(2, 0), (1, 1), (0, 2)]
+    gram = [[Scalar(x if p == q else 0) for q in range(3)] for p, x in enumerate((1, 0, 2))]
+    # the Gram is a true certificate of other, but the certificate states another target
+    assert verify_commutative_certificate(CommutativeSosCertificate(other, 0, basis, gram), other)
+    assert not verify_commutative_certificate(
+        CommutativeSosCertificate(stated, 0, basis, gram), other)
+
+
 def test_negative_form_short_circuits():
     p = CommutativePoly(2, {(2, 0): -1, (0, 2): -1})
     report = commutative_sos(p, 3)

@@ -58,6 +58,8 @@ CLI_CASES = [
     ("theorem-not-strictly-positive", ["theorem", "--instance", "boundary.json"]),
     # a theorem run on an abelian algebra, whose window is a list of points
     ("theorem-abelian-window", ["theorem", "--instance", "abelian-window.json"]),
+    # a theorem run whose margin proof is restricted to a face on both Gram blocks
+    ("theorem-two-generators", ["theorem", "--instance", "two-generators.json"]),
     ("audit-su2", ["audit", "--algebra", "su2", "--spins", "1/2"]),
     ("audit-abelian", ["audit", "--algebra", "abelian(2)", "--points", "1,2"]),
     # the two audit commands of the README
@@ -83,6 +85,9 @@ INSTANCES = {
     "abelian-window.json": {"algebra": "abelian(1)", "c": "(1 - x1^2)^2", "f": ["1"],
                             "epsilon": "1/2", "n_max": 0, "d_max": 4,
                             "window_points": [["0"], ["1"], ["-1/2"]]},
+    "two-generators.json": {"algebra": "su2", "aliases": {"H": "-i*x1"},
+                            "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1", "2 - H"],
+                            "epsilon": "1", "n_max": 0, "d_max": 4},
 }
 
 
