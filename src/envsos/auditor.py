@@ -356,8 +356,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
                 ok5 = False
             if not member(ctx.left[k][l] - ctx.left[l][k]):
                 ok5 = False
-    report["r5"] = {"status": "pass" if ok5 else "unresolved",
-                    "residual_norm": "0" if ok5 else "not reduced to the ideal"}
+    report["r5"] = _ideal_entry(ok5)
 
     # r6: Y x - x Y in Y*ideal, ideal*Y; spans compared both ways
     span.ensure_level(1)
@@ -374,9 +373,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
             ok6 = False
     spans_equal = all(ideal_y.contains(_vec(ctx.Y @ M)) for M in span.basis_matrices) and \
         all(y_ideal.contains(_vec(M @ ctx.Y)) for M in span.basis_matrices)
-    report["r6"] = {"status": "pass" if ok6 else "unresolved",
-                    "residual_norm": "0" if ok6 else "not reduced to the ideal",
-                    "spans_equal": spans_equal}
+    report["r6"] = {**_ideal_entry(ok6), "spans_equal": spans_equal}
 
     # every Y_{kl} Y_{ij} with indices 1..d, formed once for both relations
     prod = {(k, l, i, j): ctx.left[k][l] @ ctx.left[i][j]
@@ -389,16 +386,19 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
             ok7 = False
         if not member(P - prod[k, i, l, j]):
             ok8 = False
-    report["r7"] = {"status": "pass" if ok7 else "unresolved",
-                    "residual_norm": "0" if ok7 else "not reduced to the ideal"}
-    report["r8"] = {"status": "pass" if ok8 else "unresolved",
-                    "residual_norm": "0" if ok8 else "not reduced to the ideal"}
+    report["r7"] = _ideal_entry(ok7)
+    report["r8"] = _ideal_entry(ok8)
     return report
 
 
 def _relation_entry(residual):
     ok = residual.is_zero()
     return {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else "nonzero"}
+
+
+def _ideal_entry(ok: bool):  # r5-r8
+    return {"status": "pass" if ok else "unresolved",
+            "residual_norm": "0" if ok else "not reduced to the ideal"}
 
 
 def full_audit(algebra: LieAlgebra, contexts=None, label: str = "") -> dict:

@@ -13,28 +13,28 @@ with denominator 2^k, project exactly onto the affine constraint subspace,
 take the exact blocks from the problem and gate on the verifier; k escalates
 until success or exhaustion.
 
-The two verifiers share one block check (square shapes, Hermitian entries,
-then an exact LDL of every block before any re-expansion), which always
-factors the certificate's current Gram blocks, and one integer re-expansion
-kernel, both in integers cleared by one helper, exactla.cleared: each block
-is cleared once to a GaussMatrix, which the LDL eliminates fraction-free and
-the kernel reads; the kernel clears the block's rows NF(w_p^* f_l) to
-Gaussian integers over one denominator, multiplies by w_q through the
-normal-form straightening (exponent addition for a commutative certificate),
-accumulates [re, im] integer pairs in one dict over one common denominator
-and compares that sum with the target.  A certificate must state the
-algebra, target and generators it is checked against, so the claim the JSON
-form writes is the claim that was checked.  Every call starts from nothing:
-no state is kept between calls but the algebra's straightening memo; loading
-shares one algebra per exact structure, a normal-form memo and not verifier
-state.
+A Gram block is a GaussMatrix from the problem's layout to both verifiers;
+Scalar rows exist only in JSON writing (_gram_to_json) and reading
+(_parse_gram).  The two verifiers share one block check (square shapes on the
+re rows, Hermitian entries, then an exact LDL of every block before any
+re-expansion), which always factors the certificate's current Gram blocks,
+and one integer re-expansion kernel, which reads each block's integers and
+clears its rows NF(w_p^* f_l) to Gaussian integers over one denominator,
+multiplies by w_q through the normal-form straightening (exponent addition
+for a commutative certificate), accumulates [re, im] integer pairs in one
+dict over one common denominator and compares that sum with the target.  A
+certificate must state the algebra, target and generators it is checked
+against, so the claim the JSON form writes is the claim that was checked.
+Every call starts from nothing: no state is kept between calls but the
+algebra's straightening memo; loading shares one algebra per exact
+structure, a normal-form memo and not verifier state.
 
 On success the verifier keeps the fresh factors on the in-memory certificate
-(a strict symbol proof reads them), so each block is factored once per
-stage: once on emission, none on loading, once on re-verification.  The JSON
-form carries no factors: schema version 2 dropped the ldl_witness field,
-which no reader used; version-1 files are still read and the field is
-ignored.
+as its `factors`, one per block (a strict symbol proof reads them), so each
+block is factored once per stage: once on emission, none on loading, once on
+re-verification.  The JSON form carries no factors: schema version 2
+dropped the ldl_witness field, which no reader used; version-1 files are
+still read and the field is ignored.
 
 Loading is strict: counts, degrees and exponents must be JSON integers
 (nonnegative, not booleans or floats), every exponent list has one entry per
@@ -42,7 +42,9 @@ variable, and basis entries of weighted certificates are canonical monomials.
 Every other field must have the JSON type the writer gives it (strings for
 expressions, coefficients and Gram entries, arrays for lists), and the
 algebra of a weighted certificate must be the canonical JSON of the algebra
-it describes, so no field is read loosely or left unread.  A commutative
+it describes, so no field is read loosely or left unread.  Gram entries and
+coefficients must be their values' format_scalar and format_fraction texts
+("1.0", "2/2" or " 1" is a format error, not a 1).  A commutative
 target_coeffs lists each exponent list once with a nonzero coefficient; a
 weighted certificate has one block per generator, with block indices l
 exactly 1..r.
@@ -80,15 +82,10 @@ class WeightedSosCertificate:
         self.grams = grams
 
     def to_json_dict(self) -> dict:
-        blocks = []
-        for bidx, (basis, gram) in enumerate(zip(self.bases, self.grams)):
-            blocks.append(
-                {
-                    "l": bidx + 1,
-                    "basis": [_render_monomial_text(self.algebra, m) for m in basis],
-                    "gram": [[format_scalar(v) for v in row] for row in gram],
-                }
-            )
+        blocks = [{"l": bidx + 1,
+                   "basis": [_render_monomial(m, self.algebra.names) or "1" for m in basis],
+                   "gram": _gram_to_json(gram)}
+                  for bidx, (basis, gram) in enumerate(zip(self.bases, self.grams))]
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "weighted_sos",
@@ -116,7 +113,7 @@ class CommutativeSosCertificate:
             "target": self.target.render(),
             "target_coeffs": _poly_to_json(self.target),
             "basis": [list(m) for m in self.basis],
-            "gram": [[format_scalar(v) for v in row] for row in self.gram],
+            "gram": _gram_to_json(self.gram),
         }
 
 
@@ -127,6 +124,11 @@ def _poly_to_json(p: CommutativePoly):
     ]
 
 
+def _gram_to_json(G: GaussMatrix):
+    """A Gram block's JSON rows: each entry's format_scalar text."""
+    return [[format_scalar(v) for v in row] for row in G.scalars()]
+
+
 def _poly_from_json(nvars, entries) -> CommutativePoly:
     """The polynomial of target_coeffs: each exponent list once, no zero coefficient."""
     coeffs = {}
@@ -134,15 +136,11 @@ def _poly_from_json(nvars, entries) -> CommutativePoly:
         mono = _exponents(e["exponents"], nvars)
         if mono in coeffs:
             raise CertificateFormatError(f"exponent list {list(mono)} appears twice")
-        coeff = Fraction(_typed(e["coeff"], str, "a coefficient"))
+        coeff = _canonical(e["coeff"], Fraction, format_fraction, "a coefficient")
         if not coeff:
             raise CertificateFormatError(f"exponent list {list(mono)} has a zero coefficient")
         coeffs[mono] = coeff
     return CommutativePoly(nvars, coeffs)
-
-
-def _render_monomial_text(algebra, mono) -> str:
-    return _render_monomial(mono, algebra.names) or "1"
 
 
 # -- rounding ---------------------------------------------------------------------
@@ -191,36 +189,30 @@ def round_and_verify(problem, g_numeric):
 
 
 def _block_factors(grams, sizes):
-    """(blocks, factors) of the Gram blocks, or None when a block is malformed or not PSD.
+    """The LDL^* factors of the GaussMatrix blocks, or None when one is malformed or not PSD.
 
-    Checks square shapes first, then clears each block once to a GaussMatrix
-    and checks it is Hermitian, then factors each block from scratch.  The
-    cleared blocks are what _reexpand reads.
+    Checks every block's shape on its re rows (a ragged JSON block stays
+    ragged) and that it is Hermitian, then factors each block from scratch.
     """
     if len(grams) != len(sizes):
         return None
-    blocks = []
-    for gram, n in zip(grams, sizes):
-        if len(gram) != n or any(len(row) != n for row in gram):
+    for G, n in zip(grams, sizes):
+        if len(G.re) != n or any(len(row) != n for row in G.re) or not G.is_hermitian():
             return None
-        block = GaussMatrix.from_scalars(gram)
-        if not block.is_hermitian():
-            return None
-        blocks.append(block)
     factors = []
-    for block in blocks:
-        res = ldl_hermitian(block)
+    for G in grams:
+        res = ldl_hermitian(G)
         if not res.psd:
             return None
         factors.append(res)
-    return blocks, factors
+    return factors
 
 
 def _reexpand(blocks, multiply):
     """sum_l sum_pq (G_l)_pq row_lp * w_q as integers ({monomial: [re, im]}, den) over one den.
 
     blocks yields (rows, basis, gram) with row_lp = NF(w_p^* f_l) as {monomial: Scalar}
-    and gram the GaussMatrix block of _block_factors; multiply(m, w) is the normal form
+    and gram the GaussMatrix block checked by _block_factors; multiply(m, w) is the normal form
     of x^m x^w as {monomial: rational}.  Each block's rows are cleared to Gaussian
     integers over one denominator; for every w_q the combination sum_p (G_l)_pq row_lp
     is formed in integers and multiplied out once.  The running sum lives in one dict of [re, im] pairs over den,
@@ -293,7 +285,7 @@ def verify_certificate(cert: WeightedSosCertificate, target: AlgebraElement,
     sum_l sum_pq (G_l)_pq w_p^* f_l w_q = target is recomputed by _reexpand in
     Gaussian integers over one common denominator.  Nothing is kept between
     calls but the algebra's straightening memo.  On success the fresh factors
-    are stored as the certificate's ldl_results.
+    are stored as the certificate's factors, one per block.
     """
     generators = list(generators)
     algebra = target.algebra
@@ -304,16 +296,15 @@ def verify_certificate(cert: WeightedSosCertificate, target: AlgebraElement,
     for basis, gen in zip(cert.bases, generators):
         if any(2 * sum(w) + (gen.degree() or 0) > cert.degree for w in basis):
             return False
-    checked = _block_factors(cert.grams, [len(basis) for basis in cert.bases])
-    if checked is None:
+    factors = _block_factors(cert.grams, [len(basis) for basis in cert.bases])
+    if factors is None:
         return False
-    grams, factors = checked
     blocks = (([_mul_terms(algebra, _star_monomial(algebra, wp), gen.terms) for wp in basis],
                basis, gram)
-              for basis, gram, gen in zip(cert.bases, grams, generators))
+              for basis, gram, gen in zip(cert.bases, cert.grams, generators))
     if not _matches(_reexpand(blocks, partial(_mul_monomials, algebra)), target.terms):
         return False
-    cert.ldl_results = factors
+    cert.factors = factors
     return True
 
 
@@ -327,7 +318,7 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
     sum_pq G_pq t^(w_p + w_q) = target goes through the same integer kernel
     as the weighted verifier, with rows t^(w_p) and exponent addition as the
     product; nothing is kept between calls.  On success the fresh factor is
-    stored as the certificate's ldl.
+    stored as the certificate's factors, a list of one.
     """
     if cert.target != target:
         return False
@@ -340,17 +331,16 @@ def verify_commutative_certificate(cert: CommutativeSosCertificate,
         or target.exact_quotient(squared_norm_poly(target.nvars) ** level) is None
     ):
         return False
-    if not all(s.is_real() for row in cert.gram for s in row):
+    if any(map(any, cert.gram.im)):
         return False
-    checked = _block_factors([cert.gram], [len(cert.basis)])
-    if checked is None:
+    factors = _block_factors([cert.gram], [len(cert.basis)])
+    if factors is None:
         return False
-    [gram], factors = checked
-    blocks = [([{tuple(wp): ONE} for wp in cert.basis], cert.basis, gram)]
+    blocks = [([{tuple(wp): ONE} for wp in cert.basis], cert.basis, cert.gram)]
     expansion = _reexpand(blocks, lambda m, w: {tuple(a + b for a, b in zip(m, w)): 1})
     if not _matches(expansion, {m: Scalar(q) for m, q in target.coeffs.items()}):
         return False
-    cert.ldl = factors[0]
+    cert.factors = factors
     return True
 
 
@@ -380,17 +370,24 @@ def _exponents(entry, nvars: int) -> tuple:
     return tuple(nonnegative_int(e, "an exponent") for e in exponents)
 
 
-def _parse_gram(rows):
-    return [[parse_scalar(_typed(v, str, "a Gram entry")) for v in _typed(row, list, "a Gram row")]
-            for row in _typed(rows, list, "a Gram block")]
+def _canonical(text, read, write, what: str):
+    """read(text) for a JSON string that write gives back exactly."""
+    value = read(_typed(text, str, what))
+    if write(value) != text:
+        raise CertificateFormatError(f"{what} {text!r} is not the canonical {write(value)!r}")
+    return value
+
+
+def _parse_gram(rows) -> GaussMatrix:
+    """A Gram block of canonical entries (format_scalar texts), each row at its own length."""
+    return GaussMatrix.from_scalars([[_canonical(v, parse_scalar, format_scalar, "a Gram entry")
+                                      for v in _typed(row, list, "a Gram row")]
+                                     for row in _typed(rows, list, "a Gram block")])
 
 
 def _parse_canonical(text, algebra, what: str) -> AlgebraElement:
     """The element of an expression text, which must be the rendering of that element."""
-    element = parse(_typed(text, str, what), algebra)
-    if render(element) != text:
-        raise CertificateFormatError(f"{what} {text!r} is not the canonical {render(element)!r}")
-    return element
+    return _canonical(text, lambda t: parse(t, algebra), render, what)
 
 
 def _parse_monomial(text: str, algebra):
@@ -406,9 +403,10 @@ def certificate_from_json(data: dict):
 
     Only schema versions 1 and 2, integer counts and exponents, canonical
     monomial basis strings, canonical target and generator texts, canonical
-    target_coeffs, a canonical algebra, block indices 1..r and fields of the
-    writer's JSON types are accepted.
-    Gram blocks are read as written; positivity is left to the verifier.
+    target_coeffs, canonical Gram entries, a canonical algebra, block indices
+    1..r and fields of the writer's JSON types are accepted.  Gram blocks are
+    read as written, each row at its own length; shape and positivity are
+    left to the verifier.
     """
     try:
         version = data["schema_version"]

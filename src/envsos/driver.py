@@ -190,7 +190,7 @@ def _positive_on_axes(symbol, deg: int) -> bool:
 
 def _strict(report) -> bool:
     """True when report is a certificate whose exact Gram is positive definite."""
-    return report.status == "certificate" and report.certificate.ldl.is_positive_definite()
+    return report.status == "certificate" and report.certificate.factors[0].is_positive_definite()
 
 
 def _certified(symbol, level: int, strict_proof: bool) -> dict:

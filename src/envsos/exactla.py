@@ -24,11 +24,10 @@ exactly Hermitian (see ldl_hermitian).
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
 product loop.  Representations and the images they keep, the operator
-audits, kernels, the faces of the Gram problems and the LDL^* decision hold
-their complex matrices in this form.  Gram blocks (the layout's and the
-certificates') and forced face vectors are rows of Scalars, cleared by
-from_scalars where they are multiplied, reduced or factored (the verifier
-clears a certificate's block once, for its LDL and its re-expansion).
+audits, kernels, the faces of the Gram problems and the Gram blocks (from the
+layout through the certificates to the LDL^* decision) hold their complex
+matrices in this form.  Forced face vectors are rows of Scalars with mixed
+denominators, cleared by from_scalars in sos.find_certificate.
 """
 
 from __future__ import annotations
@@ -215,10 +214,10 @@ class GaussMatrix:
 
     @classmethod
     def from_scalars(cls, M) -> "GaussMatrix":
-        """M (rows of Scalar, Fraction or int entries) cleared to one denominator."""
+        """M (rows of Scalar, Fraction or int entries) over one denominator, each row at its length."""
         pairs, den = cleared([Scalar.coerce(x) for row in M for x in row])
-        m = len(M[0]) if M else 0
-        rows = [pairs[i * m:(i + 1) * m] for i in range(len(M))]
+        pairs = iter(pairs)
+        rows = [[next(pairs) for _ in row] for row in M]
         return cls([[a for a, _ in row] for row in rows], [[b for _, b in row] for row in rows], den)
 
     @classmethod

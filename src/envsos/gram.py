@@ -57,7 +57,6 @@ from .lie import LieAlgebra
 from .numeric import check_block_cap
 from .pbw import AlgebraElement, term_sort_key
 from .poly import CommutativePoly, squared_norm_poly
-from .scalar import Scalar
 
 
 def monomials_up_to(dim: int, max_deg: int):
@@ -118,18 +117,19 @@ class VariableLayout:
                                       np.array(re, dtype=np.intp), np.array(im, dtype=np.intp)))
 
     def gram_blocks_exact(self, g):
-        """Rational/Scalar Hermitian blocks from an exact variable vector."""
+        """The GaussMatrix blocks of an exact vector g, cleared once; G[p][q] = re + i im, p < q."""
+        ints, den = clear(g)
         blocks = []
         for b, n in enumerate(self.block_sizes):
-            G = [[Scalar(0) for _ in range(n)] for _ in range(n)]
+            re, im = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
             for p in range(n):
-                G[p][p] = Scalar(Fraction(g[self.index[(b, p, p, "re")]]))
+                re[p][p] = ints[self.index[(b, p, p, "re")]]
                 for q in range(p + 1, n):
-                    re = Fraction(g[self.index[(b, p, q, "re")]])
-                    im = Fraction(g[self.index[(b, p, q, "im")]]) if self.complex_blocks else Fraction(0)
-                    G[p][q] = Scalar(re, im)
-                    G[q][p] = Scalar(re, -im)
-            blocks.append(G)
+                    re[p][q] = re[q][p] = ints[self.index[(b, p, q, "re")]]
+                    if self.complex_blocks:
+                        im[p][q] = ints[self.index[(b, p, q, "im")]]
+                        im[q][p] = -im[p][q]
+            blocks.append(GaussMatrix(re, im, den))
         return blocks
 
     def embed_float(self, g):
@@ -290,7 +290,7 @@ class _FacedProblem:
 
     def gram_blocks_exact(self, g):
         """The exact blocks over the full bases: Q_l^H G'_l Q_l on a face, G_l on a whole block."""
-        return [G if Q is None else congruence(Q, GaussMatrix.from_scalars(G), n).scalars()
+        return [G if Q is None else congruence(Q, G, n)
                 for G, Q, n in zip(self.layout.gram_blocks_exact(g), self.faces, self._full_sizes)]
 
 

@@ -193,7 +193,7 @@ def commutative_sos(p: CommutativePoly, level: int = 0,
         raise ValueError("the multiplier hierarchy expects a homogeneous polynomial")
     if p.is_zero():
         # the empty Gram certifies 0; verifying it stores its (empty) LDL factor
-        cert = CommutativeSosCertificate(p, level, [], [])
+        cert = CommutativeSosCertificate(p, level, [], GaussMatrix.zero(0))
         if verify_commutative_certificate(cert, p):
             return FeasibilityReport("certificate", certificate=cert)
         return FeasibilityReport("inconclusive", detail="the zero form's empty Gram did not verify")

@@ -32,7 +32,9 @@ construction: it expanded forced kernel vectors in Fractions
 polynomials and wrote their coefficients into the rows.
 reference_congruence, reference_compose_rows and reference_coordinates are
 frozen copies of the earlier facial-reduction maps, which built a Scalar G'
-per reduced coordinate and multiplied Q^H G' Q in Scalar arithmetic, and
+per reduced coordinate and multiplied Q^H G' Q in Scalar arithmetic;
+reference_gram_blocks_exact is the earlier layout map from a variable vector
+to Gram blocks, which built them as Scalar rows; and
 reference_operator_pivots is the earlier two-pass AffineOperator: a row
 selection on A alone, then a second elimination of [A_ind | I].
 reference_check_assumption_ii is the earlier symbol check, which ran the exact
@@ -322,9 +324,10 @@ def reference_verify_certificate(cert, target: AlgebraElement, generators) -> bo
     for basis, gen in zip(cert.bases, generators):
         if any(2 * sum(w) + (gen.degree() or 0) > cert.degree for w in basis):
             return False
-    if _reference_block_factors(cert.grams, [len(basis) for basis in cert.bases]) is None:
+    grams = [G.scalars() for G in cert.grams]
+    if _reference_block_factors(grams, [len(basis) for basis in cert.bases]) is None:
         return False
-    return reference_expansion(target.algebra, cert.bases, cert.grams, generators) == target
+    return reference_expansion(target.algebra, cert.bases, grams, generators) == target
 
 
 def reference_verify_commutative_certificate(cert, target: CommutativePoly) -> bool:
@@ -339,14 +342,15 @@ def reference_verify_commutative_certificate(cert, target: CommutativePoly) -> b
         or target.exact_quotient(squared_norm_poly(target.nvars) ** level) is None
     ):
         return False
-    if not all(s.is_real() for row in cert.gram for s in row):
+    gram = cert.gram.scalars()
+    if not all(s.is_real() for row in gram for s in row):
         return False
-    if _reference_block_factors([cert.gram], [len(cert.basis)]) is None:
+    if _reference_block_factors([gram], [len(cert.basis)]) is None:
         return False
     out: dict = {}
     for p, wp in enumerate(cert.basis):
         for q, wq in enumerate(cert.basis):
-            s = cert.gram[p][q]
+            s = gram[p][q]
             if s:
                 mono = tuple(a + b for a, b in zip(wp, wq))
                 out[mono] = out.get(mono, Fraction(0)) + s.re
@@ -823,12 +827,29 @@ class ReferenceCommProblem:
 
     def gram_blocks_exact(self, g):
         """Q^T G' Q over the monomial basis, as (Q^T G') Q summed entry by entry."""
-        Gp, = self.layout.gram_blocks_exact(g)
+        Gp = self.layout.gram_blocks_exact(g)[0].scalars()
         n, m, Q = len(self.monomials), len(self.Q), self.Q
         left = [[sum((Gp[p][q] * Q[p][j] for p in range(m)), Scalar(0)) for q in range(m)]
                 for j in range(n)]
         return [[[sum((left[j][q] * Q[q][k] for q in range(m)), Scalar(0)) for k in range(n)]
                  for j in range(n)]]
+
+
+def reference_gram_blocks_exact(layout, g):
+    """Frozen copy of the earlier VariableLayout.gram_blocks_exact: Scalar rows, entry by entry."""
+    blocks = []
+    for b, n in enumerate(layout.block_sizes):
+        G = [[Scalar(0) for _ in range(n)] for _ in range(n)]
+        for p in range(n):
+            G[p][p] = Scalar(Fraction(g[layout.index[(b, p, p, "re")]]))
+            for q in range(p + 1, n):
+                re = Fraction(g[layout.index[(b, p, q, "re")]])
+                im = (Fraction(g[layout.index[(b, p, q, "im")]]) if layout.complex_blocks
+                      else Fraction(0))
+                G[p][q] = Scalar(re, im)
+                G[q][p] = Scalar(re, -im)
+        blocks.append(G)
+    return blocks
 
 
 def reference_congruence(Q, Gp, n: int):
@@ -930,7 +951,7 @@ def reference_check_assumption_ii(c: AlgebraElement, level_cap: int = 2,
             return {
                 "status": "certified-positive",
                 "level": level,
-                "strict_proof": report.certificate.ldl.is_positive_definite(),
+                "strict_proof": report.certificate.factors[0].is_positive_definite(),
                 "symbol": symbol.render(),
             }
     return {"status": "inconclusive", "detail": f"no certificate up to level {level_cap}"}

@@ -67,9 +67,9 @@ def test_margin_target_certified_on_the_face(su2):
     assert report.status == "certificate"
     cert = report.certificate
     # the certificate is over the full monomial basis, with the forced row zero
-    assert [len(G) for G in cert.grams] == [10]
+    assert [len(G.re) for G in cert.grams] == [10]
     const = cert.bases[0].index((0, 0, 0))
-    assert all(not v for v in cert.grams[0][const])
+    assert all(not v for v in cert.grams[0].scalars()[const])
     data = json.loads(json.dumps(cert.to_json_dict()))
     assert verify_certificate_json(data)
 
@@ -124,7 +124,7 @@ def test_composed_rows_match_the_full_expansion(su2):
     reduced = skeleton.problem_for(AlgebraElement.zero(su2), [Q])
     assert reduced.layout.block_sizes == [2]
     g = [Fraction(k + 1, 7) for k in range(reduced.layout.nvars)]
-    blocks = reduced.gram_blocks_exact(g)
+    blocks = [G.scalars() for G in reduced.gram_blocks_exact(g)]
     assert len(blocks[0]) == 4
     target = AlgebraElement.zero(su2)
     for p, wp in enumerate(skeleton.bases[0]):
@@ -149,7 +149,7 @@ def test_the_empty_face_leaves_no_variable(su2):
     assert (outcome.status, outcome.iterations) == ("candidate", 0)
     cert = round_and_verify(zero, outcome.g)
     assert isinstance(cert, WeightedSosCertificate)
-    assert cert.grams == [[[Scalar(0)] * 4 for _ in range(4)]]
+    assert [G.scalars() for G in cert.grams] == [[[Scalar(0)] * 4 for _ in range(4)]]
     outcome = solve_feasibility(skeleton.problem_for(unit, [empty]))
     assert outcome.status == "infeasible-evidence"
     assert outcome.dual["kind"] == "exact-linear"
@@ -166,7 +166,7 @@ def test_complex_face_from_spin_one_half(su2):
     assert len(forced) == 4 and any(x.im for z in forced for x in z)
     report = find_certificate(c, [unit], 4, skeleton=skeleton, reps=list(members.values()))
     assert report.status == "certificate"
-    G = report.certificate.grams[0]
+    G = report.certificate.grams[0].scalars()
     for z in forced:
         assert all(not sum((G[p][q] * z[q] for q in range(len(z))), Scalar(0))
                    for p in range(len(z)))

@@ -3,8 +3,9 @@
 GramSkeleton against the star-based assembly, CommGramProblem against the
 construction that multiplied every pair of reduced basis polynomials and
 expanded forced kernel vectors in Fractions, faced problems against the
-row composition and congruence in Scalar arithmetic, and AffineOperator
-against the two-pass selection and completion.
+row composition and congruence in Scalar arithmetic, the layout's
+GaussMatrix blocks against the Scalar rows it built before, and
+AffineOperator against the two-pass selection and completion.
 """
 
 import itertools
@@ -13,17 +14,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from envsos.certs import WeightedSosCertificate, round_and_verify, verify_certificate
 from envsos.driver import window_members
 from envsos.exactla import GaussMatrix, nullspace
 from envsos.gram import (
     CommGramProblem,
     GramSkeleton,
+    VariableLayout,
     _forced_kernel_vectors,
     _line_expansion,
     monomials_of_degree,
 )
 from envsos.lie import builtin
+from envsos.numeric import solve_feasibility
 from envsos.pbw import AlgebraElement, canonical_a
 from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.scalar import Scalar
@@ -33,6 +38,7 @@ from oracles import (
     ReferenceCommProblem,
     reference_compose_rows,
     reference_congruence,
+    reference_gram_blocks_exact,
     reference_line_expansion,
     reference_operator_pivots,
     reference_skeleton_rows,
@@ -131,7 +137,7 @@ def _assert_matches_reference(form, zeros, level):
     assert problem.layout.block_sizes == ref.layout.block_sizes
     assert [b.coeffs for b in problem.basis_polys] == [b.coeffs for b in ref.basis_polys]
     g = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(problem.layout.nvars)]
-    assert problem.gram_blocks_exact(g) == ref.gram_blocks_exact(g)
+    assert [G.scalars() for G in problem.gram_blocks_exact(g)] == ref.gram_blocks_exact(g)
     return problem
 
 
@@ -272,7 +278,7 @@ def _reference_rows_and_blocks(problem, g):
         full, sizes = skeleton.layout, [len(b) for b in skeleton.bases]
         faces = [None if Q is None else Q.scalars() for Q in problem.faces]
         rows = reference_compose_rows(skeleton.rows, full, problem.layout, faces)
-    blocks = [G if Q is None else reference_congruence(Q, G, n)
+    blocks = [G.scalars() if Q is None else reference_congruence(Q, G.scalars(), n)
               for G, Q, n in zip(problem.layout.gram_blocks_exact(g), faces, sizes)]
     return rows, blocks
 
@@ -285,8 +291,48 @@ def test_faced_rows_and_blocks_match_the_scalar_congruence(name):
     got = problem.system.operator.rows
     assert [list(r.items()) for r in got] == [list(r.items()) for r in rows]
     got = problem.gram_blocks_exact(g)
-    assert got == blocks
-    assert all(type(x) is Scalar for G in got for row in G for x in row)
+    assert [G.scalars() for G in got] == blocks
+    assert all(type(G) is GaussMatrix for G in got)
+
+
+ENTRIES = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(0, 5), max_size=3), st.booleans(), st.booleans(), st.data())
+def test_layout_blocks_match_the_scalar_construction(sizes, complex_blocks, zero, data):
+    layout = VariableLayout(sizes, complex_blocks)
+    n = layout.nvars
+    g = [0] * n if zero else data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    blocks = layout.gram_blocks_exact(g)
+    assert all(type(G) is GaussMatrix for G in blocks)
+    assert [G.scalars() for G in blocks] == reference_gram_blocks_exact(layout, g)
+
+
+def test_rounding_on_a_face_forms_no_scalar_block(monkeypatch):
+    # the su(2) margin face at D=4: every block stays a GaussMatrix from the
+    # layout through the congruence and the verifier
+    problem = FACED_PROBLEMS["su2 margin D=4"]()
+    outcome = solve_feasibility(problem)
+    assert outcome.status == "candidate"
+    calls = []
+    from_scalars, scalars = GaussMatrix.from_scalars.__func__, GaussMatrix.scalars
+
+    def counting_from_scalars(cls, M):
+        calls.append("from_scalars")
+        return from_scalars(cls, M)
+
+    def counting_scalars(self):
+        calls.append("scalars")
+        return scalars(self)
+
+    monkeypatch.setattr(GaussMatrix, "from_scalars", classmethod(counting_from_scalars))
+    monkeypatch.setattr(GaussMatrix, "scalars", counting_scalars)
+    cert = round_and_verify(problem, outcome.g)
+    assert calls == []
+    assert isinstance(cert, WeightedSosCertificate)
+    assert verify_certificate(cert, problem.target, problem.skeleton.generators)
+    assert cert.factors[0].psd
 
 
 @pytest.mark.parametrize("name", ["su2 unit D=6"] + list(FACED_PROBLEMS))

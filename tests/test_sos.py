@@ -86,7 +86,7 @@ def test_diag_gram_solves_canonical_instance(su2):
     for p in range(4):
         g[problem.layout.index[(0, p, p, "re")]] = Fraction(1)
     assert all(r == 0 for r in residual_exact(problem.system, g))
-    blocks = problem.gram_blocks_exact(g)
+    blocks = [G.scalars() for G in problem.gram_blocks_exact(g)]
     assert brute_force_expansion(problem.skeleton, blocks) == a
 
 
@@ -98,7 +98,7 @@ def test_constraints_match_brute_force_expansion(builtins):
         layout = skeleton.layout
         for _ in range(5):
             g = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(layout.nvars)]
-            blocks = layout.gram_blocks_exact(g)
+            blocks = [G.scalars() for G in layout.gram_blocks_exact(g)]
             expansion = brute_force_expansion(skeleton, blocks)
             residual = [sum(x * g[j] for j, x in row.items()) for row in skeleton.rows]
             # A g reproduces the coefficients of the brute-force expansion
@@ -133,7 +133,7 @@ def test_canonical_element_certificate(su2):
     assert report.status == "certificate"
     cert = report.certificate
     assert verify_certificate(cert, a, [unit])
-    G = cert.grams[0]
+    G = cert.grams[0].scalars()
     assert all(G[p][p] == Scalar(1) for p in range(4))
     assert all(not G[p][q] for p in range(4) for q in range(4) if p != q)
 
@@ -156,7 +156,9 @@ def test_certificate_tampering_detected(su2):
     unit = AlgebraElement.unit(su2)
     a = canonical_a(su2)
     cert = find_certificate(a, [unit], 2).certificate
-    cert.grams[0][0][0] = cert.grams[0][0][0] + Scalar(Fraction(1, 10**6))
+    G = cert.grams[0].scalars()
+    G[0][0] = G[0][0] + Scalar(Fraction(1, 10**6))
+    cert.grams[0] = GaussMatrix.from_scalars(G)
     assert not verify_certificate(cert, a, [unit])
 
 
@@ -323,7 +325,7 @@ def test_each_block_factored_once_per_stage(su2, monkeypatch):
     unit = AlgebraElement.unit(su2)
     cert = find_certificate(canonical_a(su2), [unit], 2).certificate
     assert calls == [4]  # emission: the verifier's factor is kept as the witness
-    assert cert.ldl_results[0].is_positive_definite()
+    assert cert.factors[0].is_positive_definite()
     data = cert.to_json_dict()
     certificate_from_json(data)
     assert calls == [4]  # loading decides nothing
@@ -371,7 +373,7 @@ def test_pivot_completion_keeps_gram_denominators_small(su2):
     report = find_certificate(a * a * a, [AlgebraElement.unit(su2)], 6)
     assert report.status == "certificate"
     bits = [x.denominator.bit_length() for G in report.certificate.grams
-            for row in G for s in row for x in (s.re, s.im)]
+            for row in G.scalars() for s in row for x in (s.re, s.im)]
     assert max(bits) <= 32
 
 
@@ -579,7 +581,7 @@ def test_commutative_verifier_decides_psd_after_exact_expansion(lam, valid):
             expansion = expansion + CommutativePoly(2, {mono: gram[p][q].re})
     assert expansion == target
     assert ldl_hermitian(GaussMatrix.from_scalars(gram)).psd == valid
-    cert = CommutativeSosCertificate(target, 0, basis, gram)
+    cert = CommutativeSosCertificate(target, 0, basis, GaussMatrix.from_scalars(gram))
     assert verify_commutative_certificate(cert, target) == valid
     data = {
         "schema_version": 1, "kind": "commutative_sos", "level": 0, "nvars": 2,
@@ -606,7 +608,7 @@ def test_weighted_verifier_decides_psd_after_exact_expansion(lam, valid):
             expansion = expansion + (w_p.star() * w_q).scale(gram[p][q])
     assert expansion == target
     assert ldl_hermitian(GaussMatrix.from_scalars(gram)).psd == valid
-    cert = WeightedSosCertificate(ab, 4, target, [unit], [basis], [gram])
+    cert = WeightedSosCertificate(ab, 4, target, [unit], [basis], [GaussMatrix.from_scalars(gram)])
     assert verify_certificate(cert, target, [unit]) == valid
     data = {
         "schema_version": 1, "kind": "weighted_sos", "degree": 4,
@@ -673,7 +675,7 @@ def test_square_is_certified():
     p = squared_norm_poly(3) ** 2
     report = commutative_sos(p, 0)
     assert report.status == "certificate"
-    assert report.certificate.ldl.is_positive_definite()
+    assert report.certificate.factors[0].is_positive_definite()
 
 
 def test_commutative_certificate_json_roundtrip():
@@ -715,18 +717,20 @@ def test_commutative_certificate_target_text_and_level_are_checked():
 def test_commutative_verifier_rejects_level_that_does_not_divide():
     target = CommutativePoly(2, {(4, 0): 1, (0, 4): 1})
     basis = [(2, 0), (1, 1), (0, 2)]
+    gram = GaussMatrix.from_scalars(_quartic_gram(0))
     assert verify_commutative_certificate(
-        CommutativeSosCertificate(target, 0, basis, _quartic_gram(0)), target)
+        CommutativeSosCertificate(target, 0, basis, gram), target)
     # t1^4 + t2^4 is not a multiple of t1^2 + t2^2
     assert not verify_commutative_certificate(
-        CommutativeSosCertificate(target, 1, basis, _quartic_gram(0)), target)
+        CommutativeSosCertificate(target, 1, basis, gram), target)
 
 
 def test_commutative_verifier_rejects_a_target_the_certificate_does_not_state():
     stated = CommutativePoly(2, {(4, 0): 1, (0, 4): 1})
     other = CommutativePoly(2, {(4, 0): 1, (0, 4): 2})
     basis = [(2, 0), (1, 1), (0, 2)]
-    gram = [[Scalar(x if p == q else 0) for q in range(3)] for p, x in enumerate((1, 0, 2))]
+    gram = GaussMatrix.from_scalars(
+        [[Scalar(x if p == q else 0) for q in range(3)] for p, x in enumerate((1, 0, 2))])
     # the Gram is a true certificate of other, but the certificate states another target
     assert verify_commutative_certificate(CommutativeSosCertificate(other, 0, basis, gram), other)
     assert not verify_commutative_certificate(

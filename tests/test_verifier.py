@@ -21,10 +21,12 @@ from envsos.certs import (
     verify_certificate_json,
     verify_commutative_certificate,
 )
+from envsos.errors import CertificateFormatError
+from envsos.exactla import GaussMatrix
 from envsos.gram import GramSkeleton, monomials_of_degree, monomials_up_to
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement
-from envsos.poly import CommutativePoly
+from envsos.poly import CommutativePoly, squared_norm_poly
 from envsos.scalar import Scalar
 from envsos.reps import make_point_rep
 from envsos.sos import commutative_sos, find_certificate
@@ -97,7 +99,8 @@ def _weighted_case(name, gens_kind, degree, seed, dens, zeros=0.3, part=None, ps
     target = reference_expansion(algebra, bases, grams, gens)
     if part is not None:
         target = _perturbed(target, rng, part)
-    cert = WeightedSosCertificate(algebra, degree, target, gens, bases, grams)
+    cert = WeightedSosCertificate(algebra, degree, target, gens, bases,
+                                  [GaussMatrix.from_scalars(G) for G in grams])
     return cert, target, gens, psd and part is None
 
 
@@ -120,8 +123,9 @@ def test_perturbed_targets_fail_like_the_reference(part):
 
 def test_empty_block_and_zero_entries_verify_like_the_reference():
     cert, target, gens, expected = _weighted_case("su2", "empty", 4, 13, [5, 2, 1], zeros=1)
-    assert cert.bases[2] == [] and cert.grams[2] == []
-    assert all(not cert.grams[0][p][q] for p in range(10) for q in range(10) if p != q)
+    assert cert.bases[2] == [] and cert.grams[2].scalars() == []
+    G = cert.grams[0].scalars()
+    assert all(not G[p][q] for p in range(10) for q in range(10) if p != q)
     _assert_same_verdict(cert, target, gens, expected)
 
 
@@ -157,7 +161,7 @@ def _commutative_case(nvars, half, seed, den, part=None, level=0, real=True):
     if part is not None:
         target = target + CommutativePoly.monomial(nvars, rng.choice(sorted(target.coeffs)),
                                                    Fraction(1, 7))
-    cert = CommutativeSosCertificate(target, level, basis, gram)
+    cert = CommutativeSosCertificate(target, level, basis, GaussMatrix.from_scalars(gram))
     real = all(s.is_real() for row in gram for s in row)
     return cert, target, real and part is None and level == 0
 
@@ -238,7 +242,8 @@ def test_a_block_that_is_not_hermitian_is_rejected():
     # sum_pq G_pq w_p^* w_q with x_k^* = -x_k, which is negative at the point (1, -1)
     target = -(x1 * x1 + (x1 * x2).scale(4) + x2 * x2)
     assert not make_point_rep(ab, (1, -1)).is_positive(target)
-    cert = WeightedSosCertificate(ab, 2, target, [unit], [[(1, 0), (0, 1)]], [NOT_HERMITIAN])
+    cert = WeightedSosCertificate(ab, 2, target, [unit], [[(1, 0), (0, 1)]],
+                                  [GaussMatrix.from_scalars(NOT_HERMITIAN)])
     assert not verify_certificate(cert, target, [unit])
     assert not verify_certificate_json(cert.to_json_dict())
 
@@ -246,14 +251,15 @@ def test_a_block_that_is_not_hermitian_is_rejected():
 def test_a_commutative_block_that_is_not_symmetric_is_rejected():
     p = CommutativePoly(2, {(2, 0): 1, (1, 1): 4, (0, 2): 1})
     assert p.evaluate((1, -1)) == -2
-    cert = CommutativeSosCertificate(p, 0, [(1, 0), (0, 1)], NOT_HERMITIAN)
+    cert = CommutativeSosCertificate(p, 0, [(1, 0), (0, 1)],
+                                     GaussMatrix.from_scalars(NOT_HERMITIAN))
     assert not verify_commutative_certificate(cert, p)
     assert not verify_certificate_json(cert.to_json_dict())
 
 
 def _zero_padded_json(kind):
     """A certificate of x1^2 (t1^2) over the basis [x1, x2] whose Gram has a zero last row."""
-    gram = [[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]]
+    gram = GaussMatrix.from_scalars([[Scalar(1), Scalar(0)], [Scalar(0), Scalar(0)]])
     if kind == "commutative":
         p = CommutativePoly(2, {(2, 0): 1})
         return CommutativeSosCertificate(p, 0, [(1, 0), (0, 1)], gram).to_json_dict()
@@ -274,3 +280,29 @@ def test_a_malformed_block_in_json_is_rejected(kind, shape):
     gram = holder["gram"]
     holder["gram"] = [gram[0], gram[1][:-1]] if shape == "ragged" else gram[:-1]
     assert verify_certificate_json(data) is False
+
+
+# texts that read as 1 but are not its canonical "1"
+NONCANONICAL_ONES = ["1.0", "1e0", "2/2", " 1", "+1", "01", "1+0 i"]
+
+
+def _one_written_canonically(where):
+    """A certificate JSON that verifies, and the (holder, key) of one of its entries written "1"."""
+    if where == "weighted gram":
+        data = _zero_padded_json("weighted")
+        return data, data["blocks"][0]["gram"][0], 0
+    data = commutative_sos(squared_norm_poly(2) ** 2, 0).certificate.to_json_dict()
+    if where == "commutative gram":
+        return data, data["gram"][0], 0
+    return data, data["target_coeffs"][0], "coeff"
+
+
+@pytest.mark.parametrize("text", NONCANONICAL_ONES)
+@pytest.mark.parametrize("where", ["commutative gram", "target_coeffs", "weighted gram"])
+def test_a_number_not_written_canonically_is_a_format_error(where, text):
+    data, holder, key = _one_written_canonically(where)
+    assert holder[key] == "1"
+    assert verify_certificate_json(data)
+    holder[key] = text
+    with pytest.raises(CertificateFormatError):
+        verify_certificate_json(data)

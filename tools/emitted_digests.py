@@ -21,8 +21,8 @@ list is not empty.
 
 --cli runs the fixed table CLI_CASES of `python -m envsos` commands instead
 (or after the workloads), against --checkout's src/, one after the other in
-a temporary directory that holds the instance files INSTANCES they read.  Each
-case prints one JSON line
+a temporary directory that holds the instance and certificate files
+INSTANCES they read.  Each case prints one JSON line
 
     {"case": name, "exit": exit code, "stdout_sha256": digest of stdout,
      "out_sha256": digest of the file the case writes with --out, null when none}
@@ -71,8 +71,17 @@ CLI_CASES = [
                         "--lmax", "2"]),
     ("scan-abelian-points", ["scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + x1^2",
                              "--points", "0,0", "--points", "2,1"]),
+    # a canonical commutative certificate, and the same with one Gram entry written "1.0"
+    ("verify-commutative", ["verify", "--certificate", "commutative.json"]),
+    ("verify-noncanonical", ["verify", "--certificate", "noncanonical.json"]),
 ]
-# the instance files the theorem cases read, by file name
+# the commutative_sos certificate of t1^2 + t2^2 at level 0: the identity Gram
+COMMUTATIVE_CERTIFICATE = {
+    "schema_version": 2, "kind": "commutative_sos", "level": 0, "nvars": 2,
+    "target": "t1^2 + t2^2",
+    "target_coeffs": [{"exponents": [0, 2], "coeff": "1"}, {"exponents": [2, 0], "coeff": "1"}],
+    "basis": [[1, 0], [0, 1]], "gram": [["1", "0"], ["0", "1"]]}
+# the files the theorem and verify cases read, by file name
 INSTANCES = {
     "instance.json": {"algebra": "su2", "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1"],
                       "epsilon": "1", "n_max": 0, "d_max": 4},
@@ -88,6 +97,8 @@ INSTANCES = {
     "two-generators.json": {"algebra": "su2", "aliases": {"H": "-i*x1"},
                             "c": "(1 - x1^2 - x2^2 - x3^2)^2", "f": ["1", "2 - H"],
                             "epsilon": "1", "n_max": 0, "d_max": 4},
+    "commutative.json": COMMUTATIVE_CERTIFICATE,
+    "noncanonical.json": dict(COMMUTATIVE_CERTIFICATE, gram=[["1.0", "0"], ["0", "1"]]),
 }
 
 
