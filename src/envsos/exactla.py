@@ -18,16 +18,19 @@ pairs out as a real row, re at column 2k and im at 2k + 1: nullspace uses
 it on a complex matrix's rows, and the auditor's span tests on a matrix's
 numerators.  inverse reads A^-1 off the kernel of [A | -I].  The exact
 LDL^* decision, the one Hermitian PSD routine, is a fraction-free (Bareiss)
-symmetric factorization over Gaussian integers.  It trusts its input to be
-exactly Hermitian (see ldl_hermitian).
+symmetric factorization over Gaussian integers.  It keeps the elimination
+order and the pivots, or a witness of indefiniteness, but not the factor L.
+It trusts its input to be exactly Hermitian (see ldl_hermitian).
 
 GaussMatrix is the one complex matrix form: integer re and im rows over one
 positive denominator, in lowest terms.  Its product is the one complex matrix
-product loop.  Representations and the images they keep, the operator
-audits, kernels, the faces of the Gram problems and the Gram blocks (from the
-layout through the certificates to the LDL^* decision) hold their complex
-matrices in this form.  Forced face vectors are rows of Scalars with mixed
-denominators, cleared by from_scalars in sos.find_certificate.
+product loop.  Every exact complex matrix from a representation's generator
+images to a Gram face is held in this form: the images a representation
+keeps, the operator audits, kernels, the forced face vectors (Gaussian-integer
+rows, each scaled by its own positive integer), the faces of the Gram problems
+and the Gram blocks (from the layout through the certificates to the LDL^*
+decision).  from_scalars and scalars are the boundary with text and with
+FiniteDimRep.evaluate.
 """
 
 from __future__ import annotations
@@ -303,41 +306,24 @@ class GaussMatrix:
                            self.den * L)
 
 
-def cmat_identity(n):
-    return [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
-
-
 # -- Hermitian PSD decision -------------------------------------------------------
 
 
 class LdlResult:
     """Outcome of the exact LDL^* factorization of a Hermitian matrix; true iff PSD.
 
-    When positive semidefinite: perm, diag and lower describe the factorization
-    P M P^T = L D L^* (lower is built from ldl_hermitian's step records when
-    first read).  Otherwise `witness` is a rational vector v with v^* M v < 0
-    and `witness_value` that negative number.
+    When positive semidefinite: perm and diag are the elimination order and
+    the pivots D of P M P^T = L D L^*; L itself is not kept.  Otherwise
+    `witness` is a rational vector v with v^* M v < 0 and `witness_value`
+    that negative number.
     """
 
-    def __init__(self, psd: bool, perm=None, diag=None, lower=None,
-                 witness=None, witness_value=None):
+    def __init__(self, psd: bool, perm=None, diag=None, witness=None, witness_value=None):
         self.psd = psd
         self.perm = perm
         self.diag = diag
-        self._lower = lower
-        self._steps = ()
         self.witness = witness
         self.witness_value = witness_value
-
-    @property
-    def lower(self):
-        if self._lower is None and self.psd:
-            order = {orig: k for k, orig in enumerate(self.perm)}
-            self._lower = cmat_identity(len(order))
-            for k, (_, p, col) in enumerate(self._steps):
-                for r, (a, b) in col.items():
-                    self._lower[order[r]][k] = Scalar(Fraction(a, p), Fraction(b, p))
-        return self._lower
 
     def __bool__(self):
         return self.psd
@@ -360,8 +346,9 @@ def ldl_hermitian(M: GaussMatrix) -> LdlResult:
     so it stays the true Schur complement times prev * den > 0.  The pivot
     is the largest diagonal entry; a zero pivot with a zero column is a
     skipped step, and a zero pivot with a nonzero column or a negative pivot
-    certifies indefiniteness.  A step is recorded once as (pivot index,
-    scaled pivot, integer column); rationals are built for diag and a witness.
+    certifies indefiniteness.  A step is recorded as (pivot index, scaled
+    pivot, integer column) only to lift a witness back through the steps
+    before it; rationals are built for diag and a witness.
     """
     n, den = len(M.re), M.den
     if any(M.im[i][i] for i in range(n)):
@@ -414,7 +401,5 @@ def ldl_hermitian(M: GaussMatrix) -> LdlResult:
                     Rr[s] = (p * Rr[s] - a * c - b * d) // prev
                     Ir[s] = (p * Ir[s] - b * c + a * d) // prev
             prev = p
-    result = LdlResult(True, perm=[pivot for pivot, _, _ in steps], diag=diag)
-    result._steps = steps
-    return result
+    return LdlResult(True, perm=[pivot for pivot, _, _ in steps], diag=diag)
 

@@ -518,8 +518,9 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
     that order are then forced kernel vectors too.  Null directions of the
     exact Hessian at t0 are the candidates worth expanding.
 
-    t0 is cleared to integers, and u is an integer row of the Hessian's
-    kernel (over its one denominator).  Every monomial has degree h, so
+    t0 and each row of the Hessian are cleared to integers (a kernel depends
+    only on the rows' span), and u is an integer row of the Hessian's kernel
+    (over its one denominator).  Every monomial has degree h, so
     this scales each order-m vector by one factor d0^(h-m) du^m and leaves
     nu, and the span of the vectors, unchanged.  As the target is homogeneous,
     lambda t0 gives t0's vectors times lambda^(h-m), so a zero on the line of
@@ -540,8 +541,8 @@ def _forced_kernel_vectors(target: CommutativePoly, monomials, kernel_points):
             continue
         expanded.add(ray)
         vectors.append([math.prod(a ** e for a, e in zip(t0, mono)) for mono in monomials])
-        H = [[hessians[j][k].evaluate(t0) for k in range(nvars)] for j in range(nvars)]
-        for u in nullspace(GaussMatrix.from_scalars(H), nvars).re:
+        H = [clear([h.evaluate(t0) for h in row])[0] for row in hessians]
+        for u in nullspace(GaussMatrix(H, [[0] * nvars for _ in H]), nvars).re:
             # exact univariate expansion of the target along t0 + s u
             line = [(q, _line_expansion(mono, t0, u, deg)) for mono, q in target.coeffs.items()]
             nu = next((m for m in range(deg + 1) if sum(q * e[m] for q, e in line)), None)

@@ -2,14 +2,15 @@
 
 A representation stores one generator matrix per basis generator together
 with a positive diagonal rational metric S; the inner product is
-<phi, psi> = sum_n S_n phi_n conj(psi_n).  Each generator matrix is cleared
-once to an exactla.GaussMatrix, Gaussian-integer rows over one denominator,
-after its shape is checked.  Construction then checks, exactly and on those
-integers, that the matrices satisfy the algebra's commutation relations and
-that every generator image is skew-adjoint for the metric.  Images of
-elements are formed in the same form, once per element: an AlgebraElement
-never changes, so each image is kept and shared by is_positive,
-weighted_matrix, evaluate (its Scalar view) and the forced faces of sos.
+<phi, psi> = sum_n S_n phi_n conj(psi_n).  Each generator matrix is an
+exactla.GaussMatrix, Gaussian-integer rows over one denominator, and the
+constructions below write theirs in that form directly.  Construction checks
+the shapes, then checks exactly, on those integers, that the matrices satisfy
+the algebra's commutation relations and that every generator image is
+skew-adjoint for the metric.  Images of elements are formed in the same
+form, once per element: an AlgebraElement never changes, so each image is
+kept and shared by is_positive, weighted_matrix, evaluate (its Scalar view,
+the one Scalar matrix formed here) and the forced faces of sos.
 
 The rational weight basis keeps spin representation entries in Q(i); the
 metric absorbs the usual square roots.
@@ -18,16 +19,17 @@ metric absorbs the usual square roots.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlgebraMismatch, ContextInvalid, NotAbelian, NotHermitean
 from .exactla import GaussMatrix, LdlResult, clear, ldl_hermitian
 from .lie import LieAlgebra, builtin
 from .pbw import AlgebraElement
-from .scalar import Scalar, format_fraction, format_scalar
+from .scalar import format_fraction, format_scalar
 
 
 class FiniteDimRep:
-    """Exact matrices for the generators plus a diagonal positive metric."""
+    """n x n GaussMatrix generator images (re and im alike) plus a positive diagonal metric of n."""
 
     def __init__(self, algebra: LieAlgebra, mats, metric, label: str = ""):
         self.algebra = algebra
@@ -39,10 +41,10 @@ class FiniteDimRep:
         n = self.dim_rep
         if len(mats) != algebra.dim:
             raise ContextInvalid("need one matrix per generator")
-        for mat in mats:
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ContextInvalid("matrix shape does not match the metric length")
-        self.mats = [GaussMatrix.from_scalars(mat) for mat in mats]
+        if any(len(rows) != n or any(len(row) != n for row in rows)
+               for mat in mats for rows in (mat.re, mat.im)):
+            raise ContextInvalid("matrix shape does not match the metric length")
+        self.mats = list(mats)
         self._validate()
 
     def _validate(self):
@@ -125,6 +127,13 @@ class FiniteDimRep:
 # -- constructions -------------------------------------------------------------
 
 
+def _spin_label(l) -> Fraction:
+    l = Fraction(l)
+    if l < 0 or (2 * l).denominator != 1:
+        raise ValueError("spin label must be a nonnegative half-integer")
+    return l
+
+
 def make_spin_rep(l: Fraction | int, algebra: LieAlgebra | None = None) -> FiniteDimRep:
     """Spin-l representation of su(2) in the rational weight basis.
 
@@ -134,30 +143,24 @@ def make_spin_rep(l: Fraction | int, algebra: LieAlgebra | None = None) -> Finit
     X1 = i J3, X2 = -i (E+F)/2, X3 = i (E-F)/(2i) = (E-F)/2.
 
     The image of the canonical element is (l^2+l+1) times the identity.
+    Every entry is written as an integer over the denominator 2.
     """
-    l = Fraction(l)
-    if l < 0 or (2 * l).denominator != 1:
-        raise ValueError("spin label must be a nonnegative half-integer")
+    l = _spin_label(l)
     algebra = algebra or builtin("su2")
-    n = int(2 * l) + 1
-    js = [(-l + k) for k in range(n)]
-    X1, X2, X3 = ([[Scalar(0)] * n for _ in range(n)] for _ in range(3))
-    for idx, j in enumerate(js):
-        X1[idx][idx] = Scalar(0, j)
-        if idx + 1 < n:
-            up = l - j  # E e_j = (l-j) e_{j+1}
-            X2[idx + 1][idx] = Scalar(0, -Fraction(up, 2))
-            X3[idx + 1][idx] = Scalar(Fraction(up, 2))
-        if idx - 1 >= 0:
-            down = l + j  # F e_j = (l+j) e_{j-1}
-            X2[idx - 1][idx] = Scalar(0, -Fraction(down, 2))
-            X3[idx - 1][idx] = Scalar(-Fraction(down, 2))
-    metric = [Fraction(1)] * n
-    for idx in range(1, n):
-        j = js[idx - 1]
-        # s_{j+1}/s_j = (l+j+1)/(l-j) restores E^adj = F
-        metric[idx] = metric[idx - 1] * Fraction(l + j + 1, 1) / Fraction(l - j, 1)
-    return FiniteDimRep(algebra, [X1, X2, X3], metric, label=f"spin {format_fraction(l)}")
+    m = int(2 * l)  # e_j is basis vector k = j + l, and 2j = 2k - m
+    re1, im1, re2, im2, re3, im3 = ([[0] * (m + 1) for _ in range(m + 1)] for _ in range(6))
+    for k in range(m + 1):
+        im1[k][k] = 2 * k - m
+        if k < m:  # E e_j = (l-j) e_{j+1}, l - j = m - k
+            im2[k + 1][k], re3[k + 1][k] = k - m, m - k
+        if k > 0:  # F e_j = (l+j) e_{j-1}, l + j = k
+            im2[k - 1][k], re3[k - 1][k] = -k, -k
+    mats = [GaussMatrix(re1, im1, 2), GaussMatrix(re2, im2, 2), GaussMatrix(re3, im3, 2)]
+    metric = [Fraction(1)]
+    for k in range(1, m + 1):
+        # s_{j+1}/s_j = (l+j+1)/(l-j) restores E^adj = F, at j + l = k - 1
+        metric.append(metric[-1] * Fraction(k, m - k + 1))
+    return FiniteDimRep(algebra, mats, metric, label=f"spin {format_fraction(l)}")
 
 
 def make_point_rep(algebra: LieAlgebra, t) -> FiniteDimRep:
@@ -171,7 +174,7 @@ def make_point_rep(algebra: LieAlgebra, t) -> FiniteDimRep:
     t = [Fraction(v) for v in t]
     if len(t) != algebra.dim:
         raise ValueError("point length must match the algebra dimension")
-    mats = [[[Scalar(0, tj)]] for tj in t]
+    mats = [GaussMatrix([[0]], [[tj.numerator]], tj.denominator) for tj in t]
     label = "point (" + ", ".join(format_fraction(v) for v in t) + ")"
     return FiniteDimRep(algebra, mats, [Fraction(1)], label=label)
 
@@ -187,13 +190,16 @@ def direct_sum(*reps: FiniteDimRep) -> FiniteDimRep:
     total = sum(r.dim_rep for r in reps)
     mats = []
     for k in range(algebra.dim):
-        mat = [[Scalar(0)] * total for _ in range(total)]
+        den = lcm(*(rep.mats[k].den for rep in reps))
+        re, im = ([[0] * total for _ in range(total)] for _ in range(2))
         offset = 0
         for rep in reps:
-            for p, row in enumerate(rep.mats[k].scalars()):
-                mat[offset + p][offset:offset + len(row)] = row
+            M, w = rep.mats[k], den // rep.mats[k].den
+            for p, (ra, ia) in enumerate(zip(M.re, M.im)):
+                re[offset + p][offset:offset + len(ra)] = [w * x for x in ra]
+                im[offset + p][offset:offset + len(ia)] = [w * x for x in ia]
             offset += rep.dim_rep
-        mats.append(mat)
+        mats.append(GaussMatrix(re, im, den))
     metric = [s for rep in reps for s in rep.metric]
     label = " + ".join(r.label or "?" for r in reps)
     return FiniteDimRep(algebra, mats, metric, label=label)
@@ -230,8 +236,8 @@ def is_su2_standard(algebra: LieAlgebra) -> bool:
 
 
 def spin_window(l_max: Fraction | int):
-    """Labels 0, 1/2, ..., l_max of the su(2) dual."""
-    l_max = Fraction(l_max)
+    """Labels 0, 1/2, ..., l_max of the su(2) dual; l_max must be a nonnegative half-integer."""
+    l_max = _spin_label(l_max)
     out = []
     step = Fraction(1, 2)
     l = Fraction(0)

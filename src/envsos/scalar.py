@@ -92,9 +92,6 @@ class Scalar:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     # -- text --------------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -83,13 +84,12 @@ def find_certificate(c: AlgebraElement, f, degree: int,
     if skeleton is None:
         skeleton = GramSkeleton(c.algebra, f, degree)
     forced = forced_face_vectors(c, f, skeleton.bases, reps)
-    faces = [nullspace(GaussMatrix.from_scalars(z), len(basis)) if z else None
-             for z, basis in zip(forced, skeleton.bases)]
+    faces = [nullspace(z, len(basis)) if z.re else None for z, basis in zip(forced, skeleton.bases)]
     return _solve_and_round(skeleton.problem_for(c, faces), opts)
 
 
 def forced_face_vectors(c: AlgebraElement, f, bases, reps):
-    """Per block l, exact vectors z with G_l z = 0 for every Gram certificate of c.
+    """Per block l, a GaussMatrix whose rows z have G_l z = 0 for every Gram certificate of c.
 
     A representation pi is used only when it maps c to a matrix with a kernel
     and every pi(f_l) is PSD (decided exactly, on the images pi keeps, so c
@@ -100,23 +100,30 @@ def forced_face_vectors(c: AlgebraElement, f, bases, reps):
         0 = <pi(c) v, v>_S = sum_l sum_pq (G_l)_pq (pi(w_p) v)^H H_l (pi(w_q) v),
 
     a sum of traces of products of PSD matrices, so every term vanishes and
-    G_l annihilates each row of H_l U_l.  Zero rows are left out.
+    G_l annihilates each row of H_l U_l.  The rows for one v are written as
+    Gaussian integers, H_l U_l times the lcm of its columns' denominators: a
+    face depends only on the span of the rows.  Zero rows are left out.
     """
-    forced = [[] for _ in bases]
+    forced = [([], []) for _ in bases]  # (re rows, im rows) per block
     for rep in reps:
         K = nullspace(rep.image(c), rep.dim_rep)
         if not K.re or not all(rep.is_positive(g) for g in f):
             continue
         kernel = [GaussMatrix([[x] for x in re], [[y] for y in im], K.den)
                   for re, im in zip(K.re, K.im)]
-        for gen, basis, vectors in zip(f, bases, forced):
+        for gen, basis, (re_rows, im_rows) in zip(f, bases, forced):
             H = rep.weighted_matrix(gen)
             HW = [H @ rep.image(AlgebraElement.monomial(c.algebra, w)) for w in basis]
             for v in kernel:
-                columns = [(M @ v).scalars() for M in HW]  # column q of H_l U_l
-                HU = ([col[j][0] for col in columns] for j in range(rep.dim_rep))
-                vectors.extend(z for z in HU if any(z))
-    return forced
+                columns = [M @ v for M in HW]  # column q of H_l U_l
+                den = lcm(*(col.den for col in columns))
+                for j in range(rep.dim_rep):
+                    re = [den // col.den * col.re[j][0] for col in columns]
+                    im = [den // col.den * col.im[j][0] for col in columns]
+                    if any(re) or any(im):
+                        re_rows.append(re)
+                        im_rows.append(im)
+    return [GaussMatrix(re, im) for re, im in forced]
 
 
 def _solve_and_round(problem, opts: SolveOptions | None) -> FeasibilityReport:

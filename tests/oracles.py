@@ -18,9 +18,12 @@ rank, for checks only.  reference_cmat_mul and
 reference_metric_adjoint are frozen copies of the earlier complex matrix
 product and metric adjoint, which ran in Scalar arithmetic, and cmat_zero,
 cmat_add, cmat_sub, cmat_scale, cmat_is_zero and cmat_is_hermitian are the
-earlier Scalar matrix helpers.  ReferenceRep is a frozen copy of the earlier
-representation checks and evaluation, which held the generator matrices as
-Scalars.
+earlier Scalar matrix helpers, cmat_identity among them.  ReferenceRep is a
+frozen copy of the earlier representation checks and evaluation, which held
+the generator matrices as Scalars; reference_spin_mats, reference_point_mats
+and reference_direct_sum_mats are the earlier constructions, which wrote the
+generator matrices as Scalar rows, and reference_forced_face_vectors is the
+earlier forced-face derivation, which returned Scalar rows per block.
 reference_mul_monomial_gen, reference_mul_monomials and
 reference_star_monomial are frozen copies of the earlier straightening loops,
 each with its own generator-step loop and a memo passed in, and
@@ -53,8 +56,8 @@ from envsos.exactla import (
     EchelonAccumulator,
     GaussMatrix,
     LdlResult,
-    cmat_identity,
     ldl_hermitian,
+    nullspace,
 )
 from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
 from envsos.lie import LieAlgebra
@@ -195,8 +198,10 @@ def reference_ldl_hermitian(M) -> LdlResult:
 
     It keeps a multiplier dict per step, a separate (column, pivot) log for
     the witness lift and updates the full Schur complement square; the
-    package's ldl_hermitian must return the same perm, diag, lower, witness
-    and witness_value on exactly Hermitian input.
+    package's ldl_hermitian must return the same perm, diag, witness and
+    witness_value on exactly Hermitian input.  A PSD result also carries
+    the factor L as rows of Scalars, `lower`, with P M P^T = L D L^*; the
+    package keeps no L.
 
     Pivots are chosen as the largest remaining diagonal entry.  A zero pivot
     whose row is not identically zero certifies indefiniteness, as does any
@@ -284,7 +289,9 @@ def reference_ldl_hermitian(M) -> LdlResult:
         for orig, val in col.items():
             if order[orig] > k:
                 L[order[orig]][k] = val
-    return LdlResult(True, perm=perm, diag=diag, lower=L)
+    result = LdlResult(True, perm=perm, diag=diag)
+    result.lower = L
+    return result
 
 
 def _reference_block_factors(grams, sizes):
@@ -671,6 +678,10 @@ def reference_metric_adjoint(metric, M):
     ]
 
 
+def cmat_identity(n):
+    return [[Scalar(1) if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+
+
 def cmat_zero(n):
     return [[Scalar(0) for _ in range(n)] for _ in range(n)]
 
@@ -775,6 +786,68 @@ class ReferenceRep:
 
     def weighted_matrix(self, e: AlgebraElement):
         return self._metric_weighted(self.evaluate(e))
+
+
+def reference_spin_mats(l):
+    """(generator matrices, metric) of the earlier make_spin_rep, in Scalar rows."""
+    l = Fraction(l)
+    n = int(2 * l) + 1
+    js = [(-l + k) for k in range(n)]
+    X1, X2, X3 = ([[Scalar(0)] * n for _ in range(n)] for _ in range(3))
+    for idx, j in enumerate(js):
+        X1[idx][idx] = Scalar(0, j)
+        if idx + 1 < n:
+            up = l - j
+            X2[idx + 1][idx] = Scalar(0, -Fraction(up, 2))
+            X3[idx + 1][idx] = Scalar(Fraction(up, 2))
+        if idx - 1 >= 0:
+            down = l + j
+            X2[idx - 1][idx] = Scalar(0, -Fraction(down, 2))
+            X3[idx - 1][idx] = Scalar(-Fraction(down, 2))
+    metric = [Fraction(1)] * n
+    for idx in range(1, n):
+        j = js[idx - 1]
+        metric[idx] = metric[idx - 1] * Fraction(l + j + 1, 1) / Fraction(l - j, 1)
+    return [X1, X2, X3], metric
+
+
+def reference_point_mats(t):
+    """(generator matrices, metric) of the earlier make_point_rep, in Scalar rows."""
+    return [[[Scalar(0, Fraction(tj))]] for tj in t], [Fraction(1)]
+
+
+def reference_direct_sum_mats(*parts):
+    """(generator matrices, metric) of the earlier direct_sum of (mats, metric) parts."""
+    total = sum(len(metric) for _, metric in parts)
+    mats = []
+    for k in range(len(parts[0][0])):
+        mat = [[Scalar(0)] * total for _ in range(total)]
+        offset = 0
+        for part_mats, metric in parts:
+            for p, row in enumerate(part_mats[k]):
+                mat[offset + p][offset:offset + len(row)] = row
+            offset += len(metric)
+        mats.append(mat)
+    return mats, [s for _, metric in parts for s in metric]
+
+
+def reference_forced_face_vectors(c, f, bases, reps):
+    """The earlier forced_face_vectors: per block, the nonzero rows of H_l U_l as Scalar rows."""
+    forced = [[] for _ in bases]
+    for rep in reps:
+        K = nullspace(rep.image(c), rep.dim_rep)
+        if not K.re or not all(rep.is_positive(g) for g in f):
+            continue
+        kernel = [GaussMatrix([[x] for x in re], [[y] for y in im], K.den)
+                  for re, im in zip(K.re, K.im)]
+        for gen, basis, vectors in zip(f, bases, forced):
+            H = rep.weighted_matrix(gen)
+            HW = [H @ rep.image(AlgebraElement.monomial(c.algebra, w)) for w in basis]
+            for v in kernel:
+                columns = [(M @ v).scalars() for M in HW]
+                HU = ([col[j][0] for col in columns] for j in range(rep.dim_rep))
+                vectors.extend(z for z in HU if any(z))
+    return forced
 
 
 def echelon_rank(acc) -> int:

@@ -392,6 +392,20 @@ def test_scan_rejects_a_window_flag_it_cannot_use(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("lmax", ["1/3", "-1", "2.7", "-1/2"])
+def test_a_spin_window_that_is_not_a_nonnegative_half_integer_is_an_input_error(
+        tmp_path, capsys, lmax):
+    # each used to exit 0: 1/3 scanned spin 0 only, -1 nothing and 2.7 up to 5/2
+    message = "spin label must be a nonnegative half-integer"
+    runs = [("scan", "--algebra", "su2", "--exprs", "1", f"--lmax={lmax}"),
+            ("theorem", "--instance", str(write_instance(tmp_path)), f"--lmax={lmax}"),
+            ("theorem", "--instance", str(write_instance(tmp_path, l_max=lmax)))]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err
+
+
 def test_scan_and_audit_read_abelian_points(capsys):
     code, out, _ = run(capsys, "scan", "--algebra", "abelian(2)", "--exprs", "1", "1 + i*x1",
                        "--points", "0,0", "--points", "2,1", "--points=-1,0")

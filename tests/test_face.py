@@ -5,8 +5,8 @@ from fractions import Fraction
 
 from envsos.certs import WeightedSosCertificate, round_and_verify, verify_certificate_json
 from envsos.driver import window_members
-from envsos.exactla import GaussMatrix
-from envsos.exprs import parse
+from envsos.exactla import GaussMatrix, nullspace
+from envsos.exprs import parse, render
 from envsos.gram import GramSkeleton
 from envsos.lie import builtin
 from envsos.numeric import solve_feasibility
@@ -15,7 +15,7 @@ from envsos.reps import make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
 from envsos.sos import find_certificate, forced_face_vectors
 
-from oracles import residual_exact
+from oracles import reference_forced_face_vectors, residual_exact
 
 
 def _explicit_margin_gram(su2, basis):
@@ -50,6 +50,7 @@ def test_forced_vectors_are_annihilated_by_an_explicit_margin_gram(su2):
     assert all(r == 0 for r in residual_exact(problem.system, g))
     members = window_members(su2, [unit], Fraction(3))
     forced, = forced_face_vectors(target, [unit], skeleton.bases, members.values())
+    forced = forced.scalars()
     # only spin 0 maps a^2 - 1 to a singular matrix; it forces out the constant monomial
     assert len(forced) == 1
     assert [bool(x) for x in forced[0]] == [w == (0, 0, 0) for w in basis]
@@ -82,7 +83,7 @@ def test_abelian_point_forces_out_the_constant_monomial():
     origin = make_point_rep(ab, (0, 0))
     skeleton = GramSkeleton(ab, [unit], 2)
     forced, = forced_face_vectors(c, [unit], skeleton.bases, [origin])
-    assert forced == [[Scalar(1), Scalar(0), Scalar(0)]]
+    assert forced.scalars() == [[Scalar(1), Scalar(0), Scalar(0)]]
     assert skeleton.bases[0][0] == (0, 0)
     report = find_certificate(c, [unit], 2, reps=[origin, make_point_rep(ab, (1, -1))])
     assert report.status == "certificate"
@@ -100,16 +101,17 @@ def test_representation_with_non_psd_generator_contributes_nothing(su2):
     spin_half = make_spin_rep(Fraction(1, 2), su2)
     assert not spin_half.is_positive(h)
     bases = GramSkeleton(su2, [unit, h], 2).bases
-    assert forced_face_vectors(c, [unit, h], bases, [spin_half]) == [[], []]
+    assert [z.re for z in forced_face_vectors(c, [unit, h], bases, [spin_half])] == [[], []]
     # the same kernel with only the unit generator does force vectors
-    assert forced_face_vectors(c, [unit], bases[:1], [spin_half]) != [[]]
+    assert [z.re for z in forced_face_vectors(c, [unit], bases[:1], [spin_half])] != [[]]
 
 
 def test_representations_without_kernel_change_nothing(su2):
     unit = AlgebraElement.unit(su2)
     a = canonical_a(su2)
     reps = [make_spin_rep(Fraction(l, 2), su2) for l in range(5)]
-    assert forced_face_vectors(a, [unit], GramSkeleton(su2, [unit], 2).bases, reps) == [[]]
+    assert [z.re for z in forced_face_vectors(a, [unit], GramSkeleton(su2, [unit], 2).bases,
+                                              reps)] == [[]]
     plain = find_certificate(a, [unit], 2).certificate.to_json_dict()
     with_reps = find_certificate(a, [unit], 2, reps=reps).certificate.to_json_dict()
     assert json.dumps(with_reps) == json.dumps(plain)
@@ -163,6 +165,7 @@ def test_complex_face_from_spin_one_half(su2):
     members = window_members(su2, [unit], Fraction(3))
     skeleton = GramSkeleton(su2, [unit], 4)
     forced, = forced_face_vectors(c, [unit], skeleton.bases, members.values())
+    forced = forced.scalars()
     assert len(forced) == 4 and any(x.im for z in forced for x in z)
     report = find_certificate(c, [unit], 4, skeleton=skeleton, reps=list(members.values()))
     assert report.status == "certificate"
@@ -181,12 +184,63 @@ def test_generator_image_weights_the_forced_rows(su2):
     bases = GramSkeleton(su2, [unit, g], 2).bases
     assert [len(b) for b in bases] == [4, 1]
     forced_unit, forced_g = forced_face_vectors(g, [unit, g], bases, [spin_half])
-    assert len(forced_unit) == 2
+    assert len(forced_unit.re) == 2
     # pi(g) maps the kernel to 0, so the rows of S pi(g) U force nothing on block 2;
     # the rows of U alone would force out the only certificate, g = 1^* g 1
-    assert forced_g == []
+    assert forced_g.re == []
     report = find_certificate(g, [unit, g], 2, reps=[spin_half])
     assert report.status == "certificate"
     data = report.certificate.to_json_dict()
     assert data["blocks"][1]["gram"] == [["1"]]
     assert verify_certificate_json(data)
+
+
+# (target text, generator texts, degree) for the su(2) window a <= 3
+FORCED_CASES = [("a^2 - 1", ["1"], 4), ("a^2 - 1", ["1"], 6),
+                ("(a - 7/4)^2", ["1"], 4), ("1/2 - i*x1", ["1", "1/2 - i*x1"], 2)]
+
+
+def _forced_case(su2, target, generators, degree):
+    aliases = {"a": render(canonical_a(su2))}
+    c = parse(target, su2, aliases)
+    f = [parse(g, su2) for g in generators]
+    members = list(window_members(su2, f, Fraction(3)).values())
+    return c, f, GramSkeleton(su2, f, degree).bases, members
+
+
+def test_integer_forced_rows_give_the_faces_of_the_frozen_scalar_rows(su2):
+    # each row is scaled by its own positive integer; the faces are the same
+    for target, generators, degree in FORCED_CASES:
+        c, f, bases, members = _forced_case(su2, target, generators, degree)
+        new = forced_face_vectors(c, f, bases, members)
+        old = reference_forced_face_vectors(c, f, bases, members)
+        for z, rows, basis in zip(new, old, bases):
+            assert bool(z.re) == bool(rows)
+            if rows:
+                face, want = nullspace(z, len(basis)), nullspace(GaussMatrix.from_scalars(rows),
+                                                                  len(basis))
+                assert (face.re, face.im, face.den) == (want.re, want.im, want.den)
+        assert any(z.re for z in new), target
+
+
+def test_a_search_on_the_spin_window_forms_no_scalar_matrix(su2, monkeypatch):
+    # the window's representations, the forced rows, the faces and the rounding
+    # all stay GaussMatrix: nothing converts to or from Scalar rows
+    calls = []
+    from_scalars, scalars = GaussMatrix.from_scalars.__func__, GaussMatrix.scalars
+
+    def counting_from_scalars(cls, M):
+        calls.append("from_scalars")
+        return from_scalars(cls, M)
+
+    def counting_scalars(self):
+        calls.append("scalars")
+        return scalars(self)
+
+    monkeypatch.setattr(GaussMatrix, "from_scalars", classmethod(counting_from_scalars))
+    monkeypatch.setattr(GaussMatrix, "scalars", counting_scalars)
+    c, f, _, members = _forced_case(su2, "(a - 7/4)^2", ["1"], 4)
+    report = find_certificate(c, f, 4, reps=members)
+    assert calls == []
+    assert report.status == "certificate"
+    assert isinstance(report.certificate, WeightedSosCertificate)

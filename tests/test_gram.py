@@ -231,8 +231,7 @@ def _window_face(target):
     skeleton = GramSkeleton(su2, [unit], 4)
     members = window_members(su2, [unit], Fraction(3)).values()
     forced, = forced_face_vectors(target, [unit], skeleton.bases, members)
-    return skeleton.problem_for(target, [nullspace(GaussMatrix.from_scalars(forced),
-                                                   len(skeleton.bases[0]))])
+    return skeleton.problem_for(target, [nullspace(forced, len(skeleton.bases[0]))])
 
 
 def _su2_face(degree, faces, generators="unit"):

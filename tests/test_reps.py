@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from envsos.errors import ContextInvalid, NotAbelian, NotHermitean
-from envsos.exactla import cmat_identity
+from envsos.exactla import GaussMatrix
 from envsos.exprs import parse, render
 from envsos.lie import builtin
 from envsos.pbw import AlgebraElement, canonical_a
@@ -20,13 +20,17 @@ from envsos.scalar import Scalar
 
 from oracles import (
     ReferenceRep,
+    cmat_identity,
     cmat_is_zero,
     cmat_sub,
     psd_by_char_poly,
     random_element,
     random_hermitean,
     reference_cmat_mul,
+    reference_direct_sum_mats,
     reference_ldl_hermitian,
+    reference_point_mats,
+    reference_spin_mats,
 )
 
 
@@ -78,13 +82,13 @@ def test_constructor_rejects_broken_bracket(su2):
     bad = rep.mats[0].scalars()
     bad[0][0] = bad[0][0] + Scalar(1)
     with pytest.raises(ContextInvalid):
-        FiniteDimRep(su2, [bad, rep.mats[1].scalars(), rep.mats[2].scalars()], rep.metric)
+        FiniteDimRep(su2, [GaussMatrix.from_scalars(bad), rep.mats[1], rep.mats[2]], rep.metric)
 
 
 def test_constructor_rejects_bad_metric(su2):
     rep = make_spin_rep(1)
     with pytest.raises(ContextInvalid):
-        FiniteDimRep(su2, [M.scalars() for M in rep.mats], [1, 2, 1])
+        FiniteDimRep(su2, rep.mats, [1, 2, 1])
 
 
 def _spin_one_mats():
@@ -115,7 +119,7 @@ def _ragged_rows(mats):
 def test_constructor_rejects_wrong_shapes(su2, change, message):
     metric = make_spin_rep(1).metric
     with pytest.raises(ContextInvalid, match=f"^{message}$"):
-        FiniteDimRep(su2, change(_spin_one_mats()), metric)
+        FiniteDimRep(su2, [GaussMatrix.from_scalars(M) for M in change(_spin_one_mats())], metric)
 
 
 def _reference_cases(rng):
@@ -150,9 +154,10 @@ def test_integer_representations_match_the_frozen_scalar_reference():
     cases, accepted, messages = _reference_cases(rng), 0, set()
     for algebra, mats, metric in cases:
         verdicts = []
-        for cls in (FiniteDimRep, ReferenceRep):
+        images = [GaussMatrix.from_scalars(M) for M in mats]
+        for cls, generators in ((FiniteDimRep, images), (ReferenceRep, mats)):
             try:
-                verdicts.append((cls(algebra, mats, metric), None))
+                verdicts.append((cls(algebra, generators, metric), None))
             except ContextInvalid as exc:
                 verdicts.append((None, str(exc)))
         (rep, message), (ref, ref_message) = verdicts
@@ -297,6 +302,31 @@ def test_direct_sum_blocks():
     A = ds.evaluate(canonical_a(ds.algebra))
     assert A[0][0] == Scalar(Fraction(7, 4))
     assert A[4][4] == Scalar(3)
+
+
+def _assert_built_like(rep, reference):
+    mats, metric = reference
+    want = [GaussMatrix.from_scalars(M) for M in mats]
+    assert [(M.re, M.im, M.den) for M in rep.mats] == [(M.re, M.im, M.den) for M in want]
+    assert rep.metric == metric
+
+
+def test_constructions_match_the_frozen_scalar_construction():
+    # the generator images are written as integers directly; they are the
+    # Scalar rows of the earlier constructions, cleared
+    for l2 in range(8):
+        _assert_built_like(make_spin_rep(half(l2)), reference_spin_mats(half(l2)))
+    for d, point in ((1, [Fraction(-7, 3)]), (2, [Fraction(1, 2), Fraction(-3, 4)]),
+                     (3, [Fraction(0), Fraction(5), Fraction(2, 9)])):
+        _assert_built_like(make_point_rep(builtin(f"abelian({d})"), point),
+                           reference_point_mats(point))
+    ab = builtin("abelian(2)")
+    points = [[Fraction(1, 2), Fraction(-1)], [Fraction(0), Fraction(2, 3)]]
+    _assert_built_like(direct_sum(*(make_point_rep(ab, p) for p in points)),
+                       reference_direct_sum_mats(*map(reference_point_mats, points)))
+    for spins in ([half(1), 1], [0, half(1), half(3)]):
+        _assert_built_like(direct_sum(*map(make_spin_rep, spins)),
+                           reference_direct_sum_mats(*map(reference_spin_mats, spins)))
 
 
 def test_scan_trivial_generator_list(su2):

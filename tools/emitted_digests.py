@@ -74,6 +74,8 @@ CLI_CASES = [
     # a canonical commutative certificate, and the same with one Gram entry written "1.0"
     ("verify-commutative", ["verify", "--certificate", "commutative.json"]),
     ("verify-noncanonical", ["verify", "--certificate", "noncanonical.json"]),
+    # a spin window that is not a half-integer: an input error
+    ("scan-lmax-not-half-integer", ["scan", "--algebra", "su2", "--exprs", "1", "--lmax", "1/3"]),
 ]
 # the commutative_sos certificate of t1^2 + t2^2 at level 0: the identity Gram
 COMMUTATIVE_CERTIFICATE = {
