@@ -23,7 +23,15 @@ to a basis once, and the two-sided level uses the exact identity
     span{u g v} = span{u w : w in a basis of span{g v}},
 
 so the span at each level, and with it every membership verdict, is the one
-the full enumeration of products gives.
+the full enumeration of products gives.  A candidate not in the span at level
+3 is unresolved.
+
+Every matrix the audit forms lies in the context's block algebra: the
+matrices supported on the blocks, the connected components of the nonzero
+pattern of X_1..X_d and Y, of real dimension N = 2 sum |B|^2.  A span of rank
+N is that whole algebra (BlockSpan), so it forms no further products and a
+membership test reads the candidate's entries outside the blocks, with no
+reduction.  Before that, insertion and membership reduce against the echelon.
 
 A context takes the representation's matrices as they are, each an
 exactla.GaussMatrix of Gaussian-integer rows over one denominator; every
@@ -150,7 +158,14 @@ class OperatorAlgebraContext:
     Supplies the operator family X_0 = i I, X_1..X_d, Y = A^{-1} and
     Y_{kl} = X_k X_l Y together with their adjoint partners Y X_l X_k; the
     adjoint exchange rule between the two families is checked on construction.
-    Every matrix is a GaussMatrix; the X_k are the representation's own.
+    Every matrix is a GaussMatrix; the X_k are the representation's own, and
+    each X_k X_l is formed once for both families.
+
+    The blocks of the basis are the connected components of the joint
+    nonzero pattern of X_1..X_d and Y.  The matrices supported on the blocks
+    form an algebra that holds X_0, X_1..X_d and Y, so every matrix the audit
+    forms lies in it.  Its real dimension is block_dim = 2 * sum |B|^2, and
+    off_block lists the positions (i, j) outside every block.
     """
 
     def __init__(self, rep: FiniteDimRep):
@@ -167,10 +182,13 @@ class OperatorAlgebraContext:
         if not (self.A @ self.Y - GaussMatrix.identity(n)).is_zero():
             raise ContextInvalid("inverse sanity check failed")
         self.X = [GaussMatrix.identity(n).scale(Scalar(0, 1)), *rep.mats]
+        block = _block_labels(n, [*rep.mats, self.Y])
+        self.block_dim = 2 * sum(block.count(b) ** 2 for b in set(block))
+        self.off_block = [(i, j) for i in range(n) for j in range(n) if block[i] != block[j]]
+        XX = [[self.X[k] @ self.X[l] for l in range(d + 1)] for k in range(d + 1)]
         # left[k][l] = X_k X_l Y ; right[l][k] = Y X_l X_k (the negative indices)
-        self.left = [[self.X[k] @ self.X[l] @ self.Y for l in range(d + 1)] for k in range(d + 1)]
-        self.right = [[self.Y @ (self.X[l] @ self.X[k]) for k in range(d + 1)]
-                      for l in range(d + 1)]
+        self.left = [[XX[k][l] @ self.Y for l in range(d + 1)] for k in range(d + 1)]
+        self.right = [[self.Y @ XX[l][k] for k in range(d + 1)] for l in range(d + 1)]
         for k in range(d + 1):
             for l in range(d + 1):
                 if not (self.left[k][l].adjoint(rep.metric) - self.right[l][k]).is_zero():
@@ -188,13 +206,60 @@ class OperatorAlgebraContext:
                 out.append(self.right[l][k])
         return out
 
+    def in_blocks(self, M: GaussMatrix) -> bool:
+        """True when M has no nonzero entry outside the blocks."""
+        return not any(M.re[i][j] or M.im[i][j] for i, j in self.off_block)
+
+
+def _block_labels(n: int, mats) -> list:
+    """One label per basis index, equal exactly within a connected component of
+    the joint nonzero pattern of mats (union-find over the nonzero entries)."""
+    label = list(range(n))
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    for M in mats:
+        for i in range(n):
+            for j in range(n):
+                if M.re[i][j] or M.im[i][j]:
+                    label[root(i)] = root(j)
+    return [root(i) for i in range(n)]
+
 
 def _vec(M: GaussMatrix) -> dict:
     """M's numerators as one row (exactla.realified); M's denominator leaves its span unchanged."""
     return realified(M.numerators())
 
 
-class IdealSpan:
+class BlockSpan:
+    """Exact real span of matrices of a context's block algebra.
+
+    Insertion and membership reduce against an echelon until its rank reaches
+    the context's block_dim.  The span then is the whole block algebra, since
+    everything inserted lies in it: insertion is a no-op, and M is a member
+    exactly when it has no nonzero entry outside the blocks.
+    """
+
+    def __init__(self, ctx: OperatorAlgebraContext):
+        self.ctx = ctx
+        self.acc = EchelonAccumulator(2 * ctx.rep.dim_rep ** 2)
+
+    @property
+    def full(self) -> bool:
+        return len(self.acc.rows) == self.ctx.block_dim
+
+    def insert(self, M) -> bool:
+        """Add M; False when it is already in the span."""
+        return not self.full and self.acc.insert(_vec(M))
+
+    def contains(self, M) -> bool:
+        return self.ctx.in_blocks(M) if self.full else self.acc.contains(_vec(M))
+
+
+class IdealSpan(BlockSpan):
     """Growing exact span of the evaluated two-sided star-ideal.
 
     Levels: 0 the generators g themselves, 1 adds the left products u*g, 2 the
@@ -208,60 +273,59 @@ class IdealSpan:
 
     so the span at every level is the one of the full enumeration, and only
     the spanning matrices kept in basis_matrices differ.  Membership of a
-    residual is a reduction against the accumulated echelon.
+    residual is a reduction against the accumulated echelon.  Once the span
+    fills the block algebra (BlockSpan) no level forms another product, and
+    membership is read off the residual's support.
     """
 
     def __init__(self, ctx: OperatorAlgebraContext):
+        super().__init__(ctx)
         d = ctx.algebra.dim
-        n = ctx.rep.dim_rep
         self.gens = []
         for k in range(d + 1):
             self.gens.append(ctx.left[k][0])    # X_k X_0 Y
             self.gens.append(ctx.right[0][k])   # Y X_0 X_k
-        family = EchelonAccumulator(2 * n * n)
-        self.family = [u for u in ctx.family_elements() if family.insert(_vec(u))]
-        self.acc = EchelonAccumulator(2 * n * n)
+        family = BlockSpan(ctx)
+        self.family = [u for u in ctx.family_elements() if family.insert(u)]
         self.basis_matrices = []
         self.right_basis = []   # a basis of span{g v}, filled at level 2
         self.level = -1
 
-    def _insert(self, M):
-        if self.acc.insert(_vec(M)):
-            self.basis_matrices.append(M)
+    def _products(self, level: int):
+        """The spanning products of one level, formed one at a time."""
+        if level == 0:
+            yield from self.gens
+        elif level == 1:
+            yield from (u @ g for u in self.family for g in self.gens)
+        elif level == 2:
+            right = BlockSpan(self.ctx)
+            for g in self.gens:
+                for v in self.family:
+                    gv = g @ v
+                    if right.insert(gv):
+                        self.right_basis.append(gv)
+                    yield gv
+        elif level == 3:
+            yield from (u @ w for u in self.family for w in self.right_basis)
 
     def ensure_level(self, level: int):
         while self.level < level:
             self.level += 1
-            if self.level == 0:
-                for g in self.gens:
-                    self._insert(g)
-            elif self.level == 1:
-                for u in self.family:
-                    for g in self.gens:
-                        self._insert(u @ g)
-            elif self.level == 2:
-                right = EchelonAccumulator(self.acc.ncols)
-                for g in self.gens:
-                    for v in self.family:
-                        gv = g @ v
-                        self._insert(gv)
-                        if right.insert(_vec(gv)):
-                            self.right_basis.append(gv)
-            elif self.level == 3:
-                for u in self.family:
-                    for w in self.right_basis:
-                        self._insert(u @ w)
+            if self.full:
+                continue
+            for M in self._products(self.level):
+                if self.insert(M):
+                    self.basis_matrices.append(M)
+                    if self.full:
+                        break
 
     def contains(self, M) -> bool:
         """Membership of M in the span, growing it level by level up to level 3."""
-        vec = _vec(M)
-        if self.acc.contains(vec):
-            return True
-        while self.level < 3:
+        while not super().contains(M):
+            if self.level == 3:
+                return False
             self.ensure_level(self.level + 1)
-            if self.acc.contains(vec):
-                return True
-        return False
+        return True
 
 
 def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
@@ -269,7 +333,11 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
 
     r1-r4 are matrix equalities (residuals must vanish identically); r5-r8 are
     ideal memberships decided by exact linear algebra.  The r4 identity is
-    audited in both printed orientations.
+    audited in both printed orientations.  Each product is formed once: r1-r4
+    read one table of the Y*_{k0} Y_{l0}, r2 one of the Y Y_{j0}, and r5, r7
+    and r8 ask one candidate of each pair M, -M, whose verdicts agree; the
+    span grows only until the first of the two is in, so the levels it
+    reaches do not change either.
     """
     algebra = ctx.algebra
     d = algebra.dim
@@ -277,11 +345,15 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     b = b_constants(algebra)
     # Y*_{kl} is ctx.right[l][k]: the context checked that equality exactly
     report: dict = {}
+    # Y*_{k0} Y_{l0} for k = l = 0 and for k, l in 1..d; Y Y_{j0} for j in 1..d
+    star = {(k, l): ctx.right[0][k] @ ctx.left[l][0]
+            for k in range(d + 1) for l in range(d + 1) if (k == 0) == (l == 0)}
+    y_left = {j: ctx.Y @ ctx.left[j][0] for j in range(1, d + 1)}
 
     # r1: sum_k Y*_{k0} Y_{k0} = Y
     acc = GaussMatrix.zero(n)
     for k in range(d + 1):
-        acc = acc + ctx.right[0][k] @ ctx.left[k][0]
+        acc = acc + star[k, k]
     report["r1"] = _relation_entry(acc - ctx.Y)
 
     # r2: Y*_{k0} Y_{l0} - Y*_{l0} Y_{k0} = -i sum_j c^j_{lk} Y Y_{j0}
@@ -289,12 +361,12 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
     ok = True
     for k in range(1, d + 1):
         for l in range(1, d + 1):
-            lhs = ctx.right[0][k] @ ctx.left[l][0] - ctx.right[0][l] @ ctx.left[k][0]
+            lhs = star[k, l] - star[l, k]
             rhs = GaussMatrix.zero(n)
             for j in range(1, d + 1):
                 coeff = algebra.c[l - 1][k - 1][j - 1]
                 if coeff:
-                    rhs = rhs + (ctx.Y @ ctx.left[j][0]).scale(Scalar(0, -coeff))
+                    rhs = rhs + y_left[j].scale(Scalar(0, -coeff))
             if not (lhs - rhs).is_zero():
                 ok = False
                 worst = (k, l)
@@ -310,7 +382,7 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
             for l in range(1, d + 1):
                 coeff = b[k - 1][l - 1][j - 1]
                 if coeff:
-                    rhs = rhs + (ctx.right[0][j] @ ctx.left[l][0]).scale(Scalar(0, coeff))
+                    rhs = rhs + star[j, l].scale(Scalar(0, coeff))
         if not (lhs - rhs).is_zero():
             ok = False
             worst = k
@@ -318,9 +390,9 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
 
     # r4: sum_{k,l=0}^d Y*_{kl} Y_{kl} = I + i sum b^l_{jk} Y*_{j0} Y_{kl}
     #                                  = I - i sum b^l_{jk} Y*_{kl} Y_{j0}
-    e1 = GaussMatrix.zero(n)
+    e1 = acc  # the l = 0 terms are r1's
     for k in range(d + 1):
-        for l in range(d + 1):
+        for l in range(1, d + 1):
             e1 = e1 + ctx.right[l][k] @ ctx.left[k][l]
     e2 = GaussMatrix.identity(n)
     e3 = GaussMatrix.identity(n)
@@ -349,42 +421,47 @@ def audit_r_relations(ctx: OperatorAlgebraContext) -> dict:
             return True
         return span.contains(M)
 
+    # Y_{kl} - Y_{lk} for l < k is minus the candidate of (l, k), and zero for l = k
     ok5 = True
     for k in range(d + 1):
         for l in range(d + 1):
             if not member(ctx.left[k][l] - ctx.right[l][k]):
                 ok5 = False
-            if not member(ctx.left[k][l] - ctx.left[l][k]):
+            if k < l and not member(ctx.left[k][l] - ctx.left[l][k]):
                 ok5 = False
     report["r5"] = _ideal_entry(ok5)
 
     # r6: Y x - x Y in Y*ideal, ideal*Y; spans compared both ways
     span.ensure_level(1)
-    y_ideal = EchelonAccumulator(2 * n * n)
-    ideal_y = EchelonAccumulator(2 * n * n)
-    for M in span.basis_matrices:
-        y_ideal.insert(_vec(ctx.Y @ M))
-        ideal_y.insert(_vec(M @ ctx.Y))
+    y_ideal = BlockSpan(ctx)
+    ideal_y = BlockSpan(ctx)
+    y_basis = [ctx.Y @ M for M in span.basis_matrices]
+    basis_y = [M @ ctx.Y for M in span.basis_matrices]
+    for YM, MY in zip(y_basis, basis_y):
+        y_ideal.insert(YM)
+        ideal_y.insert(MY)
     ok6 = True
     # the residual is linear in x, so the family basis decides as the family would
     for x in span.family:
-        vec = _vec(ctx.Y @ x - x @ ctx.Y)
-        if not (y_ideal.contains(vec) and ideal_y.contains(vec)):
+        R = ctx.Y @ x - x @ ctx.Y
+        if not (y_ideal.contains(R) and ideal_y.contains(R)):
             ok6 = False
-    spans_equal = all(ideal_y.contains(_vec(ctx.Y @ M)) for M in span.basis_matrices) and \
-        all(y_ideal.contains(_vec(M @ ctx.Y)) for M in span.basis_matrices)
+    spans_equal = all(ideal_y.contains(YM) for YM in y_basis) and \
+        all(y_ideal.contains(MY) for MY in basis_y)
     report["r6"] = {**_ideal_entry(ok6), "spans_equal": spans_equal}
 
-    # every Y_{kl} Y_{ij} with indices 1..d, formed once for both relations
+    # every Y_{kl} Y_{ij} with indices 1..d, formed once for both relations; the
+    # r7 candidate of (i, j, k, l) is minus that of (k, l, i, j), and the r8
+    # candidate of (k, i, l, j) minus that of (k, l, i, j)
     prod = {(k, l, i, j): ctx.left[k][l] @ ctx.left[i][j]
             for k in range(1, d + 1) for l in range(1, d + 1)
             for i in range(1, d + 1) for j in range(1, d + 1)}
     ok7 = True
     ok8 = True
     for (k, l, i, j), P in prod.items():
-        if not member(P - prod[i, j, k, l]):
+        if (k, l) < (i, j) and not member(P - prod[i, j, k, l]):
             ok7 = False
-        if not member(P - prod[k, i, l, j]):
+        if l < i and not member(P - prod[k, i, l, j]):
             ok8 = False
     report["r7"] = _ideal_entry(ok7)
     report["r8"] = _ideal_entry(ok8)

@@ -43,7 +43,11 @@ selection on A alone, then a second elimination of [A_ind | I].
 reference_check_assumption_ii is the earlier symbol check, which ran the exact
 sign scan before any level of the sphere hierarchy.  reference_poly_render is
 the earlier CommutativePoly.render, with its own term order and coefficient
-text instead of the element renderer.
+text instead of the element renderer.  ReferenceIdealSpan and
+reference_audit_r_relations are frozen copies of the earlier operator-relation
+audit: it reduced every insertion and every membership test against an
+echelon, also once the span held every matrix of the context, and it formed
+a shared product again at each use.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ from envsos.exactla import (
     LdlResult,
     ldl_hermitian,
     nullspace,
+    realified,
 )
 from envsos.gram import VariableLayout, monomials_of_degree, monomials_up_to
-from envsos.lie import LieAlgebra
+from envsos.lie import LieAlgebra, b_constants
 from envsos.numeric import SolveOptions
 from envsos.pbw import AlgebraElement, term_sort_key
 from envsos.poly import CommutativePoly, squared_norm_poly
@@ -1056,3 +1061,217 @@ def reference_poly_render(p) -> str:
         else:
             text += f" + {body}" if q > 0 else f" - {body}"
     return text
+
+
+def _reference_vec(M: GaussMatrix) -> dict:
+    """M's numerators as one row; M's denominator leaves its span unchanged."""
+    return realified(M.numerators())
+
+
+class ReferenceIdealSpan:
+    """Frozen copy of the earlier auditor.IdealSpan: a growing exact span of the
+    evaluated two-sided star-ideal, reduced at every insertion and every test.
+
+    Levels: 0 the generators g themselves, 1 adds the left products u*g, 2 the
+    right products g*v, 3 the two-sided products u*g*v, with u, v drawn from
+    the context's spanning family.  Each level is spanned from bases rather
+    than from every product.  The family is reduced to a basis once, which
+    spans the same products by linearity.  Level 2 keeps the g*v that are
+    independent among themselves as a right-factor basis W, and level 3 uses
+
+        span{u g v} = span{u w : w in W},
+
+    so the span at every level is the one of the full enumeration, and only
+    the spanning matrices kept in basis_matrices differ.  Membership of a
+    residual is a reduction against the accumulated echelon.
+    """
+
+    def __init__(self, ctx):
+        d = ctx.algebra.dim
+        n = ctx.rep.dim_rep
+        self.gens = []
+        for k in range(d + 1):
+            self.gens.append(ctx.left[k][0])    # X_k X_0 Y
+            self.gens.append(ctx.right[0][k])   # Y X_0 X_k
+        family = EchelonAccumulator(2 * n * n)
+        self.family = [u for u in ctx.family_elements() if family.insert(_reference_vec(u))]
+        self.acc = EchelonAccumulator(2 * n * n)
+        self.basis_matrices = []
+        self.right_basis = []   # a basis of span{g v}, filled at level 2
+        self.level = -1
+
+    def _insert(self, M):
+        if self.acc.insert(_reference_vec(M)):
+            self.basis_matrices.append(M)
+
+    def ensure_level(self, level: int):
+        while self.level < level:
+            self.level += 1
+            if self.level == 0:
+                for g in self.gens:
+                    self._insert(g)
+            elif self.level == 1:
+                for u in self.family:
+                    for g in self.gens:
+                        self._insert(u @ g)
+            elif self.level == 2:
+                right = EchelonAccumulator(self.acc.ncols)
+                for g in self.gens:
+                    for v in self.family:
+                        gv = g @ v
+                        self._insert(gv)
+                        if right.insert(_reference_vec(gv)):
+                            self.right_basis.append(gv)
+            elif self.level == 3:
+                for u in self.family:
+                    for w in self.right_basis:
+                        self._insert(u @ w)
+
+    def contains(self, M) -> bool:
+        """Membership of M in the span, growing it level by level up to level 3."""
+        vec = _reference_vec(M)
+        if self.acc.contains(vec):
+            return True
+        while self.level < 3:
+            self.ensure_level(self.level + 1)
+            if self.acc.contains(vec):
+                return True
+        return False
+
+
+def reference_audit_r_relations(ctx) -> dict:
+    """Frozen copy of the earlier auditor.audit_r_relations: the exact audit of
+    the eight operator relations in the given context.
+
+    r1-r4 are matrix equalities (residuals must vanish identically); r5-r8 are
+    ideal memberships decided by exact linear algebra.  The r4 identity is
+    audited in both printed orientations.
+    """
+    algebra = ctx.algebra
+    d = algebra.dim
+    n = ctx.rep.dim_rep
+    b = b_constants(algebra)
+    # Y*_{kl} is ctx.right[l][k]: the context checked that equality exactly
+    report: dict = {}
+
+    # r1: sum_k Y*_{k0} Y_{k0} = Y
+    acc = GaussMatrix.zero(n)
+    for k in range(d + 1):
+        acc = acc + ctx.right[0][k] @ ctx.left[k][0]
+    report["r1"] = _reference_relation_entry(acc - ctx.Y)
+
+    # r2: Y*_{k0} Y_{l0} - Y*_{l0} Y_{k0} = -i sum_j c^j_{lk} Y Y_{j0}
+    worst = None
+    ok = True
+    for k in range(1, d + 1):
+        for l in range(1, d + 1):
+            lhs = ctx.right[0][k] @ ctx.left[l][0] - ctx.right[0][l] @ ctx.left[k][0]
+            rhs = GaussMatrix.zero(n)
+            for j in range(1, d + 1):
+                coeff = algebra.c[l - 1][k - 1][j - 1]
+                if coeff:
+                    rhs = rhs + (ctx.Y @ ctx.left[j][0]).scale(Scalar(0, -coeff))
+            if not (lhs - rhs).is_zero():
+                ok = False
+                worst = (k, l)
+    report["r2"] = {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else f"indices {worst}"}
+
+    # r3: Y*_{k0} - Y_{k0} = i sum_{j,l} b^j_{kl} Y*_{j0} Y_{l0}
+    ok = True
+    worst = None
+    for k in range(1, d + 1):
+        lhs = ctx.right[0][k] - ctx.left[k][0]
+        rhs = GaussMatrix.zero(n)
+        for j in range(1, d + 1):
+            for l in range(1, d + 1):
+                coeff = b[k - 1][l - 1][j - 1]
+                if coeff:
+                    rhs = rhs + (ctx.right[0][j] @ ctx.left[l][0]).scale(Scalar(0, coeff))
+        if not (lhs - rhs).is_zero():
+            ok = False
+            worst = k
+    report["r3"] = {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else f"index {worst}"}
+
+    # r4: sum_{k,l=0}^d Y*_{kl} Y_{kl} = I + i sum b^l_{jk} Y*_{j0} Y_{kl}
+    #                                  = I - i sum b^l_{jk} Y*_{kl} Y_{j0}
+    e1 = GaussMatrix.zero(n)
+    for k in range(d + 1):
+        for l in range(d + 1):
+            e1 = e1 + ctx.right[l][k] @ ctx.left[k][l]
+    e2 = GaussMatrix.identity(n)
+    e3 = GaussMatrix.identity(n)
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            for l in range(1, d + 1):
+                coeff = b[j - 1][k - 1][l - 1]
+                if coeff:
+                    e2 = e2 + (ctx.right[0][j] @ ctx.left[k][l]).scale(Scalar(0, coeff))
+                    e3 = e3 + (ctx.right[l][k] @ ctx.left[j][0]).scale(Scalar(0, -coeff))
+    r4_first = (e1 - e2).is_zero()
+    r4_second = (e1 - e3).is_zero()
+    report["r4"] = {
+        "status": "pass" if (r4_first and r4_second) else "fail",
+        "residual_norm": "0" if (r4_first and r4_second) else "nonzero",
+        "first_form": r4_first,
+        "second_form": r4_second,
+    }
+
+    # ideal memberships
+    span = ReferenceIdealSpan(ctx)
+    span.ensure_level(0)
+
+    def member(M):
+        if M.is_zero():
+            return True
+        return span.contains(M)
+
+    ok5 = True
+    for k in range(d + 1):
+        for l in range(d + 1):
+            if not member(ctx.left[k][l] - ctx.right[l][k]):
+                ok5 = False
+            if not member(ctx.left[k][l] - ctx.left[l][k]):
+                ok5 = False
+    report["r5"] = _reference_ideal_entry(ok5)
+
+    # r6: Y x - x Y in Y*ideal, ideal*Y; spans compared both ways
+    span.ensure_level(1)
+    y_ideal = EchelonAccumulator(2 * n * n)
+    ideal_y = EchelonAccumulator(2 * n * n)
+    for M in span.basis_matrices:
+        y_ideal.insert(_reference_vec(ctx.Y @ M))
+        ideal_y.insert(_reference_vec(M @ ctx.Y))
+    ok6 = True
+    # the residual is linear in x, so the family basis decides as the family would
+    for x in span.family:
+        vec = _reference_vec(ctx.Y @ x - x @ ctx.Y)
+        if not (y_ideal.contains(vec) and ideal_y.contains(vec)):
+            ok6 = False
+    spans_equal = all(ideal_y.contains(_reference_vec(ctx.Y @ M)) for M in span.basis_matrices) and \
+        all(y_ideal.contains(_reference_vec(M @ ctx.Y)) for M in span.basis_matrices)
+    report["r6"] = {**_reference_ideal_entry(ok6), "spans_equal": spans_equal}
+
+    # every Y_{kl} Y_{ij} with indices 1..d, formed once for both relations
+    prod = {(k, l, i, j): ctx.left[k][l] @ ctx.left[i][j]
+            for k in range(1, d + 1) for l in range(1, d + 1)
+            for i in range(1, d + 1) for j in range(1, d + 1)}
+    ok7 = True
+    ok8 = True
+    for (k, l, i, j), P in prod.items():
+        if not member(P - prod[i, j, k, l]):
+            ok7 = False
+        if not member(P - prod[k, i, l, j]):
+            ok8 = False
+    report["r7"] = _reference_ideal_entry(ok7)
+    report["r8"] = _reference_ideal_entry(ok8)
+    return report
+
+
+def _reference_relation_entry(residual):
+    ok = residual.is_zero()
+    return {"status": "pass" if ok else "fail", "residual_norm": "0" if ok else "nonzero"}
+
+
+def _reference_ideal_entry(ok: bool):  # r5-r8
+    return {"status": "pass" if ok else "unresolved",
+            "residual_norm": "0" if ok else "not reduced to the ideal"}

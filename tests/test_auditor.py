@@ -18,7 +18,12 @@ from envsos.lie import builtin
 from envsos.reps import direct_sum, make_point_rep, make_spin_rep
 from envsos.scalar import Scalar
 
-from oracles import ReferenceEchelonAccumulator, echelon_rank, reference_cmat_mul
+from oracles import (
+    ReferenceEchelonAccumulator,
+    echelon_rank,
+    reference_audit_r_relations,
+    reference_cmat_mul,
+)
 
 ALL = ["su2", "abelian(3)", "heisenberg3", "affine_line", "sl2r"]
 
@@ -154,6 +159,56 @@ def test_ideal_span_on_spins_one_and_two_is_built_from_bases(monkeypatch):
     assert echelon_rank(span.acc) == 68  # the rank of the full u*g*v enumeration
     # the 33 x 8 x 33 two-sided products alone would be 8712 inserts
     assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("rep, block_dim, fills", [
+    (_spin_sum(Fraction(1, 2), 1), 2 * (2 ** 2 + 3 ** 2), True),
+    (_spin_sum(1, 2), 2 * (3 ** 2 + 5 ** 2), True),
+    # blocks 2 + 2, but both copies carry the same operators: the span stays at rank 8
+    (_spin_sum(Fraction(1, 2), Fraction(1, 2)), 2 * (2 ** 2 + 2 ** 2), False),
+    (_spin_sum(Fraction(1, 2), 1, Fraction(3, 2)), 2 * (2 ** 2 + 3 ** 2 + 4 ** 2), False),
+    # every operator of a point is real, so the span stays at rank 1
+    (make_point_rep(builtin("abelian(2)"), [1, 2]), 2, False),
+], ids=["spins 1/2+1", "spins 1+2", "spins 1/2+1/2", "spins 1/2+1+3/2", "abelian(2) at (1,2)"])
+def test_r_relations_match_the_frozen_audit(rep, block_dim, fills):
+    ctx = OperatorAlgebraContext(rep)
+    assert ctx.block_dim == block_dim
+    report = audit_r_relations(ctx)
+    assert report == reference_audit_r_relations(ctx)
+    span = IdealSpan(ctx)
+    span.ensure_level(3)
+    assert span.full == fills
+    if rep.label == "spin 1/2 + spin 1 + spin 3/2":
+        assert [report[r]["status"] for r in ("r5", "r7", "r8")] == ["unresolved"] * 3
+
+
+def test_full_span_forms_no_more_products_and_answers_by_support(monkeypatch):
+    ctx = OperatorAlgebraContext(_spin_sum(1, 2))
+    span = IdealSpan(ctx)
+    span.ensure_level(2)
+    products = []
+    matmul = GaussMatrix.__matmul__
+
+    def counting_matmul(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(GaussMatrix, "__matmul__", counting_matmul)
+    span.ensure_level(3)
+    assert span.full and echelon_rank(span.acc) == 68
+    # the span fills before the level's last two-sided product
+    assert len(products) < len(span.family) * len(span.right_basis)
+    before = len(products)
+    n = ctx.rep.dim_rep
+    inside = ctx.left[1][2] @ ctx.left[3][1]
+    assert span.contains(inside)
+    i, j = ctx.off_block[0]
+    outside = GaussMatrix([[int((p, q) == (i, j)) for q in range(n)] for p in range(n)],
+                          [[0] * n for _ in range(n)])
+    assert not span.contains(outside)
+    assert not span.contains(inside + outside.scale(Scalar(0, 3)))
+    assert not span.insert(outside)
+    assert len(products) == before + 1 and echelon_rank(span.acc) == 68
 
 
 def test_r_relations_read_the_stored_adjoints(monkeypatch):

@@ -24,7 +24,7 @@ def test_emitted_digests_of_one_theorem_pass():
 CLI_EXITS = {"normalize": 0, "scan": 0, "sos": 0, "verify": 0, "sos-infeasible": 1,
              "theorem": 0, "theorem-counterexample": 1, "theorem-not-strictly-positive": 1,
              "theorem-abelian-window": 0, "theorem-two-generators": 0, "audit-su2": 0, "audit-abelian": 0, "audit-su2-sums": 0,
-             "audit-abelian-points": 0, "scan-witnesses": 0, "scan-abelian-points": 0,
+             "audit-abelian-points": 0, "audit-su2-unresolved": 1, "scan-witnesses": 0, "scan-abelian-points": 0,
              "verify-commutative": 0, "verify-noncanonical": 2, "scan-lmax-not-half-integer": 2}
 
 

@@ -66,6 +66,10 @@ CLI_CASES = [
     ("audit-su2-sums", ["audit", "--algebra", "su2", "--spins", "1/2+1", "--spins", "1+2"]),
     ("audit-abelian-points", ["audit", "--algebra", "abelian(2)", "--points", "1,2",
                               "--points", "0,0"]),
+    # contexts whose ideal span never fills its block algebra; the second leaves r5, r7
+    # and r8 unresolved
+    ("audit-su2-unresolved", ["audit", "--algebra", "su2", "--spins", "1/2+1/2",
+                              "--spins", "1/2+1+3/2"]),
     # scans whose windows hold non-members, so they print representation witnesses
     ("scan-witnesses", ["scan", "--algebra", "su2", "--exprs", "1", "1 + x1*x2 + x2*x1",
                         "--lmax", "2"]),
